@@ -13,7 +13,6 @@ from .cases import CaseConfig, ConfigError, case_defaults, parse_config
 from .deposition import (
     ParticleSet,
     deposit_charge,
-    deposit_density_2d,
     deposit_phase_space,
     seed_particles,
 )

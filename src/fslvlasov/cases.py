@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -126,6 +126,11 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
         val = getattr(cfg, key)
         if val is not None and not val > 0:
             raise ConfigError(f"key {key!r} must be positive, got {val}")
+    for key in ("nx", "nv"):
+        if getattr(cfg, key) < grids.MIN_CELLS:
+            raise ConfigError(
+                f"key {key!r} must be at least {grids.MIN_CELLS}, got {getattr(cfg, key)}"
+            )
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.model == GC:

@@ -7,9 +7,15 @@ contribution of a particle fades over the two-cell support skirt as it
 leaves the domain (the mass bookkeeping in the solver reports the loss).
 Dropping particles at the domain line instead would make the wall
 remap iteration linearly unstable (measured growth 1.077 per remap),
-and clamping them would pile mass at the wall.  Accumulation uses a
-single bincount over a fixed traversal order, so results are
-bit-reproducible run to run.
+and clamping them would pile mass at the wall.
+
+Kernel layout: per dimension the stencil is a pair of (4, n) arrays
+(node indices, weights); off-grid stencil nodes get index 0 and weight 0,
+so no validity mask reaches the outer product.  The particle weights are
+multiplied into the x weights first.  Particles go through in blocks of
+``splines.BLOCK``; the (block, 4, 4) contributions are added with
+``np.add.at``, which accumulates one by one in particle order, so the
+sums do not depend on the blocking and are bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import STENCIL_OFFSETS, SplineCoeffs, stencil_weights
+from .splines import STENCIL_OFFSETS, SplineCoeffs, blocks, stencil, stencil_weights
 
 
 @dataclass
@@ -34,7 +40,6 @@ class ParticleSet:
     pos1: np.ndarray
     pos2: np.ndarray
     weights: np.ndarray
-    origin_shape: tuple[int, int]
 
     def __post_init__(self):
         n = self.pos1.size
@@ -42,7 +47,7 @@ class ParticleSet:
             raise ValueError("pos1, pos2 and weights must have equal length")
 
     def replace_positions(self, pos1, pos2) -> "ParticleSet":
-        return ParticleSet(pos1, pos2, self.weights, self.origin_shape)
+        return ParticleSet(pos1, pos2, self.weights)
 
 
 def basis_centers(grid: UniformGrid1D) -> np.ndarray:
@@ -56,21 +61,17 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
     """Seed one particle per coefficient, positioned at its basis center."""
     g1, g2 = coeffs.grids
     x1, x2 = np.meshgrid(basis_centers(g1), basis_centers(g2), indexing="ij")
-    return ParticleSet(
-        x1.ravel().copy(), x2.ravel().copy(), coeffs.coeffs.ravel().copy(),
-        coeffs.coeffs.shape,
-    )
+    return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.flatten())
 
 
 def _dim_stencil(grid: UniformGrid1D, pos):
-    """Per-particle stencil (indices, weights, validity) along one dimension."""
-    u = grid.to_units(pos)
+    """Per-particle stencil (indices, weights) along one dimension, (4, n).
+
+    Stencil nodes off a natural grid carry index 0 and weight 0.
+    """
     if grid.periodic:
-        i0 = np.floor(u).astype(np.int64)
-        idx = np.mod(i0[:, None] + STENCIL_OFFSETS, grid.n_cells)
-        w = stencil_weights(u - i0)
-        valid = np.ones(idx.shape, dtype=bool)
-        return idx, w, valid
+        return stencil(grid, pos)
+    u = grid.to_units(pos)
     n = grid.n_cells
     # keep positions only where some stencil node can land on the grid;
     # this bounds the index arithmetic for far strays without changing
@@ -78,33 +79,31 @@ def _dim_stencil(grid: UniformGrid1D, pos):
     u = np.clip(u, -3.0, n + 3.0)
     i0 = np.floor(u).astype(np.int64)
     w = stencil_weights(u - i0)
-    idx = i0[:, None] + STENCIL_OFFSETS
-    valid = (idx >= 0) & (idx <= n)
-    idx = np.where(valid, idx, 0)
-    return idx, w, valid
+    idx = i0 + STENCIL_OFFSETS
+    off = (idx < 0) | (idx > n)
+    idx[off] = 0
+    w[off] = 0.0
+    return idx, w
+
+
+def _check_finite(*arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite particle data")
 
 
 def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
     """Deposit particle contributions onto the full 2D node grid."""
-    if not (
-        np.all(np.isfinite(p.pos1))
-        and np.all(np.isfinite(p.pos2))
-        and np.all(np.isfinite(p.weights))
-    ):
-        raise ValueError("non-finite particle data")
-    ix, wx, vx = _dim_stencil(gx, p.pos1)
-    iy, wy, vy = _dim_stencil(gy, p.pos2)
+    _check_finite(p.pos1, p.pos2, p.weights)
     ny = gy.n_nodes
-    flat = ix[:, :, None] * ny + iy[:, None, :]
-    w = p.weights[:, None, None] * wx[:, :, None] * wy[:, None, :]
-    w = np.where(vx[:, :, None] & vy[:, None, :], w, 0.0)
-    out = np.bincount(flat.ravel(), weights=w.ravel(), minlength=gx.n_nodes * ny)
+    out = np.zeros(gx.n_nodes * ny)
+    for b in blocks(p.pos1.size):
+        ix, wx = _dim_stencil(gx, p.pos1[b])
+        iy, wy = _dim_stencil(gy, p.pos2[b])
+        flat = np.repeat((ix * ny).T, 4, axis=1).reshape(-1, 4, 4)
+        flat += iy.T[:, None, :]
+        w = np.einsum("in,jn->nij", p.weights[b] * wx, wy)
+        np.add.at(out, flat.ravel(), w.ravel())
     return out.reshape(gx.n_nodes, ny)
-
-
-def deposit_density_2d(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
-    """2D charge-density deposition (same kernel as the phase-space remap)."""
-    return deposit_phase_space(p, gx, gy)
 
 
 def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None):
@@ -117,9 +116,9 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None):
     if dv <= 0:
         raise ValueError("dv must be positive")
     x = p.pos1 if pos is None else pos
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p.weights))):
-        raise ValueError("non-finite particle data")
-    ix, wx, _ = _dim_stencil(gx, x)
-    w = p.weights[:, None] * wx
-    out = np.bincount(ix.ravel(), weights=w.ravel(), minlength=gx.n_nodes)
+    _check_finite(x, p.weights)
+    out = np.zeros(gx.n_nodes)
+    for b in blocks(x.size):
+        ix, wx = _dim_stencil(gx, x[b])
+        np.add.at(out, ix.T.ravel(), (p.weights[b] * wx).T.ravel())
     return dv * out

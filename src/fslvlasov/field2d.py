@@ -1,12 +1,15 @@
 """2D Poisson solver for the guiding-center model.
 
 -laplace(phi) = rho on a box periodic in x and Dirichlet (phi = 0) in y.
-The potential is obtained mode by mode from an FFT in x and a
-fourth-order compact (Numerov) tridiagonal solve in y.  The field
+The potential is obtained mode by mode from a real FFT in x and the
+fourth-order compact (Numerov) relation in y, whose per-mode matrix is
+symmetric Toeplitz with Dirichlet ends and is therefore diagonalized by a
+type-1 discrete sine transform in y.  The field
 E = -grad(phi) is then recovered by quadrature-based compact systems:
 a Simpson relation in the periodic x direction, and in y the same
 interior relation closed by corrected-midpoint rows at the two walls,
-whose curvature terms restore third-order accuracy there.
+whose curvature terms restore third-order accuracy there.  Both field
+components share one spline fit, stacked as (Ey, Ex) on a trailing axis.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dst, idst
 from scipy.linalg import solve_banded
 
 from .grids import UniformGrid1D
@@ -27,8 +31,7 @@ class FieldState2D:
     phi: np.ndarray
     Ex: np.ndarray
     Ey: np.ndarray
-    Ex_spline: SplineCoeffs
-    Ey_spline: SplineCoeffs
+    E_spline: SplineCoeffs  # components (Ey, Ex) on the trailing axis
 
 
 def _check_shape(arr, gx, gy, name):
@@ -47,28 +50,6 @@ def _xi(gx: UniformGrid1D):
     return 2.0 * np.pi * np.fft.fftfreq(gx.n_nodes, d=gx.delta)
 
 
-def _thomas_modes(off, diag, rhs):
-    """Solve many tridiagonal systems with constant per-system stencil.
-
-    off/diag have shape (M,), rhs has shape (M, K); system m is
-    tridiag(off[m], diag[m], off[m]) of size K.  Complex supported.
-    """
-    m, k = rhs.shape
-    cp = np.empty((m, k), dtype=rhs.dtype)
-    dp = np.empty((m, k), dtype=rhs.dtype)
-    cp[:, 0] = off / diag
-    dp[:, 0] = rhs[:, 0] / diag
-    for j in range(1, k):
-        denom = diag - off * cp[:, j - 1]
-        cp[:, j] = off / denom
-        dp[:, j] = (rhs[:, j] - off * dp[:, j - 1]) / denom
-    out = np.empty_like(dp)
-    out[:, -1] = dp[:, -1]
-    for j in range(k - 2, -1, -1):
-        out[:, j] = dp[:, j] - cp[:, j] * out[:, j + 1]
-    return out
-
-
 def solve_potential(rho, gx: UniformGrid1D, gy: UniformGrid1D):
     """Potential of -laplace(phi) = rho, periodic in x, phi = 0 at the y walls.
 
@@ -79,20 +60,26 @@ def solve_potential(rho, gx: UniformGrid1D, gy: UniformGrid1D):
         = -(dy^2/12) (rhohat_{j+1} + 10 rhohat_j + rhohat_{j-1})
 
     is solved for the interior nodes; the xi = 0 mode uses the same
-    stencil.  Fourth-order accurate in dy.
+    stencil.  Fourth-order accurate in dy.  Each mode's matrix
+    tridiag(off, diag, off) of size K = ny - 2 has the sine vectors
+    sin(pi j k / (K + 1)) as eigenvectors, with eigenvalues
+    diag + 2 off cos(pi k / (K + 1)), so a DST-I in y, a division, and the
+    inverse DST-I solve all modes at once.
     """
     rho = _check_shape(rho, gx, gy, "rho")
-    if gy.periodic or gy.n_cells < 5:
-        raise ValueError("y grid must be natural with >= 4 interior nodes")
+    if gy.periodic:
+        raise ValueError("y grid must be natural (Dirichlet walls)")
     dy = gy.delta
-    rho_hat = np.fft.fft(rho, axis=0)
-    rhs = -(dy**2 / 12.0) * (rho_hat[:, 2:] + 10.0 * rho_hat[:, 1:-1] + rho_hat[:, :-2])
-    xi2 = _xi(gx) ** 2
+    k = gy.n_nodes - 2
+    rhs = -(dy**2 / 12.0) * (rho[:, 2:] + 10.0 * rho[:, 1:-1] + rho[:, :-2])
+    rhs_hat = np.fft.rfft(dst(rhs, type=1, axis=1), axis=0)
+    xi2 = (2.0 * np.pi * np.fft.rfftfreq(gx.n_nodes, d=gx.delta)) ** 2
     off = 1.0 - xi2 * dy**2 / 12.0
     diag = -2.0 - 10.0 * xi2 * dy**2 / 12.0
-    phi_hat = np.zeros_like(rho_hat)
-    phi_hat[:, 1:-1] = _thomas_modes(off.astype(complex), diag.astype(complex), rhs)
-    return np.real(np.fft.ifft(phi_hat, axis=0))
+    lam = diag[:, None] + 2.0 * off[:, None] * np.cos(np.pi * np.arange(1, k + 1) / (k + 1))
+    phi = np.zeros_like(rho)
+    phi[:, 1:-1] = idst(np.fft.irfft(rhs_hat / lam, n=gx.n_nodes, axis=0), type=1, axis=1)
+    return phi
 
 
 def compute_Ex(phi, gx: UniformGrid1D, gy: UniformGrid1D):
@@ -156,35 +143,4 @@ def solve_fields(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
     phi = solve_potential(rho, gx, gy)
     ex = compute_Ex(phi, gx, gy)
     ey = compute_Ey(phi, rho, gx, gy)
-    return FieldState2D(gx, gy, phi, ex, ey, fit_2d(ex, gx, gy), fit_2d(ey, gx, gy))
-
-
-def solve_fields_spectral_y(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
-    """Sensitivity alternative: fully spectral solve, periodic in both x and y.
-
-    Treats the y direction as periodic with period Ly (the node at y_max
-    duplicates y_min and is rebuilt from the wrap).  Provided as a
-    config switch for sensitivity checks only; the production solver is
-    the Dirichlet one above.
-    """
-    rho = _check_shape(rho, gx, gy, "rho")
-    nx, ny = gx.n_nodes, gy.n_cells
-    r = rho[:, :ny]
-    r_hat = np.fft.fft2(r - r.mean())
-    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=gx.delta)
-    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=gy.delta)
-    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-    k2[0, 0] = 1.0
-    phi_hat = r_hat / k2
-    phi_hat[0, 0] = 0.0
-    ex_hat = -1j * kx[:, None] * phi_hat
-    ey_hat = -1j * ky[None, :] * phi_hat
-    phi = np.real(np.fft.ifft2(phi_hat))
-    ex = np.real(np.fft.ifft2(ex_hat))
-    ey = np.real(np.fft.ifft2(ey_hat))
-
-    def close(a):
-        return np.concatenate([a, a[:, :1]], axis=1)
-
-    phi, ex, ey = close(phi), close(ex), close(ey)
-    return FieldState2D(gx, gy, phi, ex, ey, fit_2d(ex, gx, gy), fit_2d(ey, gx, gy))
+    return FieldState2D(gx, gy, phi, ex, ey, fit_2d(np.stack([ey, ex], axis=-1), gx, gy))

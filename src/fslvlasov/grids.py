@@ -9,6 +9,9 @@ import numpy as np
 PERIODIC = "periodic"
 NATURAL = "natural"
 
+#: fewest cells a grid may have (the cubic stencil spans four)
+MIN_CELLS = 4
+
 
 @dataclass(frozen=True)
 class UniformGrid1D:
@@ -30,8 +33,8 @@ class UniformGrid1D:
     def __post_init__(self):
         if not self.xmax > self.xmin:
             raise ValueError(f"xmax must exceed xmin, got [{self.xmin}, {self.xmax}]")
-        if self.n_cells < 4:
-            raise ValueError(f"need at least 4 cells, got {self.n_cells}")
+        if self.n_cells < MIN_CELLS:
+            raise ValueError(f"need at least {MIN_CELLS} cells, got {self.n_cells}")
         if self.bc not in (PERIODIC, NATURAL):
             raise ValueError(f"unknown boundary kind {self.bc!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .deposition import ParticleSet, deposit_charge, deposit_density_2d
+from .deposition import ParticleSet, deposit_charge, deposit_phase_space
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
@@ -26,15 +26,11 @@ class SelfConsistentField1D:
         self.grid = grid_x
         self.dv = dv
         self.solves = 0
-        self.last_state = None
 
     def field_at(self, pos, weights, t):
-        rho = deposit_charge(
-            ParticleSet(pos, pos, weights, (pos.size, 1)), self.grid, self.dv
-        )
+        rho = deposit_charge(ParticleSet(pos, pos, weights), self.grid, self.dv)
         state = solve_poisson_1d(rho, self.grid)
         self.solves += 1
-        self.last_state = state
         return eval_1d(state.E_spline, pos)
 
     def wrap(self, pos):
@@ -67,19 +63,14 @@ class SelfConsistentField2D:
         self.gx = gx
         self.gy = gy
         self.solves = 0
-        self.last_state = None
 
     def velocity_at(self, px, py, weights, t):
-        rho = deposit_density_2d(
-            ParticleSet(px, py, weights, (px.size, 1)), self.gx, self.gy
-        )
+        rho = deposit_phase_space(ParticleSet(px, py, weights), self.gx, self.gy)
         state = solve_fields(rho, self.gx, self.gy)
         self.solves += 1
-        self.last_state = state
         py_in = np.clip(py, self.gy.xmin, self.gy.xmax)
-        ey = eval_2d(state.Ey_spline, px, py_in)
-        ex = eval_2d(state.Ex_spline, px, py_in)
-        return ey, -ex
+        e = eval_2d(state.E_spline, px, py_in)
+        return e[:, 0], -e[:, 1]
 
     def wrap_x(self, px):
         return self.gx.wrap(px)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .cases import GC, HILL, VP, CaseConfig
 from .deposition import (
     ParticleSet,
     deposit_charge,
-    deposit_density_2d,
     deposit_phase_space,
     seed_particles,
 )
@@ -150,13 +149,13 @@ def _advect_x_rows(f, gx: UniformGrid1D, shift):
     c = solve_cyclic_banded(f)
     s = np.asarray(shift) / gx.delta
     m = np.floor(-s).astype(np.int64)
-    w = stencil_weights(-s - m)                    # (nv, 4)
+    w = stencil_weights(-s - m)                    # (4, nv)
     cols = np.arange(f.shape[1])[None, :]
     base = np.arange(nx)[:, None] + m[None, :]
     out = np.zeros_like(f)
     for q, off in enumerate((-1, 0, 1, 2)):
         idx = np.mod(base + off, nx)
-        out += w[None, :, q] * c[idx, cols]
+        out += w[q][None, :] * c[idx, cols]
     return out
 
 
@@ -168,11 +167,11 @@ def _advect_v_cols(f, gv: UniformGrid1D, shift):
     u = np.arange(f.shape[1])[None, :] - np.asarray(shift)[:, None] / gv.delta
     u = np.clip(u, 0.0, float(n))
     i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
-    w = stencil_weights(u - i0)                    # (nx, nv+1, 4)
+    w = stencil_weights(u - i0)                    # (4, nx, nv+1)
     rows = np.arange(f.shape[0])[:, None]
     out = np.zeros_like(f)
     for q, off in enumerate((-1, 0, 1, 2)):
-        out += w[:, :, q] * c[rows, i0 + off + 1]
+        out += w[q] * c[rows, i0 + off + 1]
     return out
 
 
@@ -211,13 +210,16 @@ def _bsl_step_gc(state: SimState) -> SimState:
     """
     cfg = state.config
     gx, gy = state.g1, state.g2
-    fn, fp = state.bsl_field, state.bsl_field_prev
+    fn = state.bsl_field
+    # splines are linear in their coefficients: extrapolate those once
+    e_mid = SplineCoeffs(
+        fn.E_spline.grids,
+        1.5 * fn.E_spline.coeffs - 0.5 * state.bsl_field_prev.E_spline.coeffs,
+    )
 
     def u_mid(px, py):
-        py = np.clip(py, gy.xmin, gy.xmax)
-        ey = 1.5 * eval_2d(fn.Ey_spline, px, py) - 0.5 * eval_2d(fp.Ey_spline, px, py)
-        ex = 1.5 * eval_2d(fn.Ex_spline, px, py) - 0.5 * eval_2d(fp.Ex_spline, px, py)
-        return ey, -ex
+        e = eval_2d(e_mid, px, np.clip(py, gy.xmin, gy.xmax))
+        return e[:, 0], -e[:, 1]
 
     mx, my = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
     px, py = mx.ravel(), my.ravel()
@@ -306,7 +308,7 @@ def _diag_gc(state: SimState) -> dict:
     gx, gy = state.g1, state.g2
     rho = state.f_nodes
     if rho is None:
-        rho = deposit_density_2d(state.particles, gx, gy)
+        rho = deposit_phase_space(state.particles, gx, gy)
     if state.config.scheme == "bsl" and state.bsl_field is not None:
         flds = state.bsl_field
     else:
@@ -425,7 +427,10 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
 
     Returns the in-memory series and snapshots; when ``outdir`` is given,
     also writes config.echo, series.csv and snapshots/ (flushed even if
-    the run aborts on non-finite values).
+    the run aborts on non-finite values).  A non-finite check that fires
+    inside a step (FloatingPointError from the pushers, ValueError from
+    deposition, fitting or the field solves) ends the run as a
+    NumericsAbort carrying the rows recorded so far.
     """
     state = init(config)
     names = CHANNELS[state.model]
@@ -460,6 +465,10 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
     except NumericsAbort as abort:
         abort.partial = partial()
         raise
+    except (FloatingPointError, ValueError) as err:
+        raise NumericsAbort(
+            f"{err} at step {state.step_index + 1}", partial()
+        ) from err
     finally:
         if writer:
             writer.close()

@@ -10,6 +10,15 @@ A fitted spline interpolates its samples at every grid node.  Periodic
 grids lead to a cyclic tridiagonal system with stencil (1/6, 2/3, 1/6);
 natural grids append two end-derivative conditions, which fold into two
 ghost coefficients per side stored inline with the node coefficients.
+
+Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
+and basis weights, with the stencil point on the leading axis so every
+arithmetic pass runs over n contiguous points.  A 2D evaluation builds one
+(4, 4, n) flat index into the coefficient block and one (4, 4, n) tensor
+weight, then reads each component through a single ``np.take``.  2D
+coefficients may carry a trailing component axis: the two field
+components share one fit and one stencil.  The gathers here and the
+deposits work through the points in blocks of BLOCK (see there).
 """
 
 from __future__ import annotations
@@ -21,8 +30,20 @@ from scipy.linalg import solve_banded
 
 from .grids import UniformGrid1D
 
-#: stencil offsets covered by a point with fractional position t in cell i0
-STENCIL_OFFSETS = np.array([-1, 0, 1, 2])
+#: stencil offsets covered by a point with fractional position t in cell i0,
+#: as a column: stencil arrays hold the four points on their leading axis
+STENCIL_OFFSETS = np.array([-1, 0, 1, 2])[:, None]
+
+#: points per block in the gathers and deposits.  A block's (4, 4, BLOCK)
+#: temporaries take 0.5 MB, which the allocator recycles; whole-set
+#: temporaries (2 MB for 16.8k particles) were unmapped and faulted in
+#: afresh on almost every call, 18k minor faults per 128x128 GC step.
+BLOCK = 4096
+
+
+def blocks(n: int):
+    """Slices that cover range(n) in blocks of BLOCK."""
+    return [slice(s, s + BLOCK) for s in range(0, n, BLOCK)]
 
 
 def basis_eval(u):
@@ -42,15 +63,17 @@ def stencil_weights(t):
     """Basis values S(t+1), S(t), S(t-1), S(t-2) for fractional t in [0, 1].
 
     These weight the four coefficients at offsets (-1, 0, 1, 2) from the
-    cell index.  Returned shape is t.shape + (4,).
+    cell index.  The stencil point is the leading axis: shape (4,) + t.shape.
     """
     t = np.asarray(t, dtype=float)
     s = 1.0 - t
-    w = np.empty(t.shape + (4,))
-    w[..., 0] = s**3 / 6.0
-    w[..., 1] = (4.0 - 6.0 * t**2 + 3.0 * t**3) / 6.0
-    w[..., 2] = (4.0 - 6.0 * s**2 + 3.0 * s**3) / 6.0
-    w[..., 3] = t**3 / 6.0
+    t3 = t**3
+    s3 = s**3
+    w = np.empty((4,) + t.shape)
+    w[0] = s3 / 6.0
+    w[1] = (4.0 - 6.0 * t**2 + 3.0 * t3) / 6.0
+    w[2] = (4.0 - 6.0 * s**2 + 3.0 * s3) / 6.0
+    w[3] = t3 / 6.0
     return w
 
 
@@ -60,27 +83,12 @@ class SplineCoeffs:
 
     Per dimension the coefficient count is n_nodes for periodic grids and
     n_nodes + 2 for natural grids (one ghost on each side: index 0 holds
-    the coefficient centered one cell left of the domain).
+    the coefficient centered one cell left of the domain).  2D
+    coefficients may carry a trailing component axis.
     """
 
     grids: tuple[UniformGrid1D, ...]
     coeffs: np.ndarray
-
-    @property
-    def ndim(self) -> int:
-        return len(self.grids)
-
-    def node_coeffs(self) -> np.ndarray:
-        """Coefficients attached to grid nodes (ghosts stripped)."""
-        c = self.coeffs
-        for axis, g in enumerate(self.grids):
-            if not g.periodic:
-                c = c.take(np.arange(1, g.n_nodes + 1), axis=axis)
-        return c
-
-
-def _coef_len(grid: UniformGrid1D) -> int:
-    return grid.n_nodes if grid.periodic else grid.n_nodes + 2
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +173,23 @@ def fit_1d(samples, grid: UniformGrid1D) -> SplineCoeffs:
 
 
 def fit_2d(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
-    """Tensor-product fit: 1D systems along x for each row, then along y."""
+    """Tensor-product fit: 1D systems along x for each row, then along y.
+
+    ``samples`` of shape (nx, ny, m) fit m components in the same two
+    banded solves; the coefficients keep the trailing component axis.
+    """
     f = np.asarray(samples, dtype=float)
-    if f.shape != (gx.n_nodes, gy.n_nodes):
-        raise ValueError(
-            f"expected shape {(gx.n_nodes, gy.n_nodes)}, got {f.shape}"
-        )
+    nx, ny = gx.n_nodes, gy.n_nodes
+    if f.shape[:2] != (nx, ny) or f.ndim > 3:
+        raise ValueError(f"expected shape {(nx, ny)} or {(nx, ny)} + (m,), got {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("non-finite samples")
-    cx = _fit_axis0(f, gx)           # (nx_coef, ny_nodes)
-    c = _fit_axis0(cx.T, gy).T       # (nx_coef, ny_coef)
-    return SplineCoeffs((gx, gy), c)
+    m = f.shape[2] if f.ndim == 3 else 1
+    cx = _fit_axis0(f.reshape(nx, ny * m), gx)                   # (ncx, ny*m)
+    ncx = cx.shape[0]
+    rows = cx.reshape(ncx, ny, m).transpose(1, 2, 0).reshape(ny, m * ncx)
+    c = _fit_axis0(rows, gy).reshape(-1, m, ncx).transpose(2, 0, 1)  # (ncx, ncy, m)
+    return SplineCoeffs((gx, gy), c if f.ndim == 3 else c[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +218,52 @@ def _locate(grid: UniformGrid1D, x, clamp: bool = False):
     return i0, u - i0
 
 
-def _gather_indices(grid: UniformGrid1D, i0):
-    """Coefficient-array indices of the 4-point stencil at cell i0."""
-    idx = i0[..., None] + STENCIL_OFFSETS
+def stencil(grid: UniformGrid1D, x, clamp: bool = False):
+    """Coefficient indices and weights of the 4-point stencils at x, (4, n)."""
+    i0, t = _locate(grid, x, clamp=clamp)
     if grid.periodic:
-        return np.mod(idx, grid.n_cells)
-    return idx + 1  # ghost at position 0 shifts node k to slot k+1
+        # i0 lies in [0, n): the table wraps the offsets without a modulo
+        table = np.arange(-1, grid.n_cells + 2) % grid.n_cells
+        idx = table[i0 + (STENCIL_OFFSETS + 1)]
+    else:
+        idx = i0 + (STENCIL_OFFSETS + 1)  # ghost at slot 0 shifts node k to slot k+1
+    return idx, stencil_weights(t)
 
 
 def eval_1d(c: SplineCoeffs, x, clamp: bool = False):
     """Evaluate a 1D spline at x (scalar or array)."""
     (grid,) = c.grids
     xs = np.asarray(x, dtype=float)
-    i0, t = _locate(grid, xs.ravel(), clamp=clamp)
-    idx = _gather_indices(grid, i0)
-    w = stencil_weights(t)
-    vals = np.sum(c.coeffs[idx] * w, axis=-1)
+    xr = xs.ravel()
+    vals = np.empty(xr.size)
+    for b in blocks(xr.size):
+        idx, w = stencil(grid, xr[b], clamp=clamp)
+        vals[b] = (c.coeffs[idx] * w).sum(axis=0)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False):
-    """Evaluate a 2D tensor-product spline at paired points (x, y)."""
+    """Evaluate a 2D tensor-product spline at paired points (x, y).
+
+    Coefficients with a trailing component axis give values of shape
+    x.shape + (m,); all components share one stencil.
+    """
     gx, gy = c.grids
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError("x and y must have matching shapes")
-    ix, tx = _locate(gx, xs.ravel(), clamp=clamp)
-    iy, ty = _locate(gy, ys.ravel(), clamp=clamp)
-    idxx = _gather_indices(gx, ix)
-    idxy = _gather_indices(gy, iy)
-    wx = stencil_weights(tx)
-    wy = stencil_weights(ty)
-    block = c.coeffs[idxx[:, :, None], idxy[:, None, :]]
-    vals = np.einsum("nij,ni,nj->n", block, wx, wy)
-    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+    xr, yr = xs.ravel(), ys.ravel()
+    ncx, ncy = c.coeffs.shape[:2]
+    comps = c.coeffs.reshape(ncx, ncy, -1)
+    flat_comps = [comps[..., k].ravel() for k in range(comps.shape[2])]
+    vals = np.empty((xr.size, len(flat_comps)))
+    for b in blocks(xr.size):
+        ix, wx = stencil(gx, xr[b], clamp=clamp)
+        iy, wy = stencil(gy, yr[b], clamp=clamp)
+        flat = (ix * ncy)[:, None, :] + iy[None, :, :]           # (4, 4, block)
+        w = wx[:, None, :] * wy[None, :, :]
+        for k, ck in enumerate(flat_comps):
+            vals[b, k] = np.einsum("ijn,ijn->n", np.take(ck, flat), w)
+    vals = vals.reshape(xs.shape + c.coeffs.shape[2:])
+    return float(vals) if vals.ndim == 0 else vals

@@ -1,0 +1,42 @@
+import numpy as np
+import pytest
+
+from fslvlasov import solver
+
+
+class NaNField:
+    """Wraps a field provider; from its ``start``-th call on it returns NaN
+    (``once``: only at that call, then it delegates again)."""
+
+    def __init__(self, inner, start, once=False):
+        self.inner = inner
+        self.start = start
+        self.once = once
+        self.calls = 0
+        self.solves = 0
+
+    def field_at(self, pos, weights, t):
+        self.calls += 1
+        if self.calls == self.start or (self.calls > self.start and not self.once):
+            return np.full(pos.shape, np.nan)
+        return self.inner.field_at(pos, weights, t)
+
+    def wrap(self, pos):
+        return self.inner.wrap(pos)
+
+
+@pytest.fixture
+def nan_field(monkeypatch):
+    """Install a NaNField(start, once) on every state solver.init builds."""
+
+    def install(start, once=False):
+        real_init = solver.init
+
+        def init(config):
+            state = real_init(config)
+            state.provider = NaNField(state.provider, start, once)
+            return state
+
+        monkeypatch.setattr(solver, "init", init)
+
+    return install

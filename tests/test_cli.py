@@ -74,6 +74,23 @@ class TestCli:
         assert main(["--case", "landau", "--set", "dt=-1"]) == 2
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["nx", "nv"])
+    def test_grid_below_four_cells_is_config_error(self, key, capsys):
+        assert main(["--case", "landau", "--set", f"{key}=2"]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_step_exits_3_with_partial_series(self, tmp_path, capsys, nan_field):
+        nan_field(7)
+        out = tmp_path / "run"
+        code = main([
+            "--case", "landau", "--out", str(out),
+            "--set", "t_end=1.0", "--set", "nx=16", "--set", "nv=16",
+        ])
+        assert code == 3
+        assert "numeric abort" in capsys.readouterr().err
+        series = (out / "series.csv").read_text().splitlines()
+        assert series[0].startswith("t,mass,") and len(series) == 5
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 

@@ -6,7 +6,6 @@ from fslvlasov.deposition import (
     ParticleSet,
     basis_centers,
     deposit_charge,
-    deposit_density_2d,
     deposit_phase_space,
     seed_particles,
 )
@@ -60,7 +59,7 @@ class TestDepositPhaseSpace:
         w = 0.7
         p = ParticleSet(
             np.array([gx.nodes()[5]]), np.array([gy.nodes()[8]]),
-            np.array([w]), (1, 1),
+            np.array([w]),
         )
         out = deposit_phase_space(p, gx, gy)
         stencil = w * np.outer(
@@ -86,7 +85,6 @@ class TestDepositPhaseSpace:
             rng.uniform(gx.xmin - 2, gx.xmax + 2, n),
             rng.uniform(gy.xmin - 1.0, gy.xmax + 1.0, n),
             rng.normal(size=n),
-            (n, 1),
         )
         got = deposit_phase_space(p, gx, gy)
         np.testing.assert_allclose(got, brute_force_deposit(p, gx, gy), atol=1e-13)
@@ -99,7 +97,6 @@ class TestDepositPhaseSpace:
             rng.uniform(gx.xmin, gx.xmax, n),
             rng.uniform(gy.xmin + 2 * gy.delta, gy.xmax - 2 * gy.delta, n),
             rng.normal(size=n),
-            (n, 1),
         )
         out = deposit_phase_space(p, gx, gy)
         assert abs(out.sum() - p.weights.sum()) < 1e-12 * np.abs(p.weights).sum()
@@ -114,11 +111,11 @@ class TestDepositPhaseSpace:
         w2 = rng.normal(size=n)
         a, b = 1.7, -0.4
         combined = deposit_phase_space(
-            ParticleSet(pos1, pos2, a * w1 + b * w2, (n, 1)), gx, gy
+            ParticleSet(pos1, pos2, a * w1 + b * w2), gx, gy
         )
         split = a * deposit_phase_space(
-            ParticleSet(pos1, pos2, w1, (n, 1)), gx, gy
-        ) + b * deposit_phase_space(ParticleSet(pos1, pos2, w2, (n, 1)), gx, gy)
+            ParticleSet(pos1, pos2, w1), gx, gy
+        ) + b * deposit_phase_space(ParticleSet(pos1, pos2, w2), gx, gy)
         np.testing.assert_allclose(combined, split, atol=1e-13)
 
     def test_translation_equivariance_periodic(self):
@@ -130,9 +127,9 @@ class TestDepositPhaseSpace:
         pos1 = rng.integers(0, 64, n) * 0.25
         pos2 = rng.integers(0, 64, n) * 0.25
         w = rng.normal(size=n)
-        base = deposit_phase_space(ParticleSet(pos1, pos2, w, (n, 1)), gx, gy)
+        base = deposit_phase_space(ParticleSet(pos1, pos2, w), gx, gy)
         shifted = deposit_phase_space(
-            ParticleSet(pos1 + 3.0, pos2, w, (n, 1)), gx, gy
+            ParticleSet(pos1 + 3.0, pos2, w), gx, gy
         )
         np.testing.assert_array_equal(shifted, np.roll(base, 3, axis=0))
 
@@ -144,15 +141,15 @@ class TestDepositPhaseSpace:
         pos1 = rng.integers(0, 64, n) * 0.25
         pos2 = rng.integers(0, 64, n) * 0.25
         w = rng.normal(size=n)
-        base = deposit_phase_space(ParticleSet(pos1, pos2, w, (n, 1)), gx, gy)
+        base = deposit_phase_space(ParticleSet(pos1, pos2, w), gx, gy)
         wrapped = deposit_phase_space(
-            ParticleSet(pos1 + 16.0, pos2, w, (n, 1)), gx, gy
+            ParticleSet(pos1 + 16.0, pos2, w), gx, gy
         )
         np.testing.assert_array_equal(wrapped, base)
 
     def test_non_finite_rejected(self, grids_pn):
         gx, gy = grids_pn
-        p = ParticleSet(np.array([np.nan]), np.array([0.0]), np.array([1.0]), (1, 1))
+        p = ParticleSet(np.array([np.nan]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             deposit_phase_space(p, gx, gy)
 
@@ -161,7 +158,7 @@ class TestDepositPhaseSpace:
         rng = np.random.default_rng(1)
         n = 300
         p = ParticleSet(
-            rng.uniform(0, 10, n), rng.uniform(-5, 5, n), rng.normal(size=n), (n, 1)
+            rng.uniform(0, 10, n), rng.uniform(-5, 5, n), rng.normal(size=n),
         )
         a = deposit_phase_space(p, gx, gy)
         b = deposit_phase_space(p, gx, gy)
@@ -171,7 +168,7 @@ class TestDepositPhaseSpace:
 class TestDepositCharge:
     def test_zero_weights(self, grids_pn):
         gx, gy = grids_pn
-        p = ParticleSet(np.zeros(5), np.zeros(5), np.zeros(5), (5, 1))
+        p = ParticleSet(np.zeros(5), np.zeros(5), np.zeros(5))
         np.testing.assert_array_equal(deposit_charge(p, gx, 0.5), np.zeros(gx.n_nodes))
 
     def test_landau_initial_density(self):
@@ -192,7 +189,7 @@ class TestDepositCharge:
         rng = np.random.default_rng(12)
         n = 200
         p = ParticleSet(
-            rng.uniform(-5, 25, n), np.zeros(n), rng.normal(size=n), (n, 1)
+            rng.uniform(-5, 25, n), np.zeros(n), rng.normal(size=n),
         )
         np.testing.assert_allclose(
             deposit_charge(p, gx, 0.3), brute_force_charge(p, gx, 0.3), atol=1e-13
@@ -200,7 +197,7 @@ class TestDepositCharge:
 
     def test_dv_must_be_positive(self, grids_pn):
         gx, gy = grids_pn
-        p = ParticleSet(np.zeros(1), np.zeros(1), np.ones(1), (1, 1))
+        p = ParticleSet(np.zeros(1), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError):
             deposit_charge(p, gx, -1.0)
 
@@ -209,7 +206,7 @@ class TestDepositCharge:
         rng = np.random.default_rng(21)
         n = 150
         p = ParticleSet(
-            rng.uniform(0, 12, n), np.zeros(n), rng.normal(size=n), (n, 1)
+            rng.uniform(0, 12, n), np.zeros(n), rng.normal(size=n),
         )
         dv = 0.7
         rho = deposit_charge(p, gx, dv)
@@ -219,17 +216,6 @@ class TestDepositCharge:
 
 
 class TestSeeding:
-    def test_density_2d_alias(self, grids_pn):
-        gx, gy = grids_pn
-        rng = np.random.default_rng(2)
-        n = 50
-        p = ParticleSet(
-            rng.uniform(0, 10, n), rng.uniform(-5, 5, n), rng.normal(size=n), (n, 1)
-        )
-        np.testing.assert_array_equal(
-            deposit_density_2d(p, gx, gy), deposit_phase_space(p, gx, gy)
-        )
-
     def test_seed_positions_are_basis_centers(self, grids_pn):
         gx, gy = grids_pn
         f = np.ones((gx.n_nodes, gy.n_nodes))

@@ -5,7 +5,6 @@ from fslvlasov.field2d import (
     compute_Ex,
     compute_Ey,
     solve_fields,
-    solve_fields_spectral_y,
     solve_potential,
 )
 from fslvlasov.grids import NATURAL, UniformGrid1D
@@ -217,15 +216,3 @@ class TestFullPipeline:
         fs = solve_fields(r1 + 0.5 * r2, gx, gy)
         np.testing.assert_allclose(fs.Ey, f1.Ey + 0.5 * f2.Ey, atol=1e-12)
         np.testing.assert_allclose(fs.Ex, f1.Ex + 0.5 * f2.Ex, atol=1e-12)
-
-    def test_spectral_y_alternative_agrees_on_periodic_data(self):
-        # sensitivity switch: on smooth y-periodic data with zero mean the
-        # Dirichlet and fully periodic solvers see the same bulk physics
-        gx, gy = make_grids(16, 128)
-        x, y = mesh(gx, gy)
-        k = 2.0 * np.pi / gx.length
-        rho = np.sin(k * x) * np.sin(y)
-        a = solve_fields(rho, gx, gy)
-        b = solve_fields_spectral_y(rho, gx, gy)
-        np.testing.assert_allclose(a.Ey, b.Ey, atol=5e-4)
-        np.testing.assert_allclose(a.Ex, b.Ex, atol=5e-4)

@@ -1,0 +1,294 @@
+"""Equivalence of the vectorized hot-path kernels with plain references.
+
+The stacked spline gather is checked against per-component evaluation and
+a direct basis-function sum, the stacked fit against scalar fits, the
+deposits bitwise against a per-particle loop with explicit validity
+masks, the blocked kernels bitwise against a single block, and the DST-I
+Poisson solve against a dense per-mode solve.
+"""
+
+import numpy as np
+import pytest
+
+from fslvlasov import splines
+from fslvlasov.deposition import (
+    ParticleSet,
+    basis_centers,
+    deposit_charge,
+    deposit_phase_space,
+)
+from fslvlasov.field2d import solve_fields, solve_potential
+from fslvlasov.grids import NATURAL, UniformGrid1D
+from fslvlasov.splines import (
+    SplineCoeffs,
+    basis_eval,
+    eval_1d,
+    eval_2d,
+    fit_1d,
+    fit_2d,
+    stencil_weights,
+)
+
+GRID_PAIRS = {
+    "periodic-natural": (
+        UniformGrid1D(0.0, 7.0, 12),
+        UniformGrid1D(0.0, 2.0 * np.pi, 10, bc=NATURAL, deriv_lo=0.3, deriv_hi=-0.2),
+    ),
+    "natural-natural": (
+        UniformGrid1D(-3.0, 3.0, 9, bc=NATURAL),
+        UniformGrid1D(-2.0, 5.0, 11, bc=NATURAL),
+    ),
+    "periodic-periodic": (
+        UniformGrid1D(1.0, 4.0, 8),
+        UniformGrid1D(-1.0, 1.0, 13),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(GRID_PAIRS))
+def grids(request):
+    return GRID_PAIRS[request.param]
+
+
+def _edge_points(g: UniformGrid1D, rng, n):
+    """Random points plus the seam (periodic) or the walls (natural)."""
+    inner = rng.uniform(g.xmin, g.xmax, n)
+    eps = 1e-15 * max(1.0, abs(g.xmax))
+    edges = [g.xmin, g.xmax, g.xmax - eps, g.xmin + eps]
+    if g.periodic:
+        edges += [g.xmin - eps, g.xmax + eps, g.xmin - 3.5 * g.length]
+    return np.concatenate([inner, edges])
+
+
+def _points(gx, gy, rng, n=200):
+    x = _edge_points(gx, rng, n)
+    y = _edge_points(gy, rng, n)
+    m = min(x.size, y.size)
+    # pair every seam/wall point with every other one as well
+    xe, ye = np.meshgrid(x[n:], y[n:], indexing="ij")
+    return np.concatenate([x[:m], xe.ravel()]), np.concatenate([y[:m], ye.ravel()])
+
+
+def _basis_1d(g: UniformGrid1D, x):
+    """S((x - c_k)/delta) for every basis center c_k: shape (n_points, n_coef)."""
+    u = (x[:, None] - basis_centers(g)[None, :]) / g.delta
+    if g.periodic:
+        n = g.n_cells
+        u = (u + n / 2) % n - n / 2
+    return basis_eval(u)
+
+
+def _direct_sum(coeffs, gx, gy, x, y):
+    """Tensor sum over every coefficient; natural points clipped to the walls."""
+    if not gx.periodic:
+        x = np.clip(x, gx.xmin, gx.xmax)
+    if not gy.periodic:
+        y = np.clip(y, gy.xmin, gy.xmax)
+    return np.einsum("pa,pb,ab...->p...", _basis_1d(gx, x), _basis_1d(gy, y), coeffs)
+
+
+class TestStackedGather:
+    def test_vector_matches_scalar_and_direct_sum(self, grids):
+        gx, gy = grids
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(gx.n_nodes, gy.n_nodes, 2))
+        c = fit_2d(f, gx, gy)
+        x, y = _points(gx, gy, rng)
+        got = eval_2d(c, x, y)
+        assert got.shape == x.shape + (2,)
+        direct = _direct_sum(c.coeffs, gx, gy, x, y)
+        for k in range(2):
+            scalar = eval_2d(SplineCoeffs(c.grids, c.coeffs[..., k].copy()), x, y)
+            np.testing.assert_allclose(got[:, k], scalar, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(got[:, k], direct[:, k], rtol=1e-14, atol=1e-14)
+
+    def test_clamp_evaluates_at_the_wall(self):
+        gx, gy = GRID_PAIRS["natural-natural"]
+        rng = np.random.default_rng(12)
+        c = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        x = np.concatenate([rng.uniform(gx.xmin - 2, gx.xmax + 2, 300), [gx.xmin - 1e-3]])
+        y = np.concatenate([rng.uniform(gy.xmin - 2, gy.xmax + 2, 300), [gy.xmax + 1e-3]])
+        got = eval_2d(c, x, y, clamp=True)
+        inside = eval_2d(c, np.clip(x, gx.xmin, gx.xmax), np.clip(y, gy.xmin, gy.xmax))
+        np.testing.assert_array_equal(got, inside)
+        direct = _direct_sum(c.coeffs, gx, gy, x, y)
+        np.testing.assert_allclose(got, direct, rtol=1e-14, atol=1e-14)
+        with pytest.raises(ValueError):
+            eval_2d(c, x, y)
+
+    def test_scalar_point_shapes(self, grids):
+        gx, gy = grids
+        f = np.ones((gx.n_nodes, gy.n_nodes, 2)) * np.array([2.0, -3.0])
+        c = fit_2d(f, gx, gy)
+        np.testing.assert_allclose(eval_2d(c, gx.xmin, gy.xmin), [2.0, -3.0], atol=1e-14)
+        scalar = fit_2d(f[..., 0], gx, gy)
+        assert eval_2d(scalar, gx.xmin, gy.xmin) == pytest.approx(2.0, abs=1e-14)
+
+    def test_field_spline_holds_ey_then_ex(self):
+        gx = UniformGrid1D(0.0, 7.0, 16)
+        gy = UniformGrid1D(0.0, 2.0 * np.pi, 16, bc=NATURAL)
+        x, y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
+        fs = solve_fields(np.sin(y) * (1.0 + 0.1 * np.cos(2 * np.pi * x / 7.0)), gx, gy)
+        e = eval_2d(fs.E_spline, x, y)
+        np.testing.assert_allclose(e[..., 0], fs.Ey, atol=1e-12)
+        np.testing.assert_allclose(e[..., 1], fs.Ex, atol=1e-12)
+
+
+class TestStackedFit:
+    def test_stack_equals_scalar_fits(self, grids):
+        gx, gy = grids
+        rng = np.random.default_rng(13)
+        f = rng.normal(size=(gx.n_nodes, gy.n_nodes, 2))
+        stacked = fit_2d(f, gx, gy).coeffs
+        for k in range(2):
+            np.testing.assert_allclose(
+                stacked[..., k], fit_2d(f[..., k], gx, gy).coeffs, rtol=0, atol=1e-14
+            )
+
+    def test_rejects_wrong_shapes(self, grids):
+        gx, gy = grids
+        with pytest.raises(ValueError):
+            fit_2d(np.zeros((gx.n_nodes, gy.n_nodes + 1, 2)), gx, gy)
+        with pytest.raises(ValueError):
+            fit_2d(np.zeros((gx.n_nodes, gy.n_nodes, 2, 1)), gx, gy)
+
+
+def _reference_stencil(g: UniformGrid1D, pos):
+    """Per-particle node indices, weights and explicit validity, (n, 4) each.
+
+    The weights come from the same vectorized basis formula as the kernel;
+    everything else is recomputed independently of it.
+    """
+    u = (pos - g.xmin) / g.delta
+    n = g.n_cells
+    if g.periodic:
+        u = u - n * np.floor(u / n)
+        u = np.where(u >= n, u - n, u)
+    else:
+        u = np.clip(u, -3.0, n + 3.0)
+    i0 = np.floor(u)
+    w = stencil_weights(u - i0).T
+    nodes = i0.astype(np.int64)[:, None] + np.arange(-1, 3)[None, :]
+    if g.periodic:
+        return nodes % n, w, np.ones(nodes.shape, dtype=bool)
+    return nodes, w, (nodes >= 0) & (nodes <= n)
+
+
+def _loop_deposit_2d(p, gx, gy):
+    ix, wx, vx = _reference_stencil(gx, p.pos1)
+    iy, wy, vy = _reference_stencil(gy, p.pos2)
+    out = np.zeros((gx.n_nodes, gy.n_nodes))
+    for k in range(p.pos1.size):
+        for a in range(4):
+            for b in range(4):
+                if vx[k, a] and vy[k, b]:
+                    out[ix[k, a], iy[k, b]] += (p.weights[k] * wx[k, a]) * wy[k, b]
+    return out
+
+
+def _loop_deposit_1d(p, gx, dv):
+    ix, wx, _ = _reference_stencil(gx, p.pos1)
+    out = np.zeros(gx.n_nodes)
+    for k in range(p.pos1.size):
+        for a in range(4):
+            out[ix[k, a]] += p.weights[k] * wx[k, a]
+    return dv * out
+
+
+def _particles(gx, gy, rng, n=400):
+    """Interior particles, strays beyond u = -3 and n + 3, and seam points."""
+    def coord(g):
+        span = 6.0 * g.delta
+        x = rng.uniform(g.xmin - span, g.xmax + span, n)
+        far = [g.xmin - 3.0 * g.delta - 1e-9, g.xmax + 3.0 * g.delta + 1e-9,
+               g.xmin - 50.0 * g.length, g.xmax + 50.0 * g.length,
+               g.xmin - 2.5 * g.delta, g.xmax + 2.5 * g.delta]
+        seam = [g.xmin, g.xmax, np.nextafter(g.xmax, -np.inf),
+                np.nextafter(g.xmin, -np.inf), g.xmin + g.delta]
+        return np.concatenate([x, far, seam])
+
+    x, y = coord(gx), coord(gy)
+    xs, ys = np.meshgrid(x[n:], y[n:], indexing="ij")
+    pos1 = np.concatenate([x[:n], xs.ravel()])
+    pos2 = np.concatenate([y[:n], ys.ravel()])
+    return ParticleSet(pos1, pos2, rng.normal(size=pos1.size))
+
+
+class TestDepositBitwise:
+    def test_phase_space_equals_loop(self, grids):
+        gx, gy = grids
+        p = _particles(gx, gy, np.random.default_rng(14))
+        np.testing.assert_array_equal(deposit_phase_space(p, gx, gy), _loop_deposit_2d(p, gx, gy))
+
+    def test_charge_equals_loop(self):
+        gx = GRID_PAIRS["periodic-natural"][0]
+        p = _particles(gx, gx, np.random.default_rng(15))
+        np.testing.assert_array_equal(deposit_charge(p, gx, 0.37), _loop_deposit_1d(p, gx, 0.37))
+
+    def test_charge_position_override(self):
+        gx = GRID_PAIRS["periodic-natural"][0]
+        rng = np.random.default_rng(16)
+        p = _particles(gx, gx, rng)
+        moved = rng.uniform(gx.xmin - 9.0, gx.xmax + 9.0, p.pos1.size)
+        np.testing.assert_array_equal(
+            deposit_charge(p, gx, 0.5, pos=moved),
+            _loop_deposit_1d(ParticleSet(moved, moved, p.weights), gx, 0.5),
+        )
+
+
+class TestBlocking:
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
+        gx, gy = GRID_PAIRS["periodic-natural"]
+        rng = np.random.default_rng(17)
+        p = _particles(gx, gy, rng)
+        assert p.pos1.size < splines.BLOCK
+        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
+        py = np.clip(p.pos2, gy.xmin, gy.xmax)
+
+        def kernels():
+            return (
+                deposit_phase_space(p, gx, gy),
+                deposit_charge(p, gx, 0.3),
+                eval_2d(c2, p.pos1, py),
+                eval_1d(c1, p.pos1),
+            )
+
+        whole = kernels()
+        monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
+        for single, blocked in zip(whole, kernels()):
+            np.testing.assert_array_equal(blocked, single)
+
+
+def _dense_numerov(rho, gx, gy):
+    """Per-mode dense solve of the Numerov relation (complex FFT in x)."""
+    dy = gy.delta
+    k = gy.n_nodes - 2
+    rho_hat = np.fft.fft(rho, axis=0)
+    xi2 = (2.0 * np.pi * np.fft.fftfreq(gx.n_nodes, d=gx.delta)) ** 2
+    phi_hat = np.zeros_like(rho_hat)
+    eye = np.eye(k)
+    shift = np.eye(k, k=1) + np.eye(k, k=-1)
+    for m in range(gx.n_nodes):
+        a = xi2[m] * dy**2 / 12.0
+        mat = (-2.0 - 10.0 * a) * eye + (1.0 - a) * shift
+        rhs = -(dy**2 / 12.0) * (rho_hat[m, 2:] + 10.0 * rho_hat[m, 1:-1] + rho_hat[m, :-2])
+        phi_hat[m, 1:-1] = np.linalg.solve(mat, rhs)
+    return np.real(np.fft.ifft(phi_hat, axis=0))
+
+
+class TestPoissonDst:
+    @pytest.mark.parametrize("nx,ny", [(16, 4), (15, 9), (32, 33), (9, 64)])
+    def test_matches_dense_solve(self, nx, ny):
+        gx = UniformGrid1D(0.0, 7.0, nx)
+        gy = UniformGrid1D(0.0, 2.0 * np.pi, ny, bc=NATURAL)
+        rho = np.random.default_rng(nx * ny).normal(size=(gx.n_nodes, gy.n_nodes))
+        phi = solve_potential(rho, gx, gy)
+        ref = _dense_numerov(rho, gx, gy)
+        assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_array_equal(phi[:, [0, -1]], 0.0)
+
+    def test_requires_natural_y(self):
+        g = UniformGrid1D(0.0, 7.0, 8)
+        with pytest.raises(ValueError, match="natural"):
+            solve_potential(np.zeros((8, 8)), g, g)

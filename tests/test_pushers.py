@@ -65,7 +65,7 @@ class TestFreeStreaming:
         fld = FrozenField1D(lambda x, t: np.zeros_like(x), gx)
         rng = np.random.default_rng(0)
         p = ParticleSet(
-            rng.uniform(0, 8, 40), rng.uniform(-2, 2, 40), np.ones(40), (40, 1)
+            rng.uniform(0, 8, 40), rng.uniform(-2, 2, 40), np.ones(40),
         )
         dt = 0.37
         out = push(p, fld, dt, 0.0)
@@ -79,7 +79,7 @@ class TestFreeStreaming:
         )
         rng = np.random.default_rng(1)
         p = ParticleSet(
-            rng.uniform(0, 8, 30), rng.uniform(0, 6, 30), np.ones(30), (30, 1)
+            rng.uniform(0, 8, 30), rng.uniform(0, 6, 30), np.ones(30),
         )
         for push in (push_euler_gc, push_rk2_gc, push_rk3_gc, push_rk4_gc):
             out = push(p, fld, 0.5, 0.0)
@@ -92,7 +92,7 @@ class TestHarmonicOscillator:
 
     def oscillator_error(self, push, dt, t_end=2.0 * np.pi):
         fld = FrozenField1D(lambda x, t: -x)
-        p = ParticleSet(np.array([1.0]), np.array([0.0]), np.ones(1), (1, 1))
+        p = ParticleSet(np.array([1.0]), np.array([0.0]), np.ones(1))
         n = int(round(t_end / dt))
         t = 0.0
         for _ in range(n):
@@ -103,7 +103,7 @@ class TestHarmonicOscillator:
     def test_verlet_single_step_matches_formula(self):
         fld = FrozenField1D(lambda x, t: -x)
         x0, v0, dt = 1.3, -0.4, 0.05
-        p = ParticleSet(np.array([x0]), np.array([v0]), np.ones(1), (1, 1))
+        p = ParticleSet(np.array([x0]), np.array([v0]), np.ones(1))
         out = push_verlet_vp(p, fld, dt, 0.0)
         vh = v0 - 0.5 * dt * x0
         x1 = x0 + dt * vh
@@ -180,7 +180,7 @@ class TestGuidingCenterPushers:
         fld = self.frozen_rotation()
         errs = []
         for dt in (0.2, 0.1, 0.05):
-            p = ParticleSet(np.array([11.0]), np.array([10.0]), np.ones(1), (1, 1))
+            p = ParticleSet(np.array([11.0]), np.array([10.0]), np.ones(1))
             n = int(round(2.0 / dt))
             t = 0.0
             for _ in range(n):
@@ -198,7 +198,7 @@ class TestGuidingCenterPushers:
         h = 1e-3
         px = np.array([11.0, 11.0 + h, 11.0 + h, 11.0])
         py = np.array([10.0, 10.0, 10.0 + h, 10.0 + h])
-        p = ParticleSet(px, py, np.ones(4), (4, 1))
+        p = ParticleSet(px, py, np.ones(4))
         dt = 0.05
         t = 0.0
         for _ in range(40):
@@ -255,7 +255,7 @@ class TestExternalForce:
         for push, floor in ((push_rk2_vp, 1.9), (push_rk4_vp, 3.9)):
             errs = []
             for dt in (0.2, 0.1):
-                p = ParticleSet(np.array([1.0]), np.array([0.0]), np.ones(1), (1, 1))
+                p = ParticleSet(np.array([1.0]), np.array([0.0]), np.ones(1))
                 t = 0.0
                 for _ in range(int(round(2.0 * np.pi / dt))):
                     p = push(p, fld, dt, t)
@@ -265,6 +265,6 @@ class TestExternalForce:
 
     def test_non_finite_positions_abort(self):
         fld = FrozenField1D(lambda x, t: np.full_like(x, np.inf))
-        p = ParticleSet(np.zeros(2), np.zeros(2), np.ones(2), (2, 1))
+        p = ParticleSet(np.zeros(2), np.zeros(2), np.ones(2))
         with pytest.raises(FloatingPointError):
             push_verlet_vp(p, fld, 0.1, 0.0)

@@ -193,6 +193,27 @@ class TestRun:
         assert (out / "config.echo").exists()
         assert (out / "series.csv").read_text().startswith("t,")
 
+    def test_non_finite_push_aborts_with_partial_rows(self, tmp_path, nan_field):
+        # verlet asks for two fields a step: call 7 is the first of step 4
+        nan_field(7)
+        out = tmp_path / "run"
+        with pytest.raises(solver.NumericsAbort, match="step 4") as err:
+            solver.run(landau_cfg(t_end=1.0), outdir=str(out))
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        partial = err.value.partial
+        np.testing.assert_allclose(partial.times, [0.0, 0.1, 0.2, 0.3])
+        assert np.all(np.isfinite(partial.channel("mass")))
+        assert len((out / "series.csv").read_text().splitlines()) == 5
+
+    def test_non_finite_deposit_aborts_with_partial_rows(self, nan_field):
+        # one NaN field moves every particle to NaN; the next deposit rejects it
+        nan_field(5, once=True)
+        with pytest.raises(solver.NumericsAbort, match="step 3") as err:
+            solver.run(landau_cfg(t_end=1.0))
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "non-finite particle data" in str(err.value)
+        assert err.value.partial.times.size == 3
+
     def test_forward_energy_channels_always_present_in_hybrid(self):
         cfg = landau_cfg(scheme="hybrid", T=4, t_end=1.0)
         res = solver.run(cfg)
