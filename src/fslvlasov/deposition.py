@@ -122,3 +122,28 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None):
         ix, wx = _dim_stencil(gx, x[b])
         np.add.at(out, ix.T.ravel(), (p.weights[b] * wx).T.ravel())
     return dv * out
+
+
+# ---------------------------------------------------------------------------
+# deposits of a node-seeded set: every particle sits on a basis center, where
+# the basis is (1/6, 2/3, 1/6) at the nodes -1, 0, +1 away, so the deposit is
+# that 3-point stencil of the seeded weights and needs no particle loop
+
+
+def _periodic_node_stencil(a):
+    """(a[i-1] + 4 a[i] + a[i+1]) / 6 along a periodic axis 0."""
+    return (np.roll(a, 1, axis=0) + 4.0 * a + np.roll(a, -1, axis=0)) / 6.0
+
+
+def deposit_seeded_phase_space(weights, gx: UniformGrid1D, gy: UniformGrid1D):
+    """``deposit_phase_space`` of ``seed_particles`` output, periodic x and
+    natural y: the stencil runs over the y slots (ghosts included), then
+    periodically in x."""
+    w = weights.reshape(gx.n_nodes, gy.n_nodes + 2)
+    return _periodic_node_stencil((w[:, :-2] + 4.0 * w[:, 1:-1] + w[:, 2:]) / 6.0)
+
+
+def deposit_seeded_charge(weights, gx: UniformGrid1D, dv: float):
+    """``deposit_charge`` of ``seed_particles`` output on a periodic x grid."""
+    w = weights.reshape(gx.n_nodes, -1)
+    return dv * _periodic_node_stencil(w.sum(axis=1))

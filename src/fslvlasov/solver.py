@@ -5,6 +5,9 @@ external-force models.
 One forward step pushes the node-seeded particles with the configured
 integrator, scatters their frozen weights back onto the phase-space grid,
 refits the spline coefficients, and reseeds the particles at the nodes.
+Each seeded set goes to the field provider, which solves its field once,
+on the grid and on first use; the diagnostics row and the first stage of
+the next step share that field (see ``pushers``).
 The hybrid scheme performs the scatter/refit only every T steps; in
 between, only the charge depositions required by the pusher's field
 solves take place and the weights stay frozen.  The backward comparator
@@ -95,10 +98,27 @@ def init(config: CaseConfig) -> SimState:
     else:
         provider = ExternalLinearForce(cases.hill_coefficient(config))
     state = SimState(config, config.model, g1, g2, coeffs, particles, f0, provider)
-    if config.scheme == "bsl" and config.model == GC:
+    if config.scheme != "bsl":
+        _hand_over(state)
+    elif config.model == GC:
         state.bsl_field = solve_fields(f0, g1, g2)
         state.bsl_field_prev = state.bsl_field
     return state
+
+
+def _hand_over(state: SimState):
+    """Give the provider the freshly seeded set (providers without a node
+    field, such as the external force, skip it)."""
+    reseed = getattr(state.provider, "reseed", None)
+    if reseed is not None:
+        reseed(state.particles)
+
+
+def _node_field(state: SimState):
+    """The provider's field of the current particles if they are the set
+    it was handed, else None (mid-cycle hybrid steps, the BSL comparator)."""
+    node_field = getattr(state.provider, "node_field", None)
+    return node_field(state.particles) if node_field is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +133,7 @@ def _remap(state: SimState, pushed: ParticleSet):
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
     state.f_nodes = f_new
+    _hand_over(state)
 
 
 def _forward_step(state: SimState, remap_now: bool) -> SimState:
@@ -273,8 +294,9 @@ def step(state: SimState) -> SimState:
 def _diag_vp(state: SimState) -> dict:
     cfg = state.config
     gx, gv = state.g1, state.g2
-    rho = deposit_charge(state.particles, gx, gv.delta)
-    fs = solve_poisson_1d(rho, gx)
+    fs = _node_field(state)
+    if fs is None:
+        fs = solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx)
     ee = diagnostics.electric_energy_1d(fs.E, gx)
     if not np.isfinite(ee) or ee > ENERGY_ABORT:
         raise NumericsAbort(f"field energy diverged at t={state.t:g}")
@@ -292,14 +314,13 @@ def _diag_vp(state: SimState) -> dict:
         )
     else:
         gpair = (gx, gv)
-        kin = diagnostics.kinetic_energy_vp(f, gpair)
         row.update(
             mass=diagnostics.mass(f, gpair),
             l1=diagnostics.lp_norm(f, gpair, 1),
             l2=diagnostics.lp_norm(f, gpair, 2),
             momentum=diagnostics.momentum(f, gpair),
-            kinetic_energy=kin,
-            total_energy=kin + gx.delta * float(np.sum(fs.E**2)),
+            kinetic_energy=diagnostics.kinetic_energy_vp(f, gpair),
+            total_energy=diagnostics.total_energy_vp(f, fs.E, gpair),
         )
     return row
 
@@ -312,7 +333,9 @@ def _diag_gc(state: SimState) -> dict:
     if state.config.scheme == "bsl" and state.bsl_field is not None:
         flds = state.bsl_field
     else:
-        flds = solve_fields(rho, gx, gy)
+        flds = _node_field(state)
+        if flds is None:
+            flds = solve_fields(rho, gx, gy)
     gpair = (gx, gy)
     energy = diagnostics.energy_2d(flds.Ex, flds.Ey, gpair)
     if not np.isfinite(energy) or energy > ENERGY_ABORT:

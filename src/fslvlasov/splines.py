@@ -10,6 +10,7 @@ A fitted spline interpolates its samples at every grid node.  Periodic
 grids lead to a cyclic tridiagonal system with stencil (1/6, 2/3, 1/6);
 natural grids append two end-derivative conditions, which fold into two
 ghost coefficients per side stored inline with the node coefficients.
+The periodic system is circulant and is solved by a real FFT division.
 
 Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
 and basis weights, with the stencil point on the leading axis so every
@@ -95,35 +96,19 @@ class SplineCoeffs:
 # linear solves
 
 
-def solve_cyclic_banded(rhs, s_off=1.0 / 6.0, s_diag=2.0 / 3.0):
-    """Solve the cyclic tridiagonal system with constant stencil.
+def solve_cyclic_banded(rhs):
+    """Solve the periodic spline system with stencil (1/6, 2/3, 1/6).
 
-    The matrix has `s_diag` on the diagonal and `s_off` on the two
-    off-diagonals including the periodic corners.  Solved O(N) by a
-    Sherman-Morrison rank-1 correction of two plain banded sweeps.
+    The matrix is circulant, so the real FFT diagonalizes it: mode k has
+    the eigenvalue 2/3 + cos(2 pi k / N) / 3, never below 1/3, and the
+    solve is one forward transform, a division and the inverse transform.
     ``rhs`` may be (N,) or (N, nrhs); the solve runs on axis 0.
     """
     rhs = np.asarray(rhs, dtype=float)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
     n = rhs.shape[0]
-    gamma = -s_diag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = s_off
-    ab[2, :-1] = s_off
-    ab[1, :] = s_diag
-    ab[1, 0] = s_diag - gamma
-    ab[1, -1] = s_diag - s_off * s_off / gamma
-    u = np.zeros((n, 1))
-    u[0, 0] = gamma
-    u[-1, 0] = s_off
-    sol = solve_banded((1, 1), ab, np.concatenate([rhs, u], axis=1))
-    y, z = sol[:, :-1], sol[:, -1]
-    denom = 1.0 + z[0] + (s_off / gamma) * z[-1]
-    fact = (y[0, :] + (s_off / gamma) * y[-1, :]) / denom
-    out = y - z[:, None] * fact[None, :]
-    return out[:, 0] if squeeze else out
+    lam = 2.0 / 3.0 + np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n) / 3.0
+    lam = lam.reshape((-1,) + (1,) * (rhs.ndim - 1))
+    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / lam, n=n, axis=0)
 
 
 def _solve_natural(samples, grid: UniformGrid1D):

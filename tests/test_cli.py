@@ -91,6 +91,18 @@ class TestCli:
         series = (out / "series.csv").read_text().splitlines()
         assert series[0].startswith("t,mass,") and len(series) == 5
 
+    def test_vp_grid_of_five_cells_reports_e3_as_nan(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([
+            "--case", "two_stream", "--out", str(out),
+            "--set", "nx=5", "--set", "nv=5", "--set", "t_end=1",
+        ])
+        assert code == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        col = lines[0].split(",").index("E3")
+        e3 = [float(line.split(",")[col]) for line in lines[1:]]
+        assert len(e3) == 3 and np.all(np.isnan(e3))
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 

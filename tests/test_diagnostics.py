@@ -99,6 +99,12 @@ class TestModeAmps:
         assert a2 == pytest.approx(0.1, rel=1e-12)
         assert a3 == pytest.approx(0.05, rel=1e-12)
 
+    def test_harmonic_above_last_bin_is_nan(self):
+        gx = UniformGrid1D(0.0, 2.0 * np.pi, 5)  # rfft bins 0, 1, 2
+        a1, a2, a3 = fourier_mode_amps(0.4 * np.sin(gx.nodes()), gx)
+        assert a1 == pytest.approx(0.2, rel=1e-12)
+        assert a2 < 1e-15 and np.isnan(a3)
+
     def test_requires_periodic(self):
         gv = UniformGrid1D(-1.0, 1.0, 8, bc=NATURAL)
         with pytest.raises(ValueError):
