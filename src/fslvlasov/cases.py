@@ -141,6 +141,10 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
     else:
         if cfg.pusher not in ("verlet", "rk2", "rk4"):
             raise ConfigError(f"unknown pusher {cfg.pusher!r}")
+    steps, lo = cfg.t_end / cfg.dt, max(int(cfg.t_end / cfg.dt), 1)
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"t_end={cfg.t_end!r} is {steps:.6g} steps of dt={cfg.dt!r}; nearest "
+                          f"valid: t_end={lo * cfg.dt:.12g} or {(lo + 1) * cfg.dt:.12g}")
     if cfg.snapshot_format not in ("bin", "csv"):
         raise ConfigError(f"unknown snapshot_format {cfg.snapshot_format!r}")
     if cfg.scheme == "bsl" and cfg.model == HILL:

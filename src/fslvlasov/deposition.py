@@ -10,12 +10,15 @@ remap iteration linearly unstable (measured growth 1.077 per remap),
 and clamping them would pile mass at the wall.
 
 Kernel layout: per dimension the stencil is a pair of (4, n) arrays
-(node indices, weights); off-grid stencil nodes get index 0 and weight 0,
-so no validity mask reaches the outer product.  The particle weights are
-multiplied into the x weights first.  Particles go through in blocks of
-``splines.BLOCK``; the (block, 4, 4) contributions are added with
-``np.add.at``, which accumulates one by one in particle order, so the
-sums do not depend on the blocking and are bit-reproducible run to run.
+(node indices, weights); along a natural dimension the accumulator has PAD
+extra cells at each end, which catch the stencil nodes off the grid and
+are sliced off, so no validity mask reaches the outer product.  The
+particle weights are multiplied into the x weights first.  Particles go
+through in blocks of ``splines.BLOCK``; the (block, 4, 4) contributions
+are added with ``np.add.at``, which accumulates one by one in particle
+order, so the sums do not depend on the blocking and are bit-reproducible
+run to run.  A ``splines.Stencils`` buffer, if given, keeps the stencils
+for the field gather at the same positions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import STENCIL_OFFSETS, SplineCoeffs, blocks, stencil, stencil_weights
+from .splines import STENCIL_OFFSETS, SplineCoeffs, Stencils, blocks, stencil, stencil_weights
 
 
 @dataclass
@@ -64,26 +67,22 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
     return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.flatten())
 
 
-def _dim_stencil(grid: UniformGrid1D, pos):
-    """Per-particle stencil (indices, weights) along one dimension, (4, n).
+#: accumulator cells beyond each end of a natural dimension: positions are
+#: clipped to u in [-3, n + 2], so stencil nodes lie in [-4, n + 4]
+PAD = 4
 
-    Stencil nodes off a natural grid carry index 0 and weight 0.
-    """
+
+def _dim_stencil(grid: UniformGrid1D, pos, out=(None, None)):
+    """Per-particle stencil (node indices, weights) along one dimension, (4, n),
+    written to the ``out`` pair of views if given.  Off-grid nodes included."""
     if grid.periodic:
-        return stencil(grid, pos)
-    u = grid.to_units(pos)
-    n = grid.n_cells
-    # keep positions only where some stencil node can land on the grid;
-    # this bounds the index arithmetic for far strays without changing
-    # any contribution (their weights are zero on the grid anyway)
-    u = np.clip(u, -3.0, n + 3.0)
+        return stencil(grid, pos, out=out)
+    # a point outside u in [-2, n + 2) has no stencil node on the grid, so
+    # the clip, which bounds the index arithmetic for far strays, changes
+    # no contribution
+    u = np.clip(grid.to_units(pos), -3.0, grid.n_cells + 2.0)
     i0 = np.floor(u).astype(np.int64)
-    w = stencil_weights(u - i0)
-    idx = i0 + STENCIL_OFFSETS
-    off = (idx < 0) | (idx > n)
-    idx[off] = 0
-    w[off] = 0.0
-    return idx, w
+    return np.add(i0, STENCIL_OFFSETS, out=out[0]), stencil_weights(u - i0, out=out[1])
 
 
 def _check_finite(*arrays):
@@ -91,22 +90,30 @@ def _check_finite(*arrays):
         raise ValueError("non-finite particle data")
 
 
-def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
+def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
+                        stencils: Stencils = None):
     """Deposit particle contributions onto the full 2D node grid."""
     _check_finite(p.pos1, p.pos2, p.weights)
-    ny = gy.n_nodes
-    out = np.zeros(gx.n_nodes * ny)
+    ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
+    nya = gy.n_nodes + 2 * oy
+    out = np.zeros((gx.n_nodes + 2 * ox) * nya)
+    kept = stencils.reserve(2, p.pos1.size) if stencils else None
     for b in blocks(p.pos1.size):
-        ix, wx = _dim_stencil(gx, p.pos1[b])
-        iy, wy = _dim_stencil(gy, p.pos2[b])
-        flat = np.repeat((ix * ny).T, 4, axis=1).reshape(-1, 4, 4)
-        flat += iy.T[:, None, :]
-        w = np.einsum("in,jn->nij", p.weights[b] * wx, wy)
+        ix, wx = _dim_stencil(gx, p.pos1[b], kept.at(0, b) if kept else (None, None))
+        iy, wy = _dim_stencil(gy, p.pos2[b], kept.at(1, b) if kept else (None, None))
+        # particle-major (block, 4, 4) indices and weights, written through
+        # their transposes: long inner loops and no transposing copy
+        flat = np.empty((ix.shape[1], 4, 4), dtype=np.int64)
+        w = np.empty(flat.shape)
+        np.add((ix * nya + (ox * nya + oy))[:, None], iy[None], out=flat.transpose(1, 2, 0))
+        np.multiply((p.weights[b] * wx)[:, None], wy[None], out=w.transpose(1, 2, 0))
         np.add.at(out, flat.ravel(), w.ravel())
-    return out.reshape(gx.n_nodes, ny)
+    # contiguous: a strided result changes the summation order of np.sum
+    return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 
 
-def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None):
+def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None,
+                   stencils: Stencils = None):
     """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx).
 
     The dv factor makes the x-quadrature of rho equal the phase-space mass
@@ -117,11 +124,17 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None):
         raise ValueError("dv must be positive")
     x = p.pos1 if pos is None else pos
     _check_finite(x, p.weights)
-    out = np.zeros(gx.n_nodes)
+    ox = 0 if gx.periodic else PAD
+    out = np.zeros(gx.n_nodes + 2 * ox)
+    kept = stencils.reserve(1, x.size) if stencils else None
     for b in blocks(x.size):
-        ix, wx = _dim_stencil(gx, x[b])
-        np.add.at(out, ix.T.ravel(), (p.weights[b] * wx).T.ravel())
-    return dv * out
+        ix, wx = _dim_stencil(gx, x[b], kept.at(0, b) if kept else (None, None))
+        flat = np.empty((ix.shape[1], 4), dtype=np.int64)  # particle-major, as above
+        w = np.empty(flat.shape)
+        np.add(ix, ox, out=flat.T)
+        np.multiply(p.weights[b], wx, out=w.T)
+        np.add.at(out, flat.ravel(), w.ravel())
+    return dv * out[ox:ox + gx.n_nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,6 @@ def _check_shape(arr, gx, gy, name):
     return arr
 
 
-def _xi(gx: UniformGrid1D):
-    """Discrete x wavenumbers 2*pi*m/Lx in FFT ordering."""
-    return 2.0 * np.pi * np.fft.fftfreq(gx.n_nodes, d=gx.delta)
-
-
 def solve_potential(rho, gx: UniformGrid1D, gy: UniformGrid1D):
     """Potential of -laplace(phi) = rho, periodic in x, phi = 0 at the y walls.
 
@@ -117,7 +112,7 @@ def compute_Ey(phi, rho, gx: UniformGrid1D, gy: UniformGrid1D):
     ab[2, -2] = 0.5
     ab[1, -1] = 0.5
 
-    xi2 = _xi(gx) ** 2
+    xi2 = (2.0 * np.pi * np.fft.fftfreq(gx.n_nodes, d=gx.delta)) ** 2  # x wavenumbers
 
     def dxx(g):
         return np.real(np.fft.ifft(-xi2 * np.fft.fft(g)))
@@ -139,7 +134,6 @@ def compute_Ey(phi, rho, gx: UniformGrid1D, gy: UniformGrid1D):
 
 def solve_fields(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
     """Full pipeline: potential, both field components, and their splines."""
-    rho = _check_shape(rho, gx, gy, "rho")
     phi = solve_potential(rho, gx, gy)
     ex = compute_Ex(phi, gx, gy)
     ey = compute_Ey(phi, rho, gx, gy)

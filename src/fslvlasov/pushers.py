@@ -9,7 +9,9 @@ to its provider (``reseed``), and the field of that set is solved on the
 grid, once, on first use (``node_field``).  The diagnostics row and stage
 1 of the next step share it; since the particles sit on the basis
 centers and the field spline interpolates at the nodes, stage 1 reads
-the node values of the field and needs no deposit and no gather.
+the node values of the field and needs no deposit and no gather.  Other
+stages locate the particles once: the deposit keeps their stencils in the
+provider's ``splines.Stencils`` buffer and the gather reads them back.
 Providers count their solves so tests can audit the stage structure.
 """
 
@@ -27,7 +29,7 @@ from .deposition import (
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
-from .splines import eval_1d, eval_2d
+from .splines import Stencils, eval_1d, eval_2d
 
 
 class _NodeSeeded:
@@ -37,6 +39,7 @@ class _NodeSeeded:
         self.solves = 0
         self.seeded = None
         self._node_field = None
+        self.stencils = Stencils()
 
     def reseed(self, p: ParticleSet):
         """Take a set fresh from ``seed_particles``; its field is solved on
@@ -73,10 +76,11 @@ class SelfConsistentField1D(_NodeSeeded):
         if self._is_seeded(pos, weights):
             # every v slot of a column sits at the same node x
             return np.repeat(self.node_field(self.seeded).E, pos.size // self.grid.n_nodes)
-        rho = deposit_charge(ParticleSet(pos, pos, weights), self.grid, self.dv)
+        rho = deposit_charge(ParticleSet(pos, pos, weights), self.grid, self.dv,
+                             stencils=self.stencils)
         state = solve_poisson_1d(rho, self.grid)
         self.solves += 1
-        return eval_1d(state.E_spline, pos)
+        return eval_1d(state.E_spline, pos, stencils=self.stencils)
 
     def wrap(self, pos):
         return self.grid.wrap(pos)
@@ -120,11 +124,12 @@ class SelfConsistentField2D(_NodeSeeded):
             ny = self.gy.n_nodes
             cols = np.clip(np.arange(-1, ny + 1), 0, ny - 1)
             return state.Ey[:, cols].ravel(), -state.Ex[:, cols].ravel()
-        rho = deposit_phase_space(ParticleSet(px, py, weights), self.gx, self.gy)
+        rho = deposit_phase_space(ParticleSet(px, py, weights), self.gx, self.gy,
+                                  stencils=self.stencils)
         state = solve_fields(rho, self.gx, self.gy)
         self.solves += 1
         py_in = np.clip(py, self.gy.xmin, self.gy.xmax)
-        e = eval_2d(state.E_spline, px, py_in)
+        e = eval_2d(state.E_spline, px, py_in, stencils=self.stencils)
         return e[:, 0], -e[:, 1]
 
     def wrap_x(self, px):

@@ -20,6 +20,10 @@ weight, then reads each component through a single ``np.take``.  2D
 coefficients may carry a trailing component axis: the two field
 components share one fit and one stencil.  The gathers here and the
 deposits work through the points in blocks of BLOCK (see there).
+A field stage deposits and gathers at the same points: the deposit keeps
+their stencils in a ``Stencils`` buffer and the gather reads them back.
+Only points at or beyond a natural wall, where the gather clips, are
+located again, so the values are those of the plain call, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,17 +64,18 @@ def basis_eval(u):
     return out if out.ndim else float(out)
 
 
-def stencil_weights(t):
+def stencil_weights(t, out=None):
     """Basis values S(t+1), S(t), S(t-1), S(t-2) for fractional t in [0, 1].
 
     These weight the four coefficients at offsets (-1, 0, 1, 2) from the
-    cell index.  The stencil point is the leading axis: shape (4,) + t.shape.
+    cell index.  The stencil point is the leading axis: shape (4,) + t.shape,
+    written to ``out`` if given.
     """
     t = np.asarray(t, dtype=float)
     s = 1.0 - t
     t3 = t**3
     s3 = s**3
-    w = np.empty((4,) + t.shape)
+    w = np.empty((4,) + t.shape) if out is None else out
     w[0] = s3 / 6.0
     w[1] = (4.0 - 6.0 * t**2 + 3.0 * t3) / 6.0
     w[2] = (4.0 - 6.0 * s**2 + 3.0 * s3) / 6.0
@@ -113,10 +118,7 @@ def solve_cyclic_banded(rhs):
 
 def _solve_natural(samples, grid: UniformGrid1D):
     """Natural fit along axis 0: returns coefficients with ghosts, (n+2, ...)."""
-    f = np.asarray(samples, dtype=float)
-    squeeze = f.ndim == 1
-    if squeeze:
-        f = f[:, None]
+    rhs = np.array(samples, dtype=float)
     n = grid.n_nodes  # = n_cells + 1
     d = grid.delta
     ab = np.zeros((3, n))
@@ -126,15 +128,14 @@ def _solve_natural(samples, grid: UniformGrid1D):
     # end rows after eliminating the ghosts through the derivative conditions
     ab[0, 1] = 1.0 / 3.0
     ab[2, -2] = 1.0 / 3.0
-    rhs = f.copy()
     rhs[0] += d * grid.deriv_lo / 3.0
     rhs[-1] -= d * grid.deriv_hi / 3.0
     core = solve_banded((1, 1), ab, rhs)
-    out = np.empty((n + 2,) + f.shape[1:])
+    out = np.empty((n + 2,) + rhs.shape[1:])
     out[1:-1] = core
     out[0] = core[1] - 2.0 * d * grid.deriv_lo
     out[-1] = core[-2] + 2.0 * d * grid.deriv_hi
-    return out[:, 0] if squeeze else out
+    return out
 
 
 def _fit_axis0(samples, grid: UniformGrid1D):
@@ -192,46 +193,74 @@ def _locate(grid: UniformGrid1D, x, clamp: bool = False):
         i0 = np.floor(u).astype(np.int64)
         return i0, u - i0
     n = grid.n_cells
-    tol = 1e-9
-    if clamp:
-        u = np.clip(u, 0.0, float(n))
-    elif np.any(u < -tol) or np.any(u > n + tol):
+    if not clamp and (np.any(u < -1e-9) or np.any(u > n + 1e-9)):
         raise ValueError("evaluation point outside natural-BC domain")
-    else:
-        u = np.clip(u, 0.0, float(n))
+    u = np.clip(u, 0.0, float(n))
     i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
     return i0, u - i0
 
 
-def stencil(grid: UniformGrid1D, x, clamp: bool = False):
-    """Coefficient indices and weights of the 4-point stencils at x, (4, n)."""
+def stencil(grid: UniformGrid1D, x, clamp: bool = False, out=(None, None)):
+    """Coefficient indices and weights of the 4-point stencils at x, (4, n),
+    written to the ``out`` pair of arrays if given."""
     i0, t = _locate(grid, x, clamp=clamp)
     if grid.periodic:
         # i0 lies in [0, n): the table wraps the offsets without a modulo
         table = np.arange(-1, grid.n_cells + 2) % grid.n_cells
-        idx = table[i0 + (STENCIL_OFFSETS + 1)]
-    else:
-        idx = i0 + (STENCIL_OFFSETS + 1)  # ghost at slot 0 shifts node k to slot k+1
-    return idx, stencil_weights(t)
+        idx = np.take(table, i0 + (STENCIL_OFFSETS + 1), out=out[0], mode="clip")
+    else:  # ghost at slot 0 shifts node k to slot k+1
+        idx = np.add(i0, STENCIL_OFFSETS + 1, out=out[0])
+    return idx, stencil_weights(t, out=out[1])
 
 
-def eval_1d(c: SplineCoeffs, x, clamp: bool = False):
-    """Evaluate a 1D spline at x (scalar or array)."""
+class Stencils:
+    """Dimension d's (4, n) stencil indices ``idx[d]`` and weights ``w[d]``
+    of a point set, kept by a deposit for the gather at the same points:
+    those of ``stencil`` on periodic grids, node indices of the unclipped
+    points (off the grid included) on natural ones.  Allocated per size."""
+
+    idx = w = None
+
+    def reserve(self, ndim: int, n: int) -> "Stencils":
+        if self.idx is None or self.idx.shape != (ndim, 4, n):
+            self.idx, self.w = np.empty((ndim, 4, n), dtype=np.int64), np.empty((ndim, 4, n))
+        return self
+
+    def at(self, d: int, b: slice):
+        return self.idx[d, :, b], self.w[d, :, b]
+
+
+def _stencil_of(grid: UniformGrid1D, x, clamp, kept, d, b):
+    """``stencil`` at x[b], read from dimension d of ``kept`` if given."""
+    if kept is None:
+        return stencil(grid, x[b], clamp=clamp)
+    idx, w = kept.at(d, b)
+    if grid.periodic:
+        return idx, w
+    redo = (idx[1] < 0) | (idx[1] >= grid.n_cells)  # at or beyond a wall
+    idx, w = idx + 1, w.copy() if redo.any() else w  # ghost slot 0: node k at k+1
+    idx[:, redo], w[:, redo] = stencil(grid, x[b][redo], clamp=clamp)
+    return idx, w
+
+
+def eval_1d(c: SplineCoeffs, x, clamp: bool = False, stencils: Stencils = None):
+    """Evaluate a 1D spline at x (scalar or array); ``stencils``: see Stencils."""
     (grid,) = c.grids
     xs = np.asarray(x, dtype=float)
     xr = xs.ravel()
     vals = np.empty(xr.size)
     for b in blocks(xr.size):
-        idx, w = stencil(grid, xr[b], clamp=clamp)
+        idx, w = _stencil_of(grid, xr, clamp, stencils, 0, b)
         vals[b] = (c.coeffs[idx] * w).sum(axis=0)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
-def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False):
+def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False, stencils: Stencils = None):
     """Evaluate a 2D tensor-product spline at paired points (x, y).
 
     Coefficients with a trailing component axis give values of shape
-    x.shape + (m,); all components share one stencil.
+    x.shape + (m,); all components share one stencil.  ``stencils``: those
+    of a deposit at (x, y) before a clip to the walls (see Stencils).
     """
     gx, gy = c.grids
     xs = np.asarray(x, dtype=float)
@@ -244,8 +273,8 @@ def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False):
     flat_comps = [comps[..., k].ravel() for k in range(comps.shape[2])]
     vals = np.empty((xr.size, len(flat_comps)))
     for b in blocks(xr.size):
-        ix, wx = stencil(gx, xr[b], clamp=clamp)
-        iy, wy = stencil(gy, yr[b], clamp=clamp)
+        ix, wx = _stencil_of(gx, xr, clamp, stencils, 0, b)
+        iy, wy = _stencil_of(gy, yr, clamp, stencils, 1, b)
         flat = (ix * ncy)[:, None, :] + iy[None, :, :]           # (4, 4, block)
         w = wx[:, None, :] * wy[None, :, :]
         for k, ck in enumerate(flat_comps):

@@ -51,6 +51,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scheme"):
             parse_config("case=landau\nscheme=magic\n")
 
+    def test_t_end_below_one_step_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"t_end=0\.1 or 0\.2"):
+            apply_overrides(case_defaults("landau"), {"t_end": 0.01, "dt": 0.1})
+
+    def test_t_end_off_the_step_grid_names_the_nearest_valid(self):
+        hill = case_defaults("hill")
+        with pytest.raises(ConfigError, match="t_end") as err:
+            apply_overrides(hill, {"t_end": 600.0})
+        nearest = [float(v) for v in str(err.value).rsplit("t_end=", 1)[1].split(" or ")]
+        steps = [apply_overrides(hill, {"t_end": v}).n_steps() for v in nearest]
+        assert steps == [2387, 2388]
+
+    def test_t_end_within_round_off_of_a_step_is_accepted(self):
+        for name in cases.CASES:
+            apply_overrides(case_defaults(name), {})
+        # the benchmark workloads: hill 4 pi over dt = 2 pi / 25 is 50 steps
+        for name, t_end, steps in [("kelvin_helmholtz", 15.0, 30), ("bump_on_tail", 50.0, 100),
+                                   ("hill", 4.0 * np.pi, 50), ("landau", 0.3, 3)]:
+            assert apply_overrides(case_defaults(name), {"t_end": t_end}).n_steps() == steps
+
 
 class TestCli:
     def test_list_cases(self, capsys):
@@ -73,6 +93,10 @@ class TestCli:
     def test_bad_override_is_config_error(self, capsys):
         assert main(["--case", "landau", "--set", "dt=-1"]) == 2
         assert "dt" in capsys.readouterr().err
+
+    def test_t_end_not_a_whole_number_of_steps_exits_2(self, capsys):
+        assert main(["--case", "landau", "--set", "t_end=0.01"]) == 2
+        assert "t_end" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["nx", "nv"])
     def test_grid_below_four_cells_is_config_error(self, key, capsys):

@@ -3,8 +3,9 @@
 The stacked spline gather is checked against per-component evaluation and
 a direct basis-function sum, the stacked fit against scalar fits, the
 deposits bitwise against a per-particle loop with explicit validity
-masks, the blocked kernels bitwise against a single block, and the DST-I
-Poisson solve against a dense per-mode solve.
+masks, the blocked kernels bitwise against a single block, the gathers
+through a deposit's kept stencils bitwise against the plain gathers, and
+the DST-I Poisson solve against a dense per-mode solve.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from fslvlasov.field2d import solve_fields, solve_potential
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.splines import (
     SplineCoeffs,
+    Stencils,
     basis_eval,
     eval_1d,
     eval_2d,
@@ -257,6 +259,81 @@ class TestBlocking:
         whole = kernels()
         monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
         for single, blocked in zip(whole, kernels()):
+            np.testing.assert_array_equal(blocked, single)
+
+
+def _inside(g: UniformGrid1D, pos):
+    """Positions a gather takes: natural ones clipped to the walls."""
+    return pos if g.periodic else np.clip(pos, g.xmin, g.xmax)
+
+
+class TestKeptStencils:
+    """A deposit's kept stencils give the plain gather's values bit for bit:
+    inside, on a wall exactly, for points beyond a wall (gathered at the
+    clipped position) and for strays beyond u = -3 and n + 3."""
+
+    def test_gather_2d_equals_plain(self, grids):
+        gx, gy = grids
+        rng = np.random.default_rng(21)
+        p = _particles(gx, gy, rng)
+        c = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        kept = Stencils()
+        deposit_phase_space(p, gx, gy, stencils=kept)
+        x, y = _inside(gx, p.pos1), _inside(gy, p.pos2)
+        np.testing.assert_array_equal(eval_2d(c, x, y, stencils=kept), eval_2d(c, x, y))
+        for d, g in enumerate(grids):
+            i0 = kept.idx[d, 1]
+            if not g.periodic:  # every case below is exercised
+                assert (i0 == g.n_cells).any() and (i0 > g.n_cells).any() and (i0 < 0).any()
+                assert i0.min() == -3 and i0.max() == g.n_cells + 2
+
+    @pytest.mark.parametrize("g", [GRID_PAIRS["periodic-natural"][0],
+                                   GRID_PAIRS["natural-natural"][0]])
+    def test_gather_1d_equals_plain(self, g):
+        rng = np.random.default_rng(22)
+        p = _particles(g, g, rng)
+        c = fit_1d(rng.normal(size=g.n_nodes), g)
+        kept = Stencils()
+        deposit_charge(p, g, 0.4, stencils=kept)
+        x = _inside(g, p.pos1)
+        np.testing.assert_array_equal(eval_1d(c, x, stencils=kept), eval_1d(c, x))
+
+    def test_deposits_equal_plain(self, grids):
+        gx, gy = grids
+        p = _particles(gx, gy, np.random.default_rng(23))
+        kept = Stencils()
+        np.testing.assert_array_equal(
+            deposit_phase_space(p, gx, gy, stencils=kept), deposit_phase_space(p, gx, gy)
+        )
+        for g in grids:
+            np.testing.assert_array_equal(
+                deposit_charge(p, g, 0.3, stencils=kept), deposit_charge(p, g, 0.3)
+            )
+
+    def test_deposit_is_c_contiguous(self, grids):
+        gx, gy = grids
+        p = _particles(gx, gy, np.random.default_rng(24))
+        assert deposit_phase_space(p, gx, gy).flags.c_contiguous
+
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
+        gx, gy = GRID_PAIRS["periodic-natural"]
+        rng = np.random.default_rng(26)
+        p = _particles(gx, gy, rng)
+        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
+        py = _inside(gy, p.pos2)
+
+        def kernels(kept2, kept1):
+            return (
+                deposit_phase_space(p, gx, gy, stencils=kept2),
+                eval_2d(c2, p.pos1, py, stencils=kept2),
+                deposit_charge(p, gx, 0.3, stencils=kept1),
+                eval_1d(c1, p.pos1, stencils=kept1),
+            )
+
+        whole = kernels(None, None)
+        monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
+        for single, blocked in zip(whole, kernels(Stencils(), Stencils())):
             np.testing.assert_array_equal(blocked, single)
 
 

@@ -22,6 +22,8 @@ from fslvlasov.deposition import (
     deposit_seeded_phase_space,
     seed_particles,
 )
+from fslvlasov.field1d import solve_poisson_1d
+from fslvlasov.field2d import solve_fields
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.pushers import SelfConsistentField1D, SelfConsistentField2D
 from fslvlasov.splines import eval_1d, eval_2d, fit_2d, solve_cyclic_banded
@@ -98,6 +100,43 @@ class TestStageOneNodeVelocities:
         fld.velocity_at(p.pos1, p.pos2, p.weights, 0.0)
         assert fld.solves == 1
         assert fld.node_field(_copy(p)) is None
+
+
+class TestStageThroughKeptStencils:
+    """A stage off the nodes deposits, solves and gathers at its positions,
+    the gather reading the deposit's kept stencils: the same bits as the
+    three plain calls on copied arrays, ghosts beyond the walls included."""
+
+    def test_gc_velocity_equals_plain_stage(self):
+        p = _seeded(GX, GY, 6)
+        rng = np.random.default_rng(6)
+        px = GX.wrap(p.pos1 + rng.uniform(-0.4, 0.4, p.pos1.size))
+        py = p.pos2 + rng.uniform(-0.4, 0.4, p.pos2.size)
+        fld = SelfConsistentField2D(GX, GY)
+        u, v = fld.velocity_at(px, py, p.weights, 0.0)
+        q = ParticleSet(px.copy(), py.copy(), p.weights.copy())
+        e = eval_2d(solve_fields(deposit_phase_space(q, GX, GY), GX, GY).E_spline,
+                    q.pos1, np.clip(q.pos2, GY.xmin, GY.xmax))
+        assert (py < GY.xmin).any() and (py > GY.xmax).any()
+        np.testing.assert_array_equal(u, e[:, 0])
+        np.testing.assert_array_equal(v, -e[:, 1])
+
+    def test_vp_field_equals_plain_stage(self):
+        p = _seeded(GX, GV, 7)
+        x = GX.wrap(p.pos1 + np.random.default_rng(7).uniform(-2.0, 2.0, p.pos1.size))
+        fld = SelfConsistentField1D(GX, GV.delta)
+        got = fld.field_at(x, p.weights, 0.0)
+        q = ParticleSet(x.copy(), x.copy(), p.weights.copy())
+        state = solve_poisson_1d(deposit_charge(q, GX, GV.delta), GX)
+        np.testing.assert_array_equal(got, eval_1d(state.E_spline, q.pos1))
+
+    def test_buffer_is_allocated_once(self):
+        p = _seeded(GX, GY, 8)
+        fld = SelfConsistentField2D(GX, GY)
+        fld.velocity_at(p.pos1 + 0.1, p.pos2, p.weights, 0.0)
+        idx = fld.stencils.idx
+        fld.velocity_at(p.pos1 - 0.1, p.pos2 + 0.05, p.weights, 0.0)
+        assert fld.stencils.idx is idx
 
 
 def _counting(monkeypatch, module, name):

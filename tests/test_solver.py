@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fslvlasov import cases, solver
+from fslvlasov import cases, landau, solver
 from fslvlasov.cases import apply_overrides, case_defaults, maxwellian
 from fslvlasov.diagnostics import fit_damping
 
@@ -119,15 +119,23 @@ class TestHybrid:
         # T=2 keeps the early-time damping slope within 10 percent
         cfg_f = landau_cfg(t_end=25.0)
         cfg_h = apply_overrides(cfg_f, {"scheme": "hybrid", "T": 2})
-        g_f, _ = fit_damping(
-            solver.run(cfg_f).times,
-            solver.run(cfg_f).channel("electric_energy"),
-            t_min=2.0, t_max=25.0,
-        )
+        rf = solver.run(cfg_f)
+        g_f, _ = fit_damping(rf.times, rf.channel("electric_energy"), t_min=2.0, t_max=25.0)
         rh = solver.run(cfg_h)
         g_h, _ = fit_damping(rh.times, rh.channel("electric_energy"),
                              t_min=2.0, t_max=25.0)
         assert abs(g_h - g_f) <= 0.1 * abs(g_f)
+
+
+class TestFsl:
+    def test_landau_damping_rate_fsl(self):
+        # the paper's linear Landau check: the kinetic dispersion root at k = 0.5
+        res = solver.run(landau_cfg(t_end=40.0))
+        g, w = fit_damping(res.times, res.channel("electric_energy"),
+                           t_min=2.0, t_max=40.0)
+        root = landau.solve_dominant_root(0.5)
+        assert g == pytest.approx(root.omega_i, rel=0.05)
+        assert w == pytest.approx(root.omega_r, rel=0.02)
 
 
 class TestBsl:
