@@ -156,7 +156,8 @@ def apply_overrides(cfg: CaseConfig, overrides: dict) -> CaseConfig:
     parsed = {}
     for key, raw in overrides.items():
         parsed[key] = _convert(key, raw) if isinstance(raw, str) else raw
-    parsed.pop("case", None)
+    if parsed.pop("case", cfg.case) != cfg.case:
+        raise ConfigError(f"case cannot be overridden: the run is case={cfg.case}")
     return _validate(replace(cfg, **parsed))
 
 

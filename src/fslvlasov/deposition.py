@@ -17,8 +17,8 @@ particle weights are multiplied into the x weights first.  Particles go
 through in blocks of ``splines.BLOCK``; the (block, 4, 4) contributions
 are added with ``np.add.at``, which accumulates one by one in particle
 order, so the sums do not depend on the blocking and are bit-reproducible
-run to run.  A ``splines.Stencils`` buffer, if given, keeps the stencils
-for the field gather at the same positions.
+run to run.  Given a ``splines.StageOperator`` M, the contributions are
+its rows instead and M^T 1, summed once, adds in particle order too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import STENCIL_OFFSETS, SplineCoeffs, Stencils, blocks, stencil, stencil_weights
+from .splines import (PAD, STENCIL_OFFSETS, SplineCoeffs, StageOperator, blocks, stencil,
+                      stencil_weights)
 
 
 @dataclass
@@ -67,11 +68,6 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
     return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.flatten())
 
 
-#: accumulator cells beyond each end of a natural dimension: positions are
-#: clipped to u in [-3, n + 2], so stencil nodes lie in [-4, n + 4]
-PAD = 4
-
-
 def _dim_stencil(grid: UniformGrid1D, pos, out=(None, None)):
     """Per-particle stencil (node indices, weights) along one dimension, (4, n),
     written to the ``out`` pair of views if given.  Off-grid nodes included."""
@@ -91,29 +87,30 @@ def _check_finite(*arrays):
 
 
 def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
-                        stencils: Stencils = None):
+                        stage: StageOperator = None):
     """Deposit particle contributions onto the full 2D node grid."""
     _check_finite(p.pos1, p.pos2, p.weights)
     ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
     nya = gy.n_nodes + 2 * oy
-    out = np.zeros((gx.n_nodes + 2 * ox) * nya)
-    kept = stencils.reserve(2, p.pos1.size) if stencils else None
+    op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None
+    out = None if op else np.zeros((gx.n_nodes + 2 * ox) * nya)
     for b in blocks(p.pos1.size):
-        ix, wx = _dim_stencil(gx, p.pos1[b], kept.at(0, b) if kept else (None, None))
-        iy, wy = _dim_stencil(gy, p.pos2[b], kept.at(1, b) if kept else (None, None))
-        # particle-major (block, 4, 4) indices and weights, written through
-        # their transposes: long inner loops and no transposing copy
-        flat = np.empty((ix.shape[1], 4, 4), dtype=np.int64)
-        w = np.empty(flat.shape)
+        ix, wx = _dim_stencil(gx, p.pos1[b], (None, op.w[0, :, b]) if op else (None, None))
+        iy, wy = _dim_stencil(gy, p.pos2[b], (None, op.w[1, :, b]) if op else (None, None))
+        # particle-major rows written through transposes: long inner loops, no copy
+        flat, w = (op.indices[b], op.data[b]) if op else (
+            np.empty((ix.shape[1], 4, 4), dtype=np.int64), np.empty((ix.shape[1], 4, 4)))
         np.add((ix * nya + (ox * nya + oy))[:, None], iy[None], out=flat.transpose(1, 2, 0))
         np.multiply((p.weights[b] * wx)[:, None], wy[None], out=w.transpose(1, 2, 0))
-        np.add.at(out, flat.ravel(), w.ravel())
+        if not op:
+            np.add.at(out, flat.ravel(), w.ravel())
+    out = op.matrix_t @ op.ones if op else out  # both add in particle order
     # contiguous: a strided result changes the summation order of np.sum
     return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 
 
 def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None,
-                   stencils: Stencils = None):
+                   stage: StageOperator = None):
     """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx).
 
     The dv factor makes the x-quadrature of rho equal the phase-space mass
@@ -125,15 +122,17 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None,
     x = p.pos1 if pos is None else pos
     _check_finite(x, p.weights)
     ox = 0 if gx.periodic else PAD
-    out = np.zeros(gx.n_nodes + 2 * ox)
-    kept = stencils.reserve(1, x.size) if stencils else None
+    op = stage.reserve((x,), (gx,)) if stage else None
+    out = None if op else np.zeros(gx.n_nodes + 2 * ox)
     for b in blocks(x.size):
-        ix, wx = _dim_stencil(gx, x[b], kept.at(0, b) if kept else (None, None))
-        flat = np.empty((ix.shape[1], 4), dtype=np.int64)  # particle-major, as above
-        w = np.empty(flat.shape)
+        ix, wx = _dim_stencil(gx, x[b], (None, op.w[0, :, b]) if op else (None, None))
+        flat, w = (op.indices[b], op.data[b]) if op else (  # as above
+            np.empty((ix.shape[1], 4), dtype=np.int64), np.empty((ix.shape[1], 4)))
         np.add(ix, ox, out=flat.T)
         np.multiply(p.weights[b], wx, out=w.T)
-        np.add.at(out, flat.ravel(), w.ravel())
+        if not op:
+            np.add.at(out, flat.ravel(), w.ravel())
+    out = op.matrix_t @ op.ones if op else out
     return dv * out[ox:ox + gx.n_nodes]
 
 

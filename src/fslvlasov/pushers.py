@@ -10,8 +10,9 @@ grid, once, on first use (``node_field``).  The diagnostics row and stage
 1 of the next step share it; since the particles sit on the basis
 centers and the field spline interpolates at the nodes, stage 1 reads
 the node values of the field and needs no deposit and no gather.  Other
-stages locate the particles once: the deposit keeps their stencils in the
-provider's ``splines.Stencils`` buffer and the gather reads them back.
+stages build one sparse B-spline matrix M of the particles, the
+provider's ``splines.StageOperator``: the deposit sums M^T 1 and the
+gather computes M c (its wall rows located again).
 Providers count their solves so tests can audit the stage structure.
 """
 
@@ -29,7 +30,7 @@ from .deposition import (
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
-from .splines import Stencils, eval_1d, eval_2d
+from .splines import StageOperator, eval_1d, eval_2d
 
 
 class _NodeSeeded:
@@ -39,7 +40,7 @@ class _NodeSeeded:
         self.solves = 0
         self.seeded = None
         self._node_field = None
-        self.stencils = Stencils()
+        self.stage = StageOperator()
 
     def reseed(self, p: ParticleSet):
         """Take a set fresh from ``seed_particles``; its field is solved on
@@ -77,10 +78,10 @@ class SelfConsistentField1D(_NodeSeeded):
             # every v slot of a column sits at the same node x
             return np.repeat(self.node_field(self.seeded).E, pos.size // self.grid.n_nodes)
         rho = deposit_charge(ParticleSet(pos, pos, weights), self.grid, self.dv,
-                             stencils=self.stencils)
+                             stage=self.stage)
         state = solve_poisson_1d(rho, self.grid)
         self.solves += 1
-        return eval_1d(state.E_spline, pos, stencils=self.stencils)
+        return eval_1d(state.E_spline, pos, stage=self.stage)
 
     def wrap(self, pos):
         return self.grid.wrap(pos)
@@ -125,11 +126,11 @@ class SelfConsistentField2D(_NodeSeeded):
             cols = np.clip(np.arange(-1, ny + 1), 0, ny - 1)
             return state.Ey[:, cols].ravel(), -state.Ex[:, cols].ravel()
         rho = deposit_phase_space(ParticleSet(px, py, weights), self.gx, self.gy,
-                                  stencils=self.stencils)
+                                  stage=self.stage)
         state = solve_fields(rho, self.gx, self.gy)
         self.solves += 1
         py_in = np.clip(py, self.gy.xmin, self.gy.xmax)
-        e = eval_2d(state.E_spline, px, py_in, stencils=self.stencils)
+        e = eval_2d(state.E_spline, px, py_in, stage=self.stage)
         return e[:, 0], -e[:, 1]
 
     def wrap_x(self, px):

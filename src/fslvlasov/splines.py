@@ -20,10 +20,12 @@ weight, then reads each component through a single ``np.take``.  2D
 coefficients may carry a trailing component axis: the two field
 components share one fit and one stencil.  The gathers here and the
 deposits work through the points in blocks of BLOCK (see there).
-A field stage deposits and gathers at the same points: the deposit keeps
-their stencils in a ``Stencils`` buffer and the gather reads them back.
-Only points at or beyond a natural wall, where the gather clips, are
-located again, so the values are those of the plain call, bit for bit.
+A field stage deposits and gathers at the same points through one
+``StageOperator`` M, particle-major CSR with int32 columns in the
+deposit's padded node layout.  The deposit writes (w wx) (x) wy and sums
+M^T 1; the gather refills wx (x) wy, locates again the wall rows (cell
+off a natural grid, where it clips) and computes M c per component, c
+padded alike: each row sums in the plain gather's order, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.sparse import csr_array
 
 from .grids import UniformGrid1D
 
@@ -213,68 +216,104 @@ def stencil(grid: UniformGrid1D, x, clamp: bool = False, out=(None, None)):
     return idx, stencil_weights(t, out=out[1])
 
 
-class Stencils:
-    """Dimension d's (4, n) stencil indices ``idx[d]`` and weights ``w[d]``
-    of a point set, kept by a deposit for the gather at the same points:
-    those of ``stencil`` on periodic grids, node indices of the unclipped
-    points (off the grid included) on natural ones.  Allocated per size."""
+#: deposit cells beyond each natural end: u in [-3, n + 2] puts nodes in [-4, n + 4]
+PAD = 4
 
-    idx = w = None
 
-    def reserve(self, ndim: int, n: int) -> "Stencils":
-        if self.idx is None or self.idx.shape != (ndim, 4, n):
-            self.idx, self.w = np.empty((ndim, 4, n), dtype=np.int64), np.empty((ndim, 4, n))
+def _tensor(ws, out):
+    """Particle-major tensor product of per-dimension (4, n) weights, into ``out``."""
+    if len(ws) == 1:
+        np.copyto(out.T, ws[0])
+        return out
+    return np.einsum("an,bn->nab", *ws, out=out)
+
+
+class StageOperator:
+    """The B-spline matrix M at a stage's points ``pts`` (see the module
+    notes): CSR ``matrix`` (transpose ``matrix_t``) on int32 ``indices`` into
+    the padded layout (``dims`` cells, coefficient 0 at ``starts``) and
+    ``data``, (n,) + (4,) * d each; ``w``: per-dimension weights to refill."""
+
+    w = cpad = dims = None
+    pts = ()
+
+    def reserve(self, pts, grids) -> "StageOperator":
+        n, d = pts[0].size, len(grids)
+        dims = tuple(g.n_nodes + (0 if g.periodic else 2 * PAD) for g in grids)
+        if self.w is None or self.w.shape != (d, 4, n) or dims != self.dims:
+            self.w, self.ones, self.dims = np.empty((d, 4, n)), np.ones(n), dims
+            self.indices = np.empty((n,) + (4,) * d, dtype=np.int32)
+            self.data = np.empty(self.indices.shape)
+            indptr = np.arange(0, 4**d * n + 1, 4**d, dtype=np.int32)
+            self.matrix = csr_array((self.data.ravel(), self.indices.ravel(), indptr),
+                                    shape=(n, int(np.prod(dims))))  # views: filled in place
+            self.matrix_t = self.matrix.T
+        self.pts = pts
+        self.starts = tuple(0 if g.periodic else PAD - 1 for g in grids)  # ghost slot 0
         return self
 
-    def at(self, d: int, b: slice):
-        return self.idx[d, :, b], self.w[d, :, b]
+    def gather(self, c: SplineCoeffs, pts, clamp: bool):
+        """(n, m) values of M c at ``pts``, the operator's points (natural
+        ones clipped to the walls); other points raise."""
+        g, x, d = c.grids[0], pts[0], len(pts)
+        x0 = self.pts[0] if len(self.pts) == d else np.empty(0)
+        if x.size != x0.size or x is not x0 and not np.array_equal(
+                x, x0 if g.periodic else np.clip(x0, g.xmin, g.xmax)):
+            raise ValueError("gather points differ from those of the stage operator")
+        _tensor(self.w, self.data)
+        rows = np.flatnonzero(np.logical_or.reduce([  # the deposit's cell off the grid
+            (u < 0) | (u >= g.n_cells) for g, p in zip(c.grids, self.pts)
+            if not g.periodic for u in (g.to_units(p),)]))
+        if rows.size:
+            st = [stencil(g, p.ravel()[rows], clamp=clamp) for g, p in zip(c.grids, pts)]
+            cols = [(i + s).T for (i, _), s in zip(st, self.starts)]
+            self.indices[rows] = cols[0] if d == 1 else (
+                (cols[0] * self.dims[1])[:, :, None] + cols[1][:, None, :])
+            self.data[rows] = _tensor([w for _, w in st], np.empty(self.indices[rows].shape))
+        comps = np.moveaxis(c.coeffs.reshape(c.coeffs.shape[:d] + (-1,)), -1, 0)
+        if self.cpad is None or self.cpad.shape != comps.shape[:1] + self.dims:
+            self.cpad = np.zeros(comps.shape[:1] + self.dims)  # one layout a component
+        ends = np.add(self.starts, comps.shape[1:])
+        self.cpad[(slice(None), *map(slice, self.starts, ends))] = comps
+        return np.stack([self.matrix @ ck.ravel() for ck in self.cpad], axis=-1)
 
 
-def _stencil_of(grid: UniformGrid1D, x, clamp, kept, d, b):
-    """``stencil`` at x[b], read from dimension d of ``kept`` if given."""
-    if kept is None:
-        return stencil(grid, x[b], clamp=clamp)
-    idx, w = kept.at(d, b)
-    if grid.periodic:
-        return idx, w
-    redo = (idx[1] < 0) | (idx[1] >= grid.n_cells)  # at or beyond a wall
-    idx, w = idx + 1, w.copy() if redo.any() else w  # ghost slot 0: node k at k+1
-    idx[:, redo], w[:, redo] = stencil(grid, x[b][redo], clamp=clamp)
-    return idx, w
-
-
-def eval_1d(c: SplineCoeffs, x, clamp: bool = False, stencils: Stencils = None):
-    """Evaluate a 1D spline at x (scalar or array); ``stencils``: see Stencils."""
+def eval_1d(c: SplineCoeffs, x, clamp: bool = False, stage: StageOperator = None):
+    """Evaluate a 1D spline at x (scalar or array); ``stage``: see StageOperator."""
     (grid,) = c.grids
     xs = np.asarray(x, dtype=float)
+    if stage is not None:
+        return stage.gather(c, (xs,), clamp).reshape(xs.shape)
     xr = xs.ravel()
     vals = np.empty(xr.size)
     for b in blocks(xr.size):
-        idx, w = _stencil_of(grid, xr, clamp, stencils, 0, b)
+        idx, w = stencil(grid, xr[b], clamp=clamp)
         vals[b] = (c.coeffs[idx] * w).sum(axis=0)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
-def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False, stencils: Stencils = None):
+def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False, stage: StageOperator = None):
     """Evaluate a 2D tensor-product spline at paired points (x, y).
 
     Coefficients with a trailing component axis give values of shape
-    x.shape + (m,); all components share one stencil.  ``stencils``: those
-    of a deposit at (x, y) before a clip to the walls (see Stencils).
+    x.shape + (m,); all components share one stencil.  ``stage``: the
+    operator of a deposit at (x, y) before a clip to the walls.
     """
     gx, gy = c.grids
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError("x and y must have matching shapes")
+    if stage is not None:
+        return stage.gather(c, (xs, ys), clamp).reshape(xs.shape + c.coeffs.shape[2:])
     xr, yr = xs.ravel(), ys.ravel()
     ncx, ncy = c.coeffs.shape[:2]
     comps = c.coeffs.reshape(ncx, ncy, -1)
     flat_comps = [comps[..., k].ravel() for k in range(comps.shape[2])]
     vals = np.empty((xr.size, len(flat_comps)))
     for b in blocks(xr.size):
-        ix, wx = _stencil_of(gx, xr, clamp, stencils, 0, b)
-        iy, wy = _stencil_of(gy, yr, clamp, stencils, 1, b)
+        ix, wx = stencil(gx, xr[b], clamp=clamp)
+        iy, wy = stencil(gy, yr[b], clamp=clamp)
         flat = (ix * ncy)[:, None, :] + iy[None, :, :]           # (4, 4, block)
         w = wx[:, None, :] * wy[None, :, :]
         for k, ck in enumerate(flat_comps):

@@ -94,6 +94,16 @@ class TestCli:
         assert main(["--case", "landau", "--set", "dt=-1"]) == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_case_override_is_config_error(self, tmp_path, capsys):
+        assert main(["--case", "landau", "--set", "case=hill", "--set", "t_end=0.2"]) == 2
+        assert "case=landau" in capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("case=landau\nt_end=0.2\n")
+        assert main(["--config", str(cfg), "--set", "case=hill"]) == 2
+        assert "case=landau" in capsys.readouterr().err
+        # naming the selected case again changes nothing
+        assert apply_overrides(case_defaults("hill"), {"case": "hill"}) == case_defaults("hill")
+
     def test_t_end_not_a_whole_number_of_steps_exits_2(self, capsys):
         assert main(["--case", "landau", "--set", "t_end=0.01"]) == 2
         assert "t_end" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fslvlasov import cases, solver
 from fslvlasov.hill import (
     hill_envelope,
     hill_reference_xrms,
@@ -72,3 +73,28 @@ class TestReferenceXrms:
         env = hill_envelope(a_default, TWO_PI * np.arange(11))
         ref = hill_reference_xrms(env)
         np.testing.assert_allclose(ref, ref[0], atol=1e-7)
+
+
+class TestEndToEndOrder:
+    """The time order of the whole FSL scheme on the Hill case, as in
+    demos/hill_order_check.py: the matched Gaussian returns to its initial
+    x_rms after every period of a(t), so the summed return misfit over 4
+    periods measures the integration error (48x48 grid)."""
+
+    def test_rk2_is_second_order_and_rk4_more_accurate(self):
+        base = cases.apply_overrides(cases.case_defaults("hill"), {"nx": 48, "nv": 48})
+        w0 = matched_omega0(cases.hill_coefficient(base))  # shared: the costly part
+
+        def err(pusher, m):
+            cfg = cases.apply_overrides(base, {
+                "pusher": pusher, "dt": TWO_PI / m, "t_end": 4 * TWO_PI,
+                "diag_every": m, "omega0": w0,
+            })
+            xr = solver.run(cfg).channel("xrms")
+            assert len(xr) == 5
+            return sum(abs(xr[k] - xr[0]) for k in range(1, 5))
+
+        rk2_16, rk2_32, rk4_16 = err("rk2", 16), err("rk2", 32), err("rk4", 16)
+        # measured: 0.708, 0.109 (order 2.70) and rk4 0.0268
+        assert np.log2(rk2_16 / rk2_32) >= 1.8
+        assert rk4_16 < rk2_16

@@ -13,6 +13,7 @@ import pytest
 
 from fslvlasov import splines
 from fslvlasov.deposition import (
+    PAD,
     ParticleSet,
     basis_centers,
     deposit_charge,
@@ -22,7 +23,7 @@ from fslvlasov.field2d import solve_fields, solve_potential
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.splines import (
     SplineCoeffs,
-    Stencils,
+    StageOperator,
     basis_eval,
     eval_1d,
     eval_2d,
@@ -277,12 +278,12 @@ class TestKeptStencils:
         rng = np.random.default_rng(21)
         p = _particles(gx, gy, rng)
         c = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
-        kept = Stencils()
-        deposit_phase_space(p, gx, gy, stencils=kept)
+        kept = StageOperator()
+        deposit_phase_space(p, gx, gy, stage=kept)
         x, y = _inside(gx, p.pos1), _inside(gy, p.pos2)
-        np.testing.assert_array_equal(eval_2d(c, x, y, stencils=kept), eval_2d(c, x, y))
-        for d, g in enumerate(grids):
-            i0 = kept.idx[d, 1]
+        np.testing.assert_array_equal(eval_2d(c, x, y, stage=kept), eval_2d(c, x, y))
+        for g, pos in zip(grids, (p.pos1, p.pos2)):
+            i0 = np.floor(np.clip(g.to_units(pos), -3.0, g.n_cells + 2.0))  # deposit cells
             if not g.periodic:  # every case below is exercised
                 assert (i0 == g.n_cells).any() and (i0 > g.n_cells).any() and (i0 < 0).any()
                 assert i0.min() == -3 and i0.max() == g.n_cells + 2
@@ -293,21 +294,21 @@ class TestKeptStencils:
         rng = np.random.default_rng(22)
         p = _particles(g, g, rng)
         c = fit_1d(rng.normal(size=g.n_nodes), g)
-        kept = Stencils()
-        deposit_charge(p, g, 0.4, stencils=kept)
+        kept = StageOperator()
+        deposit_charge(p, g, 0.4, stage=kept)
         x = _inside(g, p.pos1)
-        np.testing.assert_array_equal(eval_1d(c, x, stencils=kept), eval_1d(c, x))
+        np.testing.assert_array_equal(eval_1d(c, x, stage=kept), eval_1d(c, x))
 
     def test_deposits_equal_plain(self, grids):
         gx, gy = grids
         p = _particles(gx, gy, np.random.default_rng(23))
-        kept = Stencils()
+        kept = StageOperator()
         np.testing.assert_array_equal(
-            deposit_phase_space(p, gx, gy, stencils=kept), deposit_phase_space(p, gx, gy)
+            deposit_phase_space(p, gx, gy, stage=kept), deposit_phase_space(p, gx, gy)
         )
         for g in grids:
             np.testing.assert_array_equal(
-                deposit_charge(p, g, 0.3, stencils=kept), deposit_charge(p, g, 0.3)
+                deposit_charge(p, g, 0.3, stage=kept), deposit_charge(p, g, 0.3)
             )
 
     def test_deposit_is_c_contiguous(self, grids):
@@ -325,16 +326,99 @@ class TestKeptStencils:
 
         def kernels(kept2, kept1):
             return (
-                deposit_phase_space(p, gx, gy, stencils=kept2),
-                eval_2d(c2, p.pos1, py, stencils=kept2),
-                deposit_charge(p, gx, 0.3, stencils=kept1),
-                eval_1d(c1, p.pos1, stencils=kept1),
+                deposit_phase_space(p, gx, gy, stage=kept2),
+                eval_2d(c2, p.pos1, py, stage=kept2),
+                deposit_charge(p, gx, 0.3, stage=kept1),
+                eval_1d(c1, p.pos1, stage=kept1),
             )
 
         whole = kernels(None, None)
         monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
-        for single, blocked in zip(whole, kernels(Stencils(), Stencils())):
+        for single, blocked in zip(whole, kernels(StageOperator(), StageOperator())):
             np.testing.assert_array_equal(blocked, single)
+
+
+#: GRID_PAIRS plus the smallest periodic x the config allows (4 cells)
+OPERATOR_GRIDS = {**GRID_PAIRS, "periodic4-natural": (
+    UniformGrid1D(0.0, 3.0, 4), UniformGrid1D(-1.0, 2.0, 7, bc=NATURAL, deriv_hi=0.4))}
+
+
+class TestStageOperator:
+    """The stage operator M: deposits (M^T 1) and gathers (M c) bitwise
+    equal to the plain kernels, its layout, and its guard."""
+
+    @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
+    def test_equals_plain_kernels(self, name):
+        gx, gy = OPERATOR_GRIDS[name]
+        rng = np.random.default_rng(31)
+        p = _particles(gx, gy, rng)
+        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        op = StageOperator()
+        np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
+                                      deposit_phase_space(p, gx, gy))
+        x, y = _inside(gx, p.pos1), _inside(gy, p.pos2)
+        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), eval_2d(c2, x, y))
+        scalar = SplineCoeffs(c2.grids, c2.coeffs[..., 1].copy())
+        np.testing.assert_array_equal(eval_2d(scalar, x, y, stage=op), eval_2d(scalar, x, y))
+        for g in (gx, gy):
+            c1 = fit_1d(rng.normal(size=g.n_nodes), g)
+            np.testing.assert_array_equal(deposit_charge(p, g, 0.3, stage=op),
+                                          deposit_charge(p, g, 0.3))
+            np.testing.assert_array_equal(eval_1d(c1, _inside(g, p.pos1), stage=op),
+                                          eval_1d(c1, _inside(g, p.pos1)))
+
+    def test_strays_land_in_the_pad(self):
+        gx, gy = GRID_PAIRS["natural-natural"]
+        n = gx.n_cells
+        far = [gx.xmin - 3.0 * gx.delta - 1e-9, gx.xmin - 50.0 * gx.length,   # u < -3
+               gx.xmax + 2.0 * gx.delta + 1e-9, gx.xmax + 50.0 * gx.length]  # u > n + 2
+        x = np.array(far + [0.1, -0.7])
+        p = ParticleSet(x, x, np.random.default_rng(32).normal(size=x.size))
+        op = StageOperator()
+        np.testing.assert_array_equal(deposit_charge(p, gx, 0.5, stage=op),
+                                      deposit_charge(p, gx, 0.5))
+        assert op.indices.dtype == np.int32 and op.indices.shape == (x.size, 4)
+        assert op.dims == (n + 1 + 2 * PAD,)
+        # u clipped to -3 puts nodes -4..-1 in pad columns 0..3, u clipped
+        # to n + 2 puts nodes n + 1..n + 4 past the last node column n + PAD
+        np.testing.assert_array_equal(op.indices[:2], [[0, 1, 2, 3]] * 2)
+        np.testing.assert_array_equal(op.indices[2:4], [np.arange(n + 1, n + 5) + PAD] * 2)
+        assert ((op.indices[4:] >= PAD - 1) & (op.indices[4:] <= n + 1 + PAD)).all()
+
+    def test_index_dtype_is_int32(self, grids):
+        gx, gy = grids
+        p = _particles(gx, gy, np.random.default_rng(33))
+        op = StageOperator()
+        deposit_phase_space(p, gx, gy, stage=op)
+        assert op.indices.dtype == np.int32 and op.indices.shape == (p.pos1.size, 4, 4)
+        assert op.data.shape == op.indices.shape
+        assert op.matrix.indices.dtype == np.int32 and op.matrix.indptr.dtype == np.int32
+        assert np.shares_memory(op.matrix.indices, op.indices)  # filled in place
+        assert np.shares_memory(op.matrix_t.data, op.data)
+        assert op.indices.min() >= 0 and op.indices.max() < np.prod(op.dims)
+
+    def test_gather_at_other_points_raises(self):
+        gx, gy = GRID_PAIRS["periodic-natural"]
+        rng = np.random.default_rng(34)
+        p = _particles(gx, gy, rng)
+        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
+        y = _inside(gy, p.pos2)
+        with pytest.raises(ValueError, match="stage operator"):
+            eval_2d(c2, p.pos1, y, stage=StageOperator())  # never built
+        op = StageOperator()
+        deposit_phase_space(p, gx, gy, stage=op)
+        with pytest.raises(ValueError, match="stage operator"):
+            eval_2d(c2, p.pos1 + 0.01, y, stage=op)
+        with pytest.raises(ValueError, match="stage operator"):
+            eval_2d(c2, p.pos1[:-1], y[:-1], stage=op)
+        with pytest.raises(ValueError, match="stage operator"):
+            eval_1d(c1, gx.wrap(p.pos1 + 0.5), stage=op)
+        with pytest.raises(ValueError, match="stage operator"):
+            eval_1d(c1, p.pos1, stage=op)  # the points of a 2D operator
+        # equal values in another array are the same points
+        np.testing.assert_array_equal(eval_2d(c2, p.pos1.copy(), y, stage=op),
+                                      eval_2d(c2, p.pos1, y))
 
 
 def _dense_numerov(rho, gx, gy):

@@ -134,9 +134,11 @@ class TestStageThroughKeptStencils:
         p = _seeded(GX, GY, 8)
         fld = SelfConsistentField2D(GX, GY)
         fld.velocity_at(p.pos1 + 0.1, p.pos2, p.weights, 0.0)
-        idx = fld.stencils.idx
+        names = ("indices", "data", "w", "ones", "cpad", "matrix", "matrix_t")
+        kept = [getattr(fld.stage, k) for k in names]
         fld.velocity_at(p.pos1 - 0.1, p.pos2 + 0.05, p.weights, 0.0)
-        assert fld.stencils.idx is idx
+        for k, a in zip(names, kept):
+            assert getattr(fld.stage, k) is a, k
 
 
 def _counting(monkeypatch, module, name):
