@@ -9,6 +9,7 @@ analytic references (kinetic dispersion roots, envelope equation) used to
 benchmark them.
 """
 
+from .bsl import bsl_step
 from .cases import CaseConfig, ConfigError, case_defaults, parse_config
 from .deposition import (
     ParticleSet,
@@ -40,7 +41,6 @@ from .solver import (
     NumericsAbort,
     RunResult,
     SimState,
-    bsl_step,
     fsl_step,
     hybrid_step,
     init,

@@ -1,0 +1,138 @@
+"""Backward semi-Lagrangian (BSL) comparator for the VP and GC models.
+
+The forward scheme pushes particles from the nodes; the backward one
+traces the characteristics ending at the nodes back to their feet and
+interpolates the previous solution there with cubic splines.  Vlasov-
+Poisson uses Strang splitting: a half shift in x, a field solve, a kick
+in v and another half shift in x, each a 1D spline interpolation per row
+or column.  The guiding-center step finds implicit-midpoint feet by
+fixed-point iteration, which loses stability at large time steps, where
+the forward scheme stays stable: the paper's comparison.  Feet beyond the
+natural walls are clamped, and the mass that leaves is booked in
+``state.mass_lost``.
+
+``bsl_step`` advances the solver's ``SimState`` by one step.  Non-finite
+values raise FloatingPointError, which ``solver.run`` reports as a
+NumericsAbort at that step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .cases import GC, VP
+from .deposition import seed_particles
+from .field1d import solve_poisson_1d
+from .field2d import solve_fields
+from .grids import UniformGrid1D
+from .splines import SplineCoeffs, eval_2d, fit_2d, solve_cyclic_banded, stencil_weights
+from .splines import _solve_natural  # natural multi-RHS fit for the v sweeps
+
+
+def _advect_x_rows(f, gx: UniformGrid1D, shift):
+    """Interpolate each v row of f at x_i - shift_j (periodic splines)."""
+    nx = gx.n_nodes
+    c = solve_cyclic_banded(f)
+    s = np.asarray(shift) / gx.delta
+    m = np.floor(-s).astype(np.int64)
+    w = stencil_weights(-s - m)                    # (4, nv)
+    cols = np.arange(f.shape[1])[None, :]
+    base = np.arange(nx)[:, None] + m[None, :]
+    out = np.zeros_like(f)
+    for q, off in enumerate((-1, 0, 1, 2)):
+        idx = np.mod(base + off, nx)
+        out += w[q][None, :] * c[idx, cols]
+    return out
+
+
+def _advect_v_cols(f, gv: UniformGrid1D, shift):
+    """Interpolate each x column of f at v_j - shift_i (natural splines,
+    feet outside the wall are clamped to it)."""
+    n = gv.n_cells
+    c = _solve_natural(f.T, gv).T                  # (nx, nv + 2)
+    u = np.arange(f.shape[1])[None, :] - np.asarray(shift)[:, None] / gv.delta
+    u = np.clip(u, 0.0, float(n))
+    i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
+    w = stencil_weights(u - i0)                    # (4, nx, nv+1)
+    rows = np.arange(f.shape[0])[:, None]
+    out = np.zeros_like(f)
+    for q, off in enumerate((-1, 0, 1, 2)):
+        out += w[q] * c[rows, i0 + off + 1]
+    return out
+
+
+def _bsl_step_vp(state):
+    """Time-splitting comparator: half x shift, field solve, v kick, half x.
+    Returns the new node values and the mass that left through the v walls."""
+    cfg = state.config
+    gx, gv = state.g1, state.g2
+    v = gv.nodes()
+    f = state.f_nodes
+    f = _advect_x_rows(f, gx, v * (0.5 * cfg.dt))
+    rho = gv.delta * f.sum(axis=1)
+    fs = solve_poisson_1d(rho, gx)
+    state.provider.solves += 1
+    pre = float(np.sum(f))
+    f = _advect_v_cols(f, gv, cfg.dt * fs.E)
+    lost = pre - float(np.sum(f))
+    return _advect_x_rows(f, gx, v * (0.5 * cfg.dt)), lost
+
+
+def _bsl_step_gc(state):
+    """Backward comparator: implicit midpoint feet by fixed-point iteration.
+
+    The trajectory ending at a node satisfies node - M = (dt/2) U(M, t+dt/2)
+    for its midpoint M, solved by the classical fixed-point sweep with the
+    midpoint field linearly extrapolated from the two previous solves
+    (1.5 E^n - 0.5 E^{n-1}); the foot is 2M - node.  The iteration's
+    contraction degrades as dt grows, which is what makes this comparator
+    lose stability at large time steps.  Feet are clamped to the y walls;
+    returns the new node values and the mass lost.
+    """
+    cfg = state.config
+    gx, gy = state.g1, state.g2
+    fn = state.bsl_field
+    # splines are linear in their coefficients: extrapolate those once
+    e_mid = SplineCoeffs(
+        fn.E_spline.grids,
+        1.5 * fn.E_spline.coeffs - 0.5 * state.bsl_field_prev.E_spline.coeffs,
+    )
+
+    def u_mid(px, py):
+        e = eval_2d(e_mid, px, np.clip(py, gy.xmin, gy.xmax))
+        return e[:, 0], -e[:, 1]
+
+    mx, my = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
+    px, py = mx.ravel(), my.ravel()
+    midx, midy = px, py
+    for _ in range(4):
+        ux, uy = u_mid(midx, midy)
+        midx = gx.wrap(px - 0.5 * cfg.dt * ux)
+        midy = py - 0.5 * cfg.dt * uy
+    foot_x = gx.wrap(px - cfg.dt * ux)
+    foot_y = np.clip(py - cfg.dt * uy, gy.xmin, gy.xmax)
+    f_new = eval_2d(state.f_coeffs, foot_x, foot_y, clamp=True).reshape(
+        gx.n_nodes, gy.n_nodes
+    )
+    return f_new, float(np.sum(state.f_nodes)) - float(np.sum(f_new))
+
+
+def bsl_step(state):
+    """Advance ``state`` by one backward step."""
+    steps = {VP: _bsl_step_vp, GC: _bsl_step_gc}
+    if state.model not in steps:
+        raise ValueError("backward comparator supports VP and GC models only")
+    f, lost = steps[state.model](state)
+    if not np.all(np.isfinite(f)):
+        raise FloatingPointError("non-finite f")
+    state.mass_lost += state.cell * lost
+    state.f_nodes = f
+    state.f_coeffs = fit_2d(f, state.g1, state.g2)
+    state.particles = seed_particles(state.f_coeffs)
+    if state.model == GC:  # the two fields the next midpoint extrapolates from
+        state.bsl_field_prev, state.bsl_field = state.bsl_field, solve_fields(f, state.g1, state.g2)
+        state.provider.solves += 1
+    state.step_index += 1
+    state.t = state.step_index * state.config.dt
+    return state
+

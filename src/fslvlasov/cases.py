@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import grids
+from . import grids, pushers
 
 VP = "vp"
 GC = "gc"
@@ -133,14 +133,11 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
             )
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.model == GC:
-        if cfg.pusher not in ("euler", "rk2", "rk3", "rk4"):
-            raise ConfigError(f"unknown guiding-center pusher {cfg.pusher!r}")
-        if cfg.Lx is None:
-            raise ConfigError("kelvin_helmholtz requires Lx")
-    else:
-        if cfg.pusher not in ("verlet", "rk2", "rk4"):
-            raise ConfigError(f"unknown pusher {cfg.pusher!r}")
+    if cfg.pusher not in (pushers.GC_PUSHERS if cfg.model == GC else pushers.VP_PUSHERS):
+        kind = "guiding-center pusher" if cfg.model == GC else "pusher"
+        raise ConfigError(f"unknown {kind} {cfg.pusher!r}")
+    if cfg.model == GC and cfg.Lx is None:
+        raise ConfigError("kelvin_helmholtz requires Lx")
     steps, lo = cfg.t_end / cfg.dt, max(int(cfg.t_end / cfg.dt), 1)
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"t_end={cfg.t_end!r} is {steps:.6g} steps of dt={cfg.dt!r}; nearest "

@@ -109,17 +109,16 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
     return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 
 
-def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, pos=None,
+def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float,
                    stage: StageOperator = None):
     """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx).
 
     The dv factor makes the x-quadrature of rho equal the phase-space mass
-    carried by the particles.  ``pos`` overrides the particle x positions
-    (used for stage-advanced positions inside the pushers).
+    carried by the particles.
     """
     if dv <= 0:
         raise ValueError("dv must be positive")
-    x = p.pos1 if pos is None else pos
+    x = p.pos1
     _check_finite(x, p.weights)
     ox = 0 if gx.periodic else PAD
     op = stage.reserve((x,), (gx,)) if stage else None

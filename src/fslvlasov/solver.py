@@ -1,17 +1,17 @@
-"""Time-marching loops: forward remap scheme, hybrid remap-every-T, and
-the backward comparator, over the Vlasov-Poisson, guiding-center and
-external-force models.
+"""Time marching over the Vlasov-Poisson, guiding-center and external-force
+models: the forward remap scheme, its hybrid remap-every-T variant, the
+diagnostics rows, and the run loop with its file outputs.
 
 One forward step pushes the node-seeded particles with the configured
-integrator, scatters their frozen weights back onto the phase-space grid,
-refits the spline coefficients, and reseeds the particles at the nodes.
-Each seeded set goes to the field provider, which solves its field once,
-on the grid and on first use; the diagnostics row and the first stage of
-the next step share that field (see ``pushers``).
-The hybrid scheme performs the scatter/refit only every T steps; in
-between, only the charge depositions required by the pusher's field
-solves take place and the weights stay frozen.  The backward comparator
-interpolates the previous solution at the feet of the characteristics.
+pusher (``pushers.VP_PUSHERS`` or ``GC_PUSHERS``, looked up every step),
+scatters their frozen weights back onto the phase-space grid, refits the
+spline coefficients, and reseeds the particles at the nodes.  Each seeded
+set goes to the field provider, which solves its field once, on the grid
+and on first use; the diagnostics row and the first stage of the next
+step share that field (see ``pushers``).  The hybrid scheme remaps only
+every T steps; in between, the pushed particles keep their frozen weights
+and every stage solves its own field.  ``scheme = bsl`` steps with the
+backward comparator of ``bsl``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import cases, diagnostics
+from .bsl import bsl_step
 from .cases import GC, HILL, VP, CaseConfig
 from .deposition import (
     ParticleSet,
@@ -41,8 +42,7 @@ from .pushers import (
     SelfConsistentField1D,
     SelfConsistentField2D,
 )
-from .splines import SplineCoeffs, eval_2d, fit_2d, solve_cyclic_banded, stencil_weights
-from .splines import _solve_natural  # natural multi-RHS fit for the BSL sweeps
+from .splines import SplineCoeffs, fit_2d
 
 #: electric-energy ceiling treated as numerical divergence
 ENERGY_ABORT = 1e12
@@ -158,124 +158,6 @@ def fsl_step(state: SimState) -> SimState:
 def hybrid_step(state: SimState) -> SimState:
     """Forward step that remaps only when (step_index + 1) % T == 0."""
     return _forward_step(state, remap_now=(state.step_index + 1) % state.config.T == 0)
-
-
-# ---------------------------------------------------------------------------
-# backward comparator
-
-
-def _advect_x_rows(f, gx: UniformGrid1D, shift):
-    """Interpolate each v row of f at x_i - shift_j (periodic splines)."""
-    nx = gx.n_nodes
-    c = solve_cyclic_banded(f)
-    s = np.asarray(shift) / gx.delta
-    m = np.floor(-s).astype(np.int64)
-    w = stencil_weights(-s - m)                    # (4, nv)
-    cols = np.arange(f.shape[1])[None, :]
-    base = np.arange(nx)[:, None] + m[None, :]
-    out = np.zeros_like(f)
-    for q, off in enumerate((-1, 0, 1, 2)):
-        idx = np.mod(base + off, nx)
-        out += w[q][None, :] * c[idx, cols]
-    return out
-
-
-def _advect_v_cols(f, gv: UniformGrid1D, shift):
-    """Interpolate each x column of f at v_j - shift_i (natural splines,
-    feet outside the wall are clamped to it)."""
-    n = gv.n_cells
-    c = _solve_natural(f.T, gv).T                  # (nx, nv + 2)
-    u = np.arange(f.shape[1])[None, :] - np.asarray(shift)[:, None] / gv.delta
-    u = np.clip(u, 0.0, float(n))
-    i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
-    w = stencil_weights(u - i0)                    # (4, nx, nv+1)
-    rows = np.arange(f.shape[0])[:, None]
-    out = np.zeros_like(f)
-    for q, off in enumerate((-1, 0, 1, 2)):
-        out += w[q] * c[rows, i0 + off + 1]
-    return out
-
-
-def _bsl_step_vp(state: SimState) -> SimState:
-    """Time-splitting comparator: half x shift, field solve, v kick, half x."""
-    cfg = state.config
-    gx, gv = state.g1, state.g2
-    v = gv.nodes()
-    f = state.f_nodes
-    f = _advect_x_rows(f, gx, v * (0.5 * cfg.dt))
-    rho = gv.delta * f.sum(axis=1)
-    fs = solve_poisson_1d(rho, gx)
-    state.provider.solves += 1
-    pre = float(np.sum(f))
-    f = _advect_v_cols(f, gv, cfg.dt * fs.E)
-    state.mass_lost += state.cell * (pre - float(np.sum(f)))
-    f = _advect_x_rows(f, gx, v * (0.5 * cfg.dt))
-    if not np.all(np.isfinite(f)):
-        raise NumericsAbort(f"non-finite f at step {state.step_index + 1}")
-    state.f_nodes = f
-    state.f_coeffs = fit_2d(f, gx, gv)
-    state.particles = seed_particles(state.f_coeffs)
-    return state
-
-
-def _bsl_step_gc(state: SimState) -> SimState:
-    """Backward comparator: implicit midpoint feet by fixed-point iteration.
-
-    The trajectory ending at a node satisfies node - M = (dt/2) U(M, t+dt/2)
-    for its midpoint M, solved by the classical fixed-point sweep with the
-    midpoint field linearly extrapolated from the two previous solves
-    (1.5 E^n - 0.5 E^{n-1}); the foot is 2M - node.  The iteration's
-    contraction degrades as dt grows, which is what makes this comparator
-    lose stability at large time steps.  Feet are clamped to the y walls
-    with mass-loss accounting.
-    """
-    cfg = state.config
-    gx, gy = state.g1, state.g2
-    fn = state.bsl_field
-    # splines are linear in their coefficients: extrapolate those once
-    e_mid = SplineCoeffs(
-        fn.E_spline.grids,
-        1.5 * fn.E_spline.coeffs - 0.5 * state.bsl_field_prev.E_spline.coeffs,
-    )
-
-    def u_mid(px, py):
-        e = eval_2d(e_mid, px, np.clip(py, gy.xmin, gy.xmax))
-        return e[:, 0], -e[:, 1]
-
-    mx, my = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
-    px, py = mx.ravel(), my.ravel()
-    midx, midy = px, py
-    for _ in range(4):
-        ux, uy = u_mid(midx, midy)
-        midx = gx.wrap(px - 0.5 * cfg.dt * ux)
-        midy = py - 0.5 * cfg.dt * uy
-    foot_x = gx.wrap(px - cfg.dt * ux)
-    foot_y = np.clip(py - cfg.dt * uy, gy.xmin, gy.xmax)
-    f_new = eval_2d(state.f_coeffs, foot_x, foot_y, clamp=True).reshape(
-        gx.n_nodes, gy.n_nodes
-    )
-    if not np.all(np.isfinite(f_new)):
-        raise NumericsAbort(f"non-finite f at step {state.step_index + 1}")
-    state.mass_lost += state.cell * (float(np.sum(state.f_nodes)) - float(np.sum(f_new)))
-    state.f_nodes = f_new
-    state.f_coeffs = fit_2d(f_new, gx, gy)
-    state.particles = seed_particles(state.f_coeffs)
-    state.bsl_field_prev = fn
-    state.bsl_field = solve_fields(f_new, gx, gy)
-    state.provider.solves += 1
-    return state
-
-
-def bsl_step(state: SimState) -> SimState:
-    if state.model == VP:
-        state = _bsl_step_vp(state)
-    elif state.model == GC:
-        state = _bsl_step_gc(state)
-    else:
-        raise ValueError("backward comparator supports VP and GC models only")
-    state.step_index += 1
-    state.t = state.step_index * state.config.dt
-    return state
 
 
 def step(state: SimState) -> SimState:

@@ -5,8 +5,8 @@ from fslvlasov import solver
 
 
 class NaNField:
-    """Wraps a field provider; from its ``start``-th call on it returns NaN
-    (``once``: only at that call, then it delegates again)."""
+    """Wraps a Vlasov-Poisson field provider; from its ``start``-th call on
+    its field E is NaN (``once``: only at that call, then it delegates again)."""
 
     def __init__(self, inner, start, once=False):
         self.inner = inner
@@ -15,14 +15,14 @@ class NaNField:
         self.calls = 0
         self.solves = 0
 
-    def field_at(self, pos, weights, t):
+    def rhs(self, p, t):
         self.calls += 1
         if self.calls == self.start or (self.calls > self.start and not self.once):
-            return np.full(pos.shape, np.nan)
-        return self.inner.field_at(pos, weights, t)
+            return p.pos2, np.full(p.pos1.shape, np.nan)
+        return self.inner.rhs(p, t)
 
-    def wrap(self, pos):
-        return self.inner.wrap(pos)
+    def wrap(self, pos1, pos2):
+        return self.inner.wrap(pos1, pos2)
 
 
 @pytest.fixture

@@ -51,6 +51,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scheme"):
             parse_config("case=landau\nscheme=magic\n")
 
+    @pytest.mark.parametrize("case, accepted, message", [
+        ("landau", ("verlet", "rk2", "rk4"), "unknown pusher 'rk3'"),
+        ("hill", ("verlet", "rk2", "rk4"), "unknown pusher 'rk3'"),
+        ("kelvin_helmholtz", ("euler", "rk2", "rk3", "rk4"),
+         "unknown guiding-center pusher 'verlet'"),
+    ])
+    def test_pusher_names_are_those_of_the_model(self, case, accepted, message):
+        for name in accepted:
+            assert apply_overrides(case_defaults(case), {"pusher": name}).pusher == name
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(case_defaults(case), {"pusher": message.split("'")[1]})
+
     def test_t_end_below_one_step_is_rejected(self):
         with pytest.raises(ConfigError, match=r"t_end=0\.1 or 0\.2"):
             apply_overrides(case_defaults("landau"), {"t_end": 0.01, "dt": 0.1})

@@ -234,7 +234,7 @@ class TestDepositBitwise:
         p = _particles(gx, gx, rng)
         moved = rng.uniform(gx.xmin - 9.0, gx.xmax + 9.0, p.pos1.size)
         np.testing.assert_array_equal(
-            deposit_charge(p, gx, 0.5, pos=moved),
+            deposit_charge(ParticleSet(moved, moved, p.weights), gx, 0.5),
             _loop_deposit_1d(ParticleSet(moved, moved, p.weights), gx, 0.5),
         )
 

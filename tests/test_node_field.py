@@ -68,12 +68,12 @@ class TestStageOneNodeVelocities:
         p = _seeded(GX, GY, 3)
         fld = SelfConsistentField2D(GX, GY)
         fld.reseed(p)
-        u, v = fld.velocity_at(p.pos1, p.pos2, p.weights, 0.0)
+        u, v = fld.rhs(p, 0.0)
         e = eval_2d(fld.node_field(p).E_spline, p.pos1, np.clip(p.pos2, GY.xmin, GY.xmax))
         assert _rel(u, e[:, 0]) < 1e-13 and _rel(v, -e[:, 1]) < 1e-13
         # the full deposit -> solve -> gather path gives the same velocities
         q = _copy(p)
-        uf, vf = fld.velocity_at(q.pos1, q.pos2, q.weights, 0.0)
+        uf, vf = fld.rhs(q, 0.0)
         assert _rel(u, uf) < 1e-13 and _rel(v, vf) < 1e-13
         assert fld.solves == 2
 
@@ -81,10 +81,10 @@ class TestStageOneNodeVelocities:
         p = _seeded(GX, GV, 4)
         fld = SelfConsistentField1D(GX, GV.delta)
         fld.reseed(p)
-        e = fld.field_at(p.pos1, p.weights, 0.0)
+        _, e = fld.rhs(p, 0.0)
         assert _rel(e, eval_1d(fld.node_field(p).E_spline, p.pos1)) < 1e-13
         q = _copy(p)
-        assert _rel(e, fld.field_at(q.pos1, q.weights, 0.0)) < 1e-13
+        assert _rel(e, fld.rhs(q, 0.0)[1]) < 1e-13
         assert fld.solves == 2
 
     def test_node_field_is_lazy_and_solved_once(self):
@@ -97,7 +97,7 @@ class TestStageOneNodeVelocities:
         q = _copy(p)
         ref.reseed(q)
         np.testing.assert_array_equal(fld.node_field(p).Ex, ref.node_field(q).Ex)
-        fld.velocity_at(p.pos1, p.pos2, p.weights, 0.0)
+        fld.rhs(p, 0.0)
         assert fld.solves == 1
         assert fld.node_field(_copy(p)) is None
 
@@ -113,7 +113,7 @@ class TestStageThroughKeptStencils:
         px = GX.wrap(p.pos1 + rng.uniform(-0.4, 0.4, p.pos1.size))
         py = p.pos2 + rng.uniform(-0.4, 0.4, p.pos2.size)
         fld = SelfConsistentField2D(GX, GY)
-        u, v = fld.velocity_at(px, py, p.weights, 0.0)
+        u, v = fld.rhs(p.replace_positions(px, py), 0.0)
         q = ParticleSet(px.copy(), py.copy(), p.weights.copy())
         e = eval_2d(solve_fields(deposit_phase_space(q, GX, GY), GX, GY).E_spline,
                     q.pos1, np.clip(q.pos2, GY.xmin, GY.xmax))
@@ -125,7 +125,7 @@ class TestStageThroughKeptStencils:
         p = _seeded(GX, GV, 7)
         x = GX.wrap(p.pos1 + np.random.default_rng(7).uniform(-2.0, 2.0, p.pos1.size))
         fld = SelfConsistentField1D(GX, GV.delta)
-        got = fld.field_at(x, p.weights, 0.0)
+        _, got = fld.rhs(p.replace_positions(x, p.pos2), 0.0)
         q = ParticleSet(x.copy(), x.copy(), p.weights.copy())
         state = solve_poisson_1d(deposit_charge(q, GX, GV.delta), GX)
         np.testing.assert_array_equal(got, eval_1d(state.E_spline, q.pos1))
@@ -133,10 +133,10 @@ class TestStageThroughKeptStencils:
     def test_buffer_is_allocated_once(self):
         p = _seeded(GX, GY, 8)
         fld = SelfConsistentField2D(GX, GY)
-        fld.velocity_at(p.pos1 + 0.1, p.pos2, p.weights, 0.0)
+        fld.rhs(p.replace_positions(p.pos1 + 0.1, p.pos2), 0.0)
         names = ("indices", "data", "w", "ones", "cpad", "matrix", "matrix_t")
         kept = [getattr(fld.stage, k) for k in names]
-        fld.velocity_at(p.pos1 - 0.1, p.pos2 + 0.05, p.weights, 0.0)
+        fld.rhs(p.replace_positions(p.pos1 - 0.1, p.pos2 + 0.05), 0.0)
         for k, a in zip(names, kept):
             assert getattr(fld.stage, k) is a, k
 

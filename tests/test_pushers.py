@@ -5,18 +5,23 @@ from fslvlasov.cases import maxwellian
 from fslvlasov.deposition import ParticleSet, seed_particles
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.pushers import (
+    GC_PUSHERS,
+    VP_PUSHERS,
     ExternalLinearForce,
     SelfConsistentField1D,
     SelfConsistentField2D,
-    push_euler_gc,
-    push_rk2_gc,
-    push_rk2_vp,
-    push_rk3_gc,
-    push_rk4_gc,
-    push_rk4_vp,
-    push_verlet_vp,
 )
 from fslvlasov.splines import fit_2d
+
+TABLES = {"vp": VP_PUSHERS, "gc": GC_PUSHERS}
+
+
+def pushers_of(model, *rows):
+    """pytest params (pusher, *rest) from rows (name, *rest), with the ids
+    push_<name>_<model>[-rest...]."""
+    return [pytest.param(TABLES[model][name], *rest,
+                         id="-".join([f"push_{name}_{model}", *map(str, rest)]))
+            for name, *rest in rows]
 
 
 class FrozenField1D:
@@ -27,12 +32,12 @@ class FrozenField1D:
         self.grid = grid
         self.solves = 0
 
-    def field_at(self, pos, weights, t):
+    def rhs(self, p, t):
         self.solves += 1
-        return self.fn(pos, t)
+        return p.pos2, self.fn(p.pos1, t)
 
-    def wrap(self, pos):
-        return self.grid.wrap(pos) if self.grid else pos
+    def wrap(self, pos1, pos2):
+        return (self.grid.wrap(pos1) if self.grid else pos1), pos2
 
 
 class FrozenField2D:
@@ -41,12 +46,12 @@ class FrozenField2D:
         self.gx = gx
         self.solves = 0
 
-    def velocity_at(self, px, py, weights, t):
+    def rhs(self, p, t):
         self.solves += 1
-        return self.fn(px, py, t)
+        return self.fn(p.pos1, p.pos2, t)
 
-    def wrap_x(self, px):
-        return self.gx.wrap(px)
+    def wrap(self, pos1, pos2):
+        return self.gx.wrap(pos1), pos2
 
 
 def landau_particles(nx=32, nv=32):
@@ -58,8 +63,70 @@ def landau_particles(nx=32, nv=32):
     return gx, gv, seed_particles(fit_2d(f, gx, gv))
 
 
+# Textbook single steps: E(x, t) is the field of the (x, v) models, U(x, y, t)
+# the guiding-center velocity and W the periodic x wrap
+
+
+def _verlet(E, W, x, v, dt, t):
+    vh = v + 0.5 * dt * E(x, t)
+    x1 = W(x + dt * vh)
+    return x1, vh + 0.5 * dt * E(x1, t + dt)
+
+
+def _midpoint(E, W, x, v, dt, t):
+    k2v = v + 0.5 * dt * E(x, t)
+    k2a = E(W(x + 0.5 * dt * v), t + 0.5 * dt)
+    return W(x + dt * k2v), v + dt * k2a
+
+
+def _rk4_vp(E, W, x, v, dt, t):
+    k1a = E(x, t)
+    xa, k2v = W(x + 0.5 * dt * v), v + 0.5 * dt * k1a
+    k2a = E(xa, t + 0.5 * dt)
+    xb, k3v = W(x + 0.5 * dt * k2v), v + 0.5 * dt * k2a
+    k3a = E(xb, t + 0.5 * dt)
+    xc, k4v = W(x + dt * k3v), v + dt * k3a
+    k4a = E(xc, t + dt)
+    return (W(x + dt / 6.0 * (v + 2.0 * k2v + 2.0 * k3v + k4v)),
+            v + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a))
+
+
+def _euler(U, W, x, y, dt, t):
+    u, v = U(x, y, t)
+    return W(x + dt * u), y + dt * v
+
+
+def _heun(U, W, x, y, dt, t):
+    u0, v0 = U(x, y, t)
+    u1, v1 = U(W(x + dt * u0), y + dt * v0, t + dt)
+    return W(x + 0.5 * dt * (u0 + u1)), y + 0.5 * dt * (v0 + v1)
+
+
+def _kutta3(U, W, x, y, dt, t):
+    u1, v1 = U(x, y, t)
+    u2, v2 = U(W(x + 0.5 * dt * u1), y + 0.5 * dt * v1, t + 0.5 * dt)
+    u3, v3 = U(W(x + dt * (2.0 * u2 - u1)), y + dt * (2.0 * v2 - v1), t + dt)
+    return W(x + dt / 6.0 * (u1 + 4.0 * u2 + u3)), y + dt / 6.0 * (v1 + 4.0 * v2 + v3)
+
+
+def _rk4_gc(U, W, x, y, dt, t):
+    u1, v1 = U(x, y, t)
+    u2, v2 = U(W(x + 0.5 * dt * u1), y + 0.5 * dt * v1, t + 0.5 * dt)
+    u3, v3 = U(W(x + 0.5 * dt * u2), y + 0.5 * dt * v2, t + 0.5 * dt)
+    u4, v4 = U(W(x + dt * u3), y + dt * v3, t + dt)
+    return (W(x + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)),
+            y + dt / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
+
+
+TEXTBOOK = {
+    ("vp", "verlet"): _verlet, ("vp", "rk2"): _midpoint, ("vp", "rk4"): _rk4_vp,
+    ("gc", "euler"): _euler, ("gc", "rk2"): _heun, ("gc", "rk3"): _kutta3,
+    ("gc", "rk4"): _rk4_gc,
+}
+
+
 class TestFreeStreaming:
-    @pytest.mark.parametrize("push", [push_verlet_vp, push_rk2_vp, push_rk4_vp])
+    @pytest.mark.parametrize("push", pushers_of("vp", ("verlet",), ("rk2",), ("rk4",)))
     def test_zero_field_is_exact_drift(self, push):
         gx = UniformGrid1D(0.0, 8.0, 16)
         fld = FrozenField1D(lambda x, t: np.zeros_like(x), gx)
@@ -81,14 +148,15 @@ class TestFreeStreaming:
         p = ParticleSet(
             rng.uniform(0, 8, 30), rng.uniform(0, 6, 30), np.ones(30),
         )
-        for push in (push_euler_gc, push_rk2_gc, push_rk3_gc, push_rk4_gc):
+        for push in GC_PUSHERS.values():
             out = push(p, fld, 0.5, 0.0)
             np.testing.assert_array_equal(out.pos1, p.pos1)
             np.testing.assert_array_equal(out.pos2, p.pos2)
 
 
 class TestHarmonicOscillator:
-    """Frozen external field E(x) = -x: the harmonic oscillator."""
+    """Frozen external field E(x) = -x: the harmonic oscillator (with a
+    time-dependent frequency in the single-step test)."""
 
     def oscillator_error(self, push, dt, t_end=2.0 * np.pi):
         fld = FrozenField1D(lambda x, t: -x)
@@ -100,20 +168,30 @@ class TestHarmonicOscillator:
             t += dt
         return np.hypot(p.pos1[0] - np.cos(t), p.pos2[0] + np.sin(t))
 
-    def test_verlet_single_step_matches_formula(self):
-        fld = FrozenField1D(lambda x, t: -x)
-        x0, v0, dt = 1.3, -0.4, 0.05
-        p = ParticleSet(np.array([x0]), np.array([v0]), np.ones(1))
-        out = push_verlet_vp(p, fld, dt, 0.0)
-        vh = v0 - 0.5 * dt * x0
-        x1 = x0 + dt * vh
-        v1 = vh - 0.5 * dt * x1
-        assert out.pos1[0] == pytest.approx(x1, abs=1e-15)
-        assert out.pos2[0] == pytest.approx(v1, abs=1e-15)
+    @pytest.mark.parametrize("model, name", list(TEXTBOOK))
+    def test_single_step_matches_formula(self, model, name):
+        # bit for bit: positions and velocities spread over four decades, so
+        # that for some particles the step dominates and a last-bit change of
+        # a stage sum (reordered terms) survives; a(t) makes the stage times count
+        a = lambda t: 1.0 + 0.3 * np.cos(t)
+        rng = np.random.default_rng(3)
+        x0, v0 = rng.choice([-1.0, 1.0], (2, 64)) * 10.0 ** rng.uniform(-4.0, 0.2, (2, 64))
+        dt, t = 0.3, 0.7
+        gx = UniformGrid1D(-2.0, 2.0, 8)
+        if model == "vp":
+            field = lambda x, t: -a(t) * x
+            fld = FrozenField1D(field, gx)
+        else:
+            field = lambda x, y, t: (-a(t) * y, a(t) * x)
+            fld = FrozenField2D(field, gx)
+        out = TABLES[model][name](ParticleSet(x0, v0, np.ones(64)), fld, dt, t)
+        x1, v1 = TEXTBOOK[model, name](field, gx.wrap, x0, v0, dt, t)
+        np.testing.assert_array_equal(out.pos1, x1)
+        np.testing.assert_array_equal(out.pos2, v1)
 
     @pytest.mark.parametrize(
         "push,order,floor",
-        [(push_verlet_vp, 2, 1.9), (push_rk2_vp, 2, 1.9), (push_rk4_vp, 4, 3.9)],
+        pushers_of("vp", ("verlet", 2, 1.9), ("rk2", 2, 1.9), ("rk4", 4, 3.9)),
     )
     def test_global_order(self, push, order, floor):
         errs = [self.oscillator_error(push, dt) for dt in (0.2, 0.1, 0.05)]
@@ -126,15 +204,15 @@ class TestSelfConsistentStages:
         # three intermediate-time solves plus the shared t^n solve
         gx, gv, p = landau_particles()
         fld = SelfConsistentField1D(gx, gv.delta)
-        push_rk4_vp(p, fld, 0.1, 0.0)
+        VP_PUSHERS["rk4"](p, fld, 0.1, 0.0)
         assert fld.solves == 4
-        push_rk4_vp(p, fld, 0.1, 0.0)
+        VP_PUSHERS["rk4"](p, fld, 0.1, 0.0)
         assert fld.solves == 8
 
     def test_verlet_two_solves(self):
         gx, gv, p = landau_particles()
         fld = SelfConsistentField1D(gx, gv.delta)
-        push_verlet_vp(p, fld, 0.1, 0.0)
+        VP_PUSHERS["verlet"](p, fld, 0.1, 0.0)
         assert fld.solves == 2
 
     def test_single_step_matches_tiny_dt_rk4_reference(self):
@@ -142,11 +220,11 @@ class TestSelfConsistentStages:
         gx, gv, p = landau_particles()
         fld = SelfConsistentField1D(gx, gv.delta)
         dt = 0.2
-        coarse = push_verlet_vp(p, fld, dt, 0.0)
+        coarse = VP_PUSHERS["verlet"](p, fld, dt, 0.0)
         fine = p
         m = 64
         for i in range(m):
-            fine = push_rk4_vp(fine, SelfConsistentField1D(gx, gv.delta), dt / m, 0.0)
+            fine = VP_PUSHERS["rk4"](fine, SelfConsistentField1D(gx, gv.delta), dt / m, 0.0)
         raw = np.abs(coarse.pos1 - fine.pos1)
         dx = np.minimum(raw, gx.length - raw).max()  # distance modulo L
         dv = np.abs(coarse.pos2 - fine.pos2).max()
@@ -155,8 +233,8 @@ class TestSelfConsistentStages:
 
     def test_purity_identical_inputs_identical_outputs(self):
         gx, gv, p = landau_particles()
-        out1 = push_rk2_vp(p, SelfConsistentField1D(gx, gv.delta), 0.1, 0.0)
-        out2 = push_rk2_vp(p, SelfConsistentField1D(gx, gv.delta), 0.1, 0.0)
+        out1 = VP_PUSHERS["rk2"](p, SelfConsistentField1D(gx, gv.delta), 0.1, 0.0)
+        out2 = VP_PUSHERS["rk2"](p, SelfConsistentField1D(gx, gv.delta), 0.1, 0.0)
         np.testing.assert_array_equal(out1.pos1, out2.pos1)
         np.testing.assert_array_equal(out1.pos2, out2.pos2)
 
@@ -173,8 +251,7 @@ class TestGuidingCenterPushers:
 
     @pytest.mark.parametrize(
         "push,floor",
-        [(push_euler_gc, 0.9), (push_rk2_gc, 1.9), (push_rk3_gc, 2.9),
-         (push_rk4_gc, 3.9)],
+        pushers_of("gc", ("euler", 0.9), ("rk2", 1.9), ("rk3", 2.9), ("rk4", 3.9)),
     )
     def test_order_on_frozen_rotation(self, push, floor):
         fld = self.frozen_rotation()
@@ -202,7 +279,7 @@ class TestGuidingCenterPushers:
         dt = 0.05
         t = 0.0
         for _ in range(40):
-            p = push_rk4_gc(p, fld, dt, t)
+            p = GC_PUSHERS["rk4"](p, fld, dt, t)
             t += dt
 
         def area(xs, ys):
@@ -220,7 +297,7 @@ class TestGuidingCenterPushers:
         f = np.broadcast_to(np.sin(gy.nodes())[None, :], (64, 65)).copy()
         p = seed_particles(fit_2d(f, gx, gy))
         fld = SelfConsistentField2D(gx, gy)
-        ux, uy = fld.velocity_at(p.pos1, p.pos2, p.weights, 0.0)
+        ux, uy = fld.rhs(p, 0.0)
         inside = (p.pos2 >= 0.0) & (p.pos2 <= 2.0 * np.pi)
         np.testing.assert_allclose(
             ux[inside], -np.cos(p.pos2[inside]), atol=2e-5
@@ -233,9 +310,9 @@ class TestGuidingCenterPushers:
         f = np.broadcast_to(np.sin(gy.nodes())[None, :], (32, 33)).copy()
         p = seed_particles(fit_2d(f, gx, gy))
         fld = SelfConsistentField2D(gx, gy)
-        push_rk2_gc(p, fld, 0.1, 0.0)
+        GC_PUSHERS["rk2"](p, fld, 0.1, 0.0)
         assert fld.solves == 2
-        push_rk4_gc(p, fld, 0.1, 0.0)
+        GC_PUSHERS["rk4"](p, fld, 0.1, 0.0)
         assert fld.solves == 6
 
 
@@ -244,15 +321,16 @@ class TestExternalForce:
         a = lambda t: 2.0 + np.cos(t)
         fld = ExternalLinearForce(a)
         x = np.array([0.5, -1.0])
-        np.testing.assert_allclose(
-            fld.field_at(x, None, 0.0), -3.0 * x, atol=1e-15
-        )
+        v = np.array([0.2, 0.3])
+        dx, dv = fld.rhs(ParticleSet(x, v, np.ones(2)), 0.0)
+        assert dx is v
+        np.testing.assert_allclose(dv, -3.0 * x, atol=1e-15)
         assert fld.solves == 0
 
     def test_rk_orders_with_time_dependent_coefficient(self):
         # a(t) = 1: exact solution cos(t); exercises the stage times
         fld = ExternalLinearForce(lambda t: 1.0)
-        for push, floor in ((push_rk2_vp, 1.9), (push_rk4_vp, 3.9)):
+        for push, floor in ((VP_PUSHERS["rk2"], 1.9), (VP_PUSHERS["rk4"], 3.9)):
             errs = []
             for dt in (0.2, 0.1):
                 p = ParticleSet(np.array([1.0]), np.array([0.0]), np.ones(1))
@@ -267,4 +345,4 @@ class TestExternalForce:
         fld = FrozenField1D(lambda x, t: np.full_like(x, np.inf))
         p = ParticleSet(np.zeros(2), np.zeros(2), np.ones(2))
         with pytest.raises(FloatingPointError):
-            push_verlet_vp(p, fld, 0.1, 0.0)
+            VP_PUSHERS["verlet"](p, fld, 0.1, 0.0)

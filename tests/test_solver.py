@@ -171,6 +171,32 @@ class TestBsl:
             apply_overrides(case_defaults("hill"), {"scheme": "bsl"})
 
 
+class TestLargeTimeStep:
+    """The paper's central claim: on Kelvin-Helmholtz, at a time step where
+    the backward comparator goes unstable, the forward scheme stays stable.
+    KH defaults at 64x64, t_end 40, dt 4 (10 steps; demos/kh_large_dt.py
+    prints the whole dt table)."""
+
+    @staticmethod
+    def drift_and_growth(scheme):
+        cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {
+            "nx": 64, "nv": 64, "t_end": 40.0, "dt": 4.0, "scheme": scheme})
+        res = solver.run(cfg)
+        energy, pert1 = res.channel("energy"), res.channel("pert1")
+        return abs(energy[-1] - energy[0]) / energy[0], pert1.max() / pert1[0]
+
+    def test_fsl_stable_where_bsl_is_not(self):
+        fsl_drift, fsl_growth = self.drift_and_growth("fsl")
+        bsl_drift, bsl_growth = self.drift_and_growth("bsl")
+        # the gate, on the forward scheme (measured: 4.8e-4 and 1.0016)
+        assert fsl_drift <= 1e-3
+        assert fsl_growth <= 1.01
+        # the witness that dt = 4 is large: the backward comparator drifts
+        # and its spurious mode-1 growth sets in (measured: 7.5e-2 and 63)
+        assert bsl_drift > 10.0 * fsl_drift
+        assert bsl_growth > 10.0
+
+
 class TestRun:
     def test_reproducible_bitwise(self):
         cfg = landau_cfg(t_end=1.0)

@@ -22,7 +22,8 @@ import os
 import subprocess
 import sys
 
-#: (label, case, overrides): default grids, 6 to 12 steps each
+#: (label, case, overrides): default grids, 6 to 12 steps each; together
+#: they run every (model, pusher) pair and every scheme
 CONFIGS = [
     ("landau fsl verlet", "landau", {"t_end": 1.2}),
     ("landau fsl rk4", "landau", {"t_end": 1.2, "pusher": "rk4"}),
@@ -36,6 +37,14 @@ CONFIGS = [
      {"t_end": 4.5, "scheme": "hybrid", "T": 3}),
     ("kelvin_helmholtz bsl", "kelvin_helmholtz", {"t_end": 3.0, "scheme": "bsl"}),
     ("hill fsl rk2", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0}),
+    # the remaining (model, pusher) pairs, so every tableau runs
+    ("landau fsl rk2", "landau", {"t_end": 1.2, "pusher": "rk2"}),
+    ("kelvin_helmholtz fsl euler", "kelvin_helmholtz", {"t_end": 5.0, "pusher": "euler"}),
+    ("kelvin_helmholtz fsl rk3", "kelvin_helmholtz", {"t_end": 5.0, "pusher": "rk3"}),
+    ("hill fsl rk4", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "rk4"}),
+    ("hill fsl verlet", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "verlet"}),
+    ("two_stream hybrid T=2 rk2", "two_stream",
+     {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2"}),
 ]
 
 
