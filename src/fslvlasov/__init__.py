@@ -41,11 +41,10 @@ from .solver import (
     NumericsAbort,
     RunResult,
     SimState,
-    fsl_step,
-    hybrid_step,
     init,
     read_snapshot,
     run,
+    step,
 )
 from .splines import SplineCoeffs, basis_eval, eval_1d, eval_2d, fit_1d, fit_2d
 

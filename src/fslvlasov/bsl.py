@@ -11,6 +11,9 @@ the forward scheme stays stable: the paper's comparison.  Feet beyond the
 natural walls are clamped, and the mass that leaves is booked in
 ``state.mass_lost``.
 
+``BackwardFields``, the comparator's provider, counts the field solves
+and keeps the guiding-center fields the midpoint extrapolates from; the
+diagnostics row reads the current one (``node_field``, None for VP).
 ``bsl_step`` advances the solver's ``SimState`` by one step.  Non-finite
 values raise FloatingPointError, which ``solver.run`` reports as a
 NumericsAbort at that step.
@@ -27,6 +30,21 @@ from .field2d import solve_fields
 from .grids import UniformGrid1D
 from .splines import SplineCoeffs, eval_2d, fit_2d, solve_cyclic_banded, stencil_weights
 from .splines import _solve_natural  # natural multi-RHS fit for the v sweeps
+
+
+class BackwardFields:
+    """Field history of the backward comparator, and its solve count."""
+
+    def __init__(self, model, f0, gx: UniformGrid1D, gy: UniformGrid1D):
+        self.solves = 0
+        self.field = solve_fields(f0, gx, gy) if model == GC else None
+        self.prev = self.field
+
+    def reseed(self, p):
+        pass  # the backward step samples the nodes itself
+
+    def node_field(self, p):
+        return self.field
 
 
 def _advect_x_rows(f, gx: UniformGrid1D, shift):
@@ -91,11 +109,10 @@ def _bsl_step_gc(state):
     """
     cfg = state.config
     gx, gy = state.g1, state.g2
-    fn = state.bsl_field
+    fn, prev = state.provider.field, state.provider.prev
     # splines are linear in their coefficients: extrapolate those once
     e_mid = SplineCoeffs(
-        fn.E_spline.grids,
-        1.5 * fn.E_spline.coeffs - 0.5 * state.bsl_field_prev.E_spline.coeffs,
+        fn.E_spline.grids, 1.5 * fn.E_spline.coeffs - 0.5 * prev.E_spline.coeffs
     )
 
     def u_mid(px, py):
@@ -130,8 +147,9 @@ def bsl_step(state):
     state.f_coeffs = fit_2d(f, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
     if state.model == GC:  # the two fields the next midpoint extrapolates from
-        state.bsl_field_prev, state.bsl_field = state.bsl_field, solve_fields(f, state.g1, state.g2)
-        state.provider.solves += 1
+        fields = state.provider
+        fields.prev, fields.field = fields.field, solve_fields(f, state.g1, state.g2)
+        fields.solves += 1
     state.step_index += 1
     state.t = state.step_index * state.config.dt
     return state

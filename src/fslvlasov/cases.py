@@ -133,6 +133,8 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
             )
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
+    if cfg.T != 1 and cfg.scheme != "hybrid":
+        raise ConfigError(f"key 'T' (remap period) needs scheme=hybrid, got scheme={cfg.scheme}")
     if cfg.pusher not in (pushers.GC_PUSHERS if cfg.model == GC else pushers.VP_PUSHERS):
         kind = "guiding-center pusher" if cfg.model == GC else "pusher"
         raise ConfigError(f"unknown {kind} {cfg.pusher!r}")

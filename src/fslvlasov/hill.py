@@ -57,19 +57,16 @@ def matched_omega0(a, period: float = TWO_PI, dt_ref: float = 1e-4 * TWO_PI) -> 
     """Initial envelope amplitude whose ellipse the monodromy map preserves.
 
     Integrates the two fundamental solutions of x'' + a x = 0 over one
-    period; for an even coefficient the invariant ellipse is axis-aligned
-    and w0 = sqrt(B / sin theta) with monodromy [[A, B], [C, D]],
-    cos theta = (A + D)/2.  Raises outside the stable zone.
+    period, as the columns of the monodromy matrix [[A, B], [C, D]]; for
+    an even coefficient the invariant ellipse is axis-aligned and
+    w0 = sqrt(B / sin theta), cos theta = (A + D)/2.  Raises outside the
+    stable zone.
     """
 
     def rhs(t, y):
         return np.array([y[1], -a(t) * y[0]])
 
-    ts = np.array([0.0, period])
-    m1 = _rk4_path(rhs, [1.0, 0.0], ts, dt_ref)[-1]
-    m2 = _rk4_path(rhs, [0.0, 1.0], ts, dt_ref)[-1]
-    A, B = m1[0], m2[0]
-    C, D = m1[1], m2[1]
+    (A, B), (C, D) = _rk4_path(rhs, np.eye(2), np.array([0.0, period]), dt_ref)[-1]
     tr = A + D
     if abs(tr) >= 2.0:
         raise ValueError(f"a(t) is not in a stable zone (|tr M| = {abs(tr):.4f})")

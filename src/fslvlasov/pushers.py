@@ -4,17 +4,19 @@ Every provider has one protocol: ``rhs(p, t) -> (d1, d2)`` at the
 positions of the ParticleSet ``p``, whose weights stay frozen between
 remaps: (v, E(x)) for Vlasov-Poisson, E_perp = (Ey, -Ex) for the guiding
 center, (v, -a(t) x) for the Hill harness; ``wrap(pos1, pos2)``, which
-brings x back into its periodic domain; and ``solves``, the field solves
-so far, for tests that audit the stage structure.  A self-consistent rhs
-deposits the weights, solves the Poisson problem and gathers the field
-through one sparse B-spline matrix M of the stage's particles
-(``splines.StageOperator``: the deposit sums M^T 1, the gather computes
-M c).  The node-seeded set that the solver hands over (``reseed``) is the
-exception: its field is solved on the grid once, on first use
-(``node_field``), and shared by the diagnostics row and stage 1, which
-reads the node values, since the particles sit where the field spline
-interpolates.  The integrators pass that set itself to stage 1, so the
-identity test of ``node_field`` is the only one.
+brings x back into its periodic domain; ``reseed(p)``, which takes the
+node-seeded set of each remap; ``node_field(p)``, the field of that set
+(None for any other set, and always None for the external force); and
+``solves``, the field solves so far, for tests that audit the stage
+structure.  A self-consistent rhs deposits the weights, solves the
+Poisson problem and gathers the field through one sparse B-spline matrix
+M of the stage's particles (``splines.StageOperator``: the deposit sums
+M^T 1, the gather computes M c).  The node-seeded set is the exception:
+its field is solved on the grid once, on first use, and shared by the
+diagnostics row and stage 1, which reads the node values, since the
+particles sit where the field spline interpolates.  The integrators pass
+that set itself to stage 1, so the identity test of ``node_field`` is the
+only one.
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start
@@ -134,6 +136,12 @@ class ExternalLinearForce:
     def __init__(self, a):
         self.a = a
         self.solves = 0
+
+    def reseed(self, p: ParticleSet):
+        pass  # the force does not depend on f
+
+    def node_field(self, p: ParticleSet):
+        return None
 
     def rhs(self, p: ParticleSet, t):
         return p.pos2, -self.a(t) * p.pos1

@@ -1,17 +1,22 @@
 """Time marching over the Vlasov-Poisson, guiding-center and external-force
-models: the forward remap scheme, its hybrid remap-every-T variant, the
-diagnostics rows, and the run loop with its file outputs.
+models: the forward step, the diagnostics rows, and the run loop with its
+file outputs.
 
-One forward step pushes the node-seeded particles with the configured
-pusher (``pushers.VP_PUSHERS`` or ``GC_PUSHERS``, looked up every step),
-scatters their frozen weights back onto the phase-space grid, refits the
-spline coefficients, and reseeds the particles at the nodes.  Each seeded
-set goes to the field provider, which solves its field once, on the grid
-and on first use; the diagnostics row and the first stage of the next
-step share that field (see ``pushers``).  The hybrid scheme remaps only
-every T steps; in between, the pushed particles keep their frozen weights
-and every stage solves its own field.  ``scheme = bsl`` steps with the
-backward comparator of ``bsl``.
+``step`` pushes the node-seeded particles with the configured pusher
+(``pushers.VP_PUSHERS`` or ``GC_PUSHERS``, looked up every step).  On a
+remap step it scatters their frozen weights back onto the phase-space grid,
+refits the spline coefficients, reseeds the particles at the nodes and
+hands the new set to the provider (``reseed``), which solves its field
+once, on the grid and on first use; the diagnostics row and the first
+stage of the next step share that field (``node_field``, see
+``pushers``).  The forward scheme remaps every step; the hybrid scheme
+remaps every T steps, and in between the pushed particles keep their
+frozen weights and every stage solves its own field.  ``scheme = bsl``
+steps with the backward comparator of ``bsl``, whose provider keeps its
+field history.
+
+A diagnostics row reads f at the nodes from one source: the last remap's
+f, or between hybrid remaps the deposit of the pushed set.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import cases, diagnostics
-from .bsl import bsl_step
+from .bsl import BackwardFields, bsl_step
 from .cases import GC, HILL, VP, CaseConfig
 from .deposition import (
     ParticleSet,
@@ -33,7 +38,7 @@ from .deposition import (
     seed_particles,
 )
 from .field1d import solve_poisson_1d
-from .field2d import FieldState2D, solve_fields
+from .field2d import solve_fields
 from .grids import UniformGrid1D
 from .pushers import (
     GC_PUSHERS,
@@ -71,14 +76,11 @@ class SimState:
     g2: UniformGrid1D
     f_coeffs: SplineCoeffs
     particles: ParticleSet
-    f_nodes: Optional[np.ndarray]
+    f_nodes: Optional[np.ndarray]   # None between hybrid remaps
     provider: object
     t: float = 0.0
     step_index: int = 0
     mass_lost: float = 0.0
-    # previous-step fields kept by the backward guiding-center comparator
-    bsl_field: Optional[FieldState2D] = None
-    bsl_field_prev: Optional[FieldState2D] = None
 
     @property
     def cell(self) -> float:
@@ -91,38 +93,20 @@ def init(config: CaseConfig) -> SimState:
     f0 = cases.initial_f(config, g1, g2)
     coeffs = fit_2d(f0, g1, g2)
     particles = seed_particles(coeffs)
-    if config.model == VP:
+    if config.scheme == "bsl":
+        provider = BackwardFields(config.model, f0, g1, g2)
+    elif config.model == VP:
         provider = SelfConsistentField1D(g1, g2.delta)
     elif config.model == GC:
         provider = SelfConsistentField2D(g1, g2)
     else:
         provider = ExternalLinearForce(cases.hill_coefficient(config))
-    state = SimState(config, config.model, g1, g2, coeffs, particles, f0, provider)
-    if config.scheme != "bsl":
-        _hand_over(state)
-    elif config.model == GC:
-        state.bsl_field = solve_fields(f0, g1, g2)
-        state.bsl_field_prev = state.bsl_field
-    return state
-
-
-def _hand_over(state: SimState):
-    """Give the provider the freshly seeded set (providers without a node
-    field, such as the external force, skip it)."""
-    reseed = getattr(state.provider, "reseed", None)
-    if reseed is not None:
-        reseed(state.particles)
-
-
-def _node_field(state: SimState):
-    """The provider's field of the current particles if they are the set
-    it was handed, else None (mid-cycle hybrid steps, the BSL comparator)."""
-    node_field = getattr(state.provider, "node_field", None)
-    return node_field(state.particles) if node_field is not None else None
+    provider.reseed(particles)
+    return SimState(config, config.model, g1, g2, coeffs, particles, f0, provider)
 
 
 # ---------------------------------------------------------------------------
-# forward steps
+# the forward step
 
 
 def _remap(state: SimState, pushed: ParticleSet):
@@ -133,14 +117,18 @@ def _remap(state: SimState, pushed: ParticleSet):
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
     state.f_nodes = f_new
-    _hand_over(state)
+    state.provider.reseed(state.particles)
 
 
-def _forward_step(state: SimState, remap_now: bool) -> SimState:
+def step(state: SimState) -> SimState:
+    """Advance ``state`` by one step of its scheme: push, and remap every
+    step (fsl) or every T-th step (hybrid); bsl steps backward."""
     cfg = state.config
+    if cfg.scheme == "bsl":
+        return bsl_step(state)
     pushers = GC_PUSHERS if state.model == GC else VP_PUSHERS
     pushed = pushers[cfg.pusher](state.particles, state.provider, cfg.dt, state.t)
-    if remap_now:
+    if cfg.scheme == "fsl" or (state.step_index + 1) % cfg.T == 0:
         _remap(state, pushed)
     else:
         state.particles = pushed
@@ -150,115 +138,75 @@ def _forward_step(state: SimState, remap_now: bool) -> SimState:
     return state
 
 
-def fsl_step(state: SimState) -> SimState:
-    """Push, deposit onto the grid, refit, reseed: one forward step."""
-    return _forward_step(state, remap_now=True)
-
-
-def hybrid_step(state: SimState) -> SimState:
-    """Forward step that remaps only when (step_index + 1) % T == 0."""
-    return _forward_step(state, remap_now=(state.step_index + 1) % state.config.T == 0)
-
-
-def step(state: SimState) -> SimState:
-    scheme = state.config.scheme
-    if scheme == "fsl":
-        return fsl_step(state)
-    if scheme == "hybrid":
-        return hybrid_step(state)
-    return bsl_step(state)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics rows
 
 
-def _diag_vp(state: SimState) -> dict:
-    cfg = state.config
-    gx, gv = state.g1, state.g2
-    fs = _node_field(state)
-    if fs is None:
-        fs = solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx)
-    ee = diagnostics.electric_energy_1d(fs.E, gx)
-    if not np.isfinite(ee) or ee > ENERGY_ABORT:
-        raise NumericsAbort(f"field energy diverged at t={state.t:g}")
-    a1, a2, a3 = diagnostics.fourier_mode_amps(fs.E, gx)
-    row = {
-        "electric_energy": ee, "E1": a1, "E2": a2, "E3": a3,
-        "mass_lost": state.mass_lost,
-    }
-    f = state.f_nodes
-    if f is None:
-        row.update(
-            mass=state.cell * float(np.sum(state.particles.weights)),
-            l1=np.nan, l2=np.nan, momentum=np.nan,
-            kinetic_energy=np.nan, total_energy=np.nan,
-        )
-    else:
-        gpair = (gx, gv)
-        row.update(
-            mass=diagnostics.mass(f, gpair),
-            l1=diagnostics.lp_norm(f, gpair, 1),
-            l2=diagnostics.lp_norm(f, gpair, 2),
-            momentum=diagnostics.momentum(f, gpair),
-            kinetic_energy=diagnostics.kinetic_energy_vp(f, gpair),
-            total_energy=diagnostics.total_energy_vp(f, fs.E, gpair),
-        )
-    return row
+def _node_f(state: SimState) -> np.ndarray:
+    """f at the nodes: the last remap's, or mid-cycle the deposit of the
+    pushed set."""
+    if state.f_nodes is not None:
+        return state.f_nodes
+    return deposit_phase_space(state.particles, state.g1, state.g2)
 
 
-def _diag_gc(state: SimState) -> dict:
-    gx, gy = state.g1, state.g2
-    rho = state.f_nodes
-    if rho is None:
-        rho = deposit_phase_space(state.particles, gx, gy)
-    if state.config.scheme == "bsl" and state.bsl_field is not None:
-        flds = state.bsl_field
-    else:
-        flds = _node_field(state)
-        if flds is None:
-            flds = solve_fields(rho, gx, gy)
-    gpair = (gx, gy)
-    energy = diagnostics.energy_2d(flds.Ex, flds.Ey, gpair)
+def _checked_energy(energy: float, state: SimState) -> float:
     if not np.isfinite(energy) or energy > ENERGY_ABORT:
         raise NumericsAbort(f"field energy diverged at t={state.t:g}")
-    spec = np.fft.rfft(rho, axis=0)[1] / gx.n_nodes
-    pert1 = float(np.sqrt(gy.delta * np.sum(np.abs(spec) ** 2)))
+    return energy
+
+
+def _diag_vp(state: SimState, f, gpair) -> dict:
+    gx, gv = gpair
+    fs = state.provider.node_field(state.particles)
+    if fs is None:
+        fs = solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx)
+    ee = _checked_energy(diagnostics.electric_energy_1d(fs.E, gx), state)
+    a1, a2, a3 = diagnostics.fourier_mode_amps(fs.E, gx)
     return {
-        "mass": diagnostics.mass(rho, gpair),
-        "l2": diagnostics.lp_norm(rho, gpair, 2),
+        "l1": diagnostics.lp_norm(f, gpair, 1),
+        "momentum": diagnostics.momentum(f, gpair),
+        "kinetic_energy": diagnostics.kinetic_energy_vp(f, gpair),
+        "electric_energy": ee,
+        "total_energy": diagnostics.total_energy_vp(f, fs.E, gpair),
+        "E1": a1, "E2": a2, "E3": a3,
+    }
+
+
+def _diag_gc(state: SimState, rho, gpair) -> dict:
+    gx, gy = gpair
+    flds = state.provider.node_field(state.particles)
+    if flds is None:
+        flds = solve_fields(rho, gx, gy)
+    energy = _checked_energy(diagnostics.energy_2d(flds.Ex, flds.Ey, gpair), state)
+    spec = np.fft.rfft(rho, axis=0)[1] / gx.n_nodes
+    return {
         "energy": energy,
         "enstrophy": diagnostics.enstrophy(rho, gpair),
         "e_l2": float(np.sqrt(energy)),
-        "pert1": pert1,
-        "mass_lost": state.mass_lost,
+        "pert1": float(np.sqrt(gy.delta * np.sum(np.abs(spec) ** 2))),
     }
 
 
-def _diag_hill(state: SimState) -> dict:
-    f = state.f_nodes
-    gpair = (state.g1, state.g2)
-    if f is None:
-        return {
-            "mass": state.cell * float(np.sum(state.particles.weights)),
-            "l2": np.nan, "xrms": np.nan, "mass_lost": state.mass_lost,
-        }
+def _diag_hill(state: SimState, f, gpair) -> dict:
     if not np.all(np.isfinite(f)):
         raise NumericsAbort(f"non-finite f at t={state.t:g}")
-    return {
-        "mass": diagnostics.mass(f, gpair),
-        "l2": diagnostics.lp_norm(f, gpair, 2),
-        "xrms": diagnostics.xrms(f, gpair),
-        "mass_lost": state.mass_lost,
-    }
+    return {"xrms": diagnostics.xrms(f, gpair)}
+
+
+_MODEL_ROWS = {VP: _diag_vp, GC: _diag_gc, HILL: _diag_hill}
 
 
 def diag_row(state: SimState) -> dict:
-    if state.model == VP:
-        return _diag_vp(state)
-    if state.model == GC:
-        return _diag_gc(state)
-    return _diag_hill(state)
+    """The model's diagnostics channels at the current step."""
+    f, gpair = _node_f(state), (state.g1, state.g2)
+    row = _MODEL_ROWS[state.model](state, f, gpair)
+    row.update(
+        mass=diagnostics.mass(f, gpair),
+        l2=diagnostics.lp_norm(f, gpair, 2),
+        mass_lost=state.mass_lost,
+    )
+    return row
 
 
 # ---------------------------------------------------------------------------

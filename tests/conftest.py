@@ -24,6 +24,12 @@ class NaNField:
     def wrap(self, pos1, pos2):
         return self.inner.wrap(pos1, pos2)
 
+    def reseed(self, p):
+        pass  # the inner provider keeps the set it was handed at init
+
+    def node_field(self, p):
+        return None  # diagnostics rows solve the field of the particles
+
 
 @pytest.fixture
 def nan_field(monkeypatch):

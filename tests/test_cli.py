@@ -39,7 +39,8 @@ class TestParseConfig:
             parse_config("case=landau\nnx=8\nnx=16\n")
 
     def test_echo_roundtrip(self):
-        cfg = apply_overrides(case_defaults("two_stream"), {"dt": "0.25", "T": "3"})
+        cfg = apply_overrides(case_defaults("two_stream"),
+                              {"dt": "0.25", "scheme": "hybrid", "T": "3"})
         assert parse_config(cases.format_config(cfg)) == cfg
 
     def test_echo_roundtrip_all_cases(self):
@@ -119,6 +120,13 @@ class TestCli:
     def test_t_end_not_a_whole_number_of_steps_exits_2(self, capsys):
         assert main(["--case", "landau", "--set", "t_end=0.01"]) == 2
         assert "t_end" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["fsl", "bsl"])
+    def test_remap_period_outside_hybrid_is_config_error(self, scheme, capsys):
+        with pytest.raises(ConfigError, match="scheme=hybrid"):
+            apply_overrides(case_defaults("landau"), {"scheme": scheme, "T": 4})
+        assert main(["--case", "landau", "--set", f"scheme={scheme}", "--set", "T=4"]) == 2
+        assert "'T'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["nx", "nv"])
     def test_grid_below_four_cells_is_config_error(self, key, capsys):

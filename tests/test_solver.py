@@ -61,7 +61,7 @@ class TestFslStep:
         st.f_nodes = f0
         m0 = st.cell * f0.sum()
         for _ in range(100):
-            solver.fsl_step(st)
+            solver.step(st)
         m1 = st.cell * st.f_nodes.sum()
         assert abs(m1 - m0) / m0 < 1e-13
         assert abs(st.mass_lost) / m0 < 1e-13
@@ -70,20 +70,20 @@ class TestFslStep:
         cfg = landau_cfg(dt=1e-4)
         st = solver.init(cfg)
         f0 = st.f_nodes.copy()
-        solver.fsl_step(st)
+        solver.step(st)
         assert np.abs(st.f_nodes - f0).max() < 1e-5
 
     def test_t_tracks_step_index(self):
         st = solver.init(landau_cfg(dt=0.1))
         for _ in range(7):
-            solver.fsl_step(st)
+            solver.step(st)
         assert st.t == 7 * 0.1
         assert st.step_index == 7
 
     def test_fsl_positions_reseeded_at_centers(self):
         st = solver.init(landau_cfg())
         p0 = st.particles.pos1.copy()
-        solver.fsl_step(st)
+        solver.step(st)
         np.testing.assert_array_equal(st.particles.pos1, p0)
 
 
@@ -103,7 +103,7 @@ class TestHybrid:
         st = solver.init(cfg)
         seen = []
         for _ in range(8):
-            solver.hybrid_step(st)
+            solver.step(st)
             seen.append(st.f_nodes is not None)
         assert seen == [False, False, False, True] * 2
 
@@ -111,9 +111,17 @@ class TestHybrid:
         cfg = landau_cfg(scheme="hybrid", T=8)
         st = solver.init(cfg)
         w0 = st.particles.weights.copy()
-        solver.hybrid_step(st)
+        solver.step(st)
         np.testing.assert_array_equal(st.particles.weights, w0)
         assert st.f_nodes is None
+
+    def test_mass_reads_node_values_between_remaps(self):
+        # mid-cycle rows once booked the particle weight sum (ghost
+        # coefficients included): a 10% sawtooth, 9.1047 -> 10.0713 -> 9.1046
+        cfg = apply_overrides(case_defaults("two_stream"), {
+            "nx": 8, "nv": 8, "t_end": 4.0, "scheme": "hybrid", "T": 4})
+        mass = solver.run(cfg).channel("mass")
+        assert np.ptp(mass) <= 1e-3 * mass[0]  # measured 4.7e-5
 
     def test_hybrid_damping_tracks_fsl(self):
         # T=2 keeps the early-time damping slope within 10 percent
@@ -125,6 +133,38 @@ class TestHybrid:
         g_h, _ = fit_damping(rh.times, rh.channel("electric_energy"),
                              t_min=2.0, t_max=25.0)
         assert abs(g_h - g_f) <= 0.1 * abs(g_f)
+
+
+class TestHybridPeriod:
+    """The remap trade-off (Denavit, JCP 9 (1972); Wang, Miller and
+    Colella, SISC 33 (2011)): fewer remaps diffuse less, until the frozen
+    weights of a too long cycle break down.  Nonlinear two-stream 64x64,
+    dt 0.5, t_end 48, against forward runs at dt 0.125; demos/hybrid_period.py
+    prints the whole sweep."""
+
+    @staticmethod
+    def errors(runs, T):
+        ref = runs["ref"].channel("electric_energy")[::4]  # the dt 0.5 instants
+        res = runs[T]
+        l2, ee = res.channel("l2"), res.channel("electric_energy")
+        return (np.abs(l2 - l2[0]).max() / l2[0],
+                np.abs(ee - ref).max() / ref.max())
+
+    def test_remap_every_fourth_step_beats_every_step(self):
+        base = apply_overrides(case_defaults("two_stream"), {"nx": 64, "nv": 64, "t_end": 48.0})
+        runs = {"ref": solver.run(apply_overrides(base, {"dt": 0.125}))}
+        for T in (1, 4, 8):
+            scheme = "fsl" if T == 1 else "hybrid"
+            runs[T] = solver.run(apply_overrides(base, {"dt": 0.5, "scheme": scheme, "T": T}))
+        drift1, err1 = self.errors(runs, 1)   # measured 0.0272, 0.147
+        drift4, err4 = self.errors(runs, 4)   # measured 0.0190, 0.130
+        assert drift4 <= drift1
+        assert err4 <= 1.2 * err1
+        # the witness that the gate discriminates: T = 8 fails both
+        # (measured 0.238, 0.542)
+        drift8, err8 = self.errors(runs, 8)
+        assert drift8 > drift1
+        assert err8 > 1.2 * err1
 
 
 class TestFsl:
@@ -145,7 +185,7 @@ class TestBsl:
         cfg_b = apply_overrides(cfg_f, {"scheme": "bsl"})
         sf = solver.init(cfg_f)
         sb = solver.init(cfg_b)
-        solver.fsl_step(sf)
+        solver.step(sf)
         solver.bsl_step(sb)
         assert np.abs(sf.f_nodes - sb.f_nodes).max() < 1e-6
 
@@ -165,6 +205,23 @@ class TestBsl:
         res = solver.run(cfg)
         e = res.channel("energy")
         assert np.abs(e - e[0]).max() / e[0] < 1e-4
+
+    def test_bsl_provider_keeps_the_field_history(self, monkeypatch):
+        # one field solve a step, all in bsl; the rows read the current field
+        n = 6
+        calls = []
+        real = solver.solve_fields
+        monkeypatch.setattr(solver, "solve_fields",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {
+            "nx": 16, "nv": 16, "t_end": n * 0.5, "scheme": "bsl"})
+        res = solver.run(cfg)
+        fields = res.state.provider
+        assert fields.solves == n
+        assert calls == []
+        assert fields.node_field(res.state.particles) is fields.field
+        assert fields.prev is not fields.field
+        assert res.times.size == n + 1
 
     def test_bsl_rejected_for_hill(self):
         with pytest.raises(cases.ConfigError):
@@ -253,6 +310,6 @@ class TestRun:
         res = solver.run(cfg)
         assert np.all(np.isfinite(res.channel("electric_energy")))
         assert np.all(np.isfinite(res.channel("mass")))
-        # f-grid channels are only defined on remap steps
-        l2 = res.channel("l2")
-        assert np.isnan(l2[1]) and np.isfinite(l2[4])
+        # between remaps the f-grid channels read the deposit of the pushed set
+        for name, series in res.channels.items():
+            assert np.all(np.isfinite(series)), name

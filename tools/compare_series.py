@@ -23,7 +23,8 @@ import subprocess
 import sys
 
 #: (label, case, overrides): default grids, 6 to 12 steps each; together
-#: they run every (model, pusher) pair and every scheme
+#: they run every (model, pusher) pair, every scheme and every model's
+#: hybrid rows between remaps
 CONFIGS = [
     ("landau fsl verlet", "landau", {"t_end": 1.2}),
     ("landau fsl rk4", "landau", {"t_end": 1.2, "pusher": "rk4"}),
@@ -45,6 +46,8 @@ CONFIGS = [
     ("hill fsl verlet", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "verlet"}),
     ("two_stream hybrid T=2 rk2", "two_stream",
      {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2"}),
+    ("hill hybrid T=2", "hill",
+     {"t_end": 12 * 2.0 * math.pi / 25.0, "scheme": "hybrid", "T": 2}),
 ]
 
 
