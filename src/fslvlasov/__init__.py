@@ -46,6 +46,6 @@ from .solver import (
     run,
     step,
 )
-from .splines import SplineCoeffs, basis_eval, eval_1d, eval_2d, fit_1d, fit_2d
+from .splines import SplineCoeffs, basis_eval, eval_1d, eval_2d, fit_1d, fit_2d, fit_2d_rfft
 
 __version__ = "0.1.0"

@@ -1,52 +1,55 @@
-"""2D Poisson solver for the guiding-center model.
+"""2D Poisson solve of the guiding-center model, spectral in x.
 
 -laplace(phi) = rho on a box periodic in x and Dirichlet (phi = 0) in y.
-The potential is obtained mode by mode from a real FFT in x and the
-fourth-order compact (Numerov) relation in y, whose per-mode matrix is
-symmetric Toeplitz with Dirichlet ends and is therefore diagonalized by a
-type-1 discrete sine transform in y.  The field
-E = -grad(phi) is then recovered by quadrature-based compact systems:
-a Simpson relation in the periodic x direction, and in y the same
-interior relation closed by corrected-midpoint rows at the two walls,
-whose curvature terms restore third-order accuracy there.  Both field
-components share one spline fit, stacked as (Ey, Ex) on a trailing axis.
+x stays in rfft space from rho to the field's spline coefficients: the
+potential by a DST-I in y, Ex by the circulant Simpson relation, Ey by
+the Simpson rows in y closed by corrected-midpoint wall rows, then the
+stacked (Ey, Ex) fit and the one irfft (``splines.fit_2d_rfft``).  Node
+values of phi, Ex and Ey are each built by an irfft when first read: Ex
+and Ey by the node-seeded set's field (diagnostics row and stage 1) and
+the other diagnostics rows, phi by the tests alone; a push's other stage
+solves read none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.fft import dst, idst
+from scipy.fft import dst, idst, irfft
 from scipy.linalg import solve_banded
 
 from .grids import UniformGrid1D
-from .splines import SplineCoeffs, fit_2d, solve_cyclic_banded
+from .splines import SplineCoeffs, cyclic_eigenvalues, fit_2d_rfft
+from .splines import fit_2d  # noqa: F401  perfbench's fit_field span until ROADMAP item 1
 
 
 @dataclass(frozen=True)
 class FieldState2D:
+    """x rfft spectra (nx // 2 + 1, ny) of phi, Ex and Ey, their spline, and
+    node values ``phi``, ``Ex``, ``Ey``, each built by an irfft on first read."""
+
     gx: UniformGrid1D
     gy: UniformGrid1D
-    phi: np.ndarray
-    Ex: np.ndarray
-    Ey: np.ndarray
+    phi_hat: np.ndarray
+    Ex_hat: np.ndarray
+    Ey_hat: np.ndarray
     E_spline: SplineCoeffs  # components (Ey, Ex) on the trailing axis
 
+    phi = cached_property(lambda self: irfft(self.phi_hat, n=self.gx.n_nodes, axis=0))
+    Ex = cached_property(lambda self: irfft(self.Ex_hat, n=self.gx.n_nodes, axis=0))
+    Ey = cached_property(lambda self: irfft(self.Ey_hat, n=self.gx.n_nodes, axis=0))
 
-def _check_shape(arr, gx, gy, name):
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (gx.n_nodes, gy.n_nodes):
-        raise ValueError(
-            f"{name}: expected shape {(gx.n_nodes, gy.n_nodes)}, got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite {name}")
-    return arr
+
+def _xi2(gx: UniformGrid1D):
+    """Squared x wavenumbers of the rfft modes."""
+    return (2.0 * np.pi * np.fft.rfftfreq(gx.n_nodes, d=gx.delta)) ** 2
 
 
 def solve_potential(rho, gx: UniformGrid1D, gy: UniformGrid1D):
-    """Potential of -laplace(phi) = rho, periodic in x, phi = 0 at the y walls.
+    """x rfft of the potential, (nx // 2 + 1, ny): -laplace(phi) = rho,
+    periodic in x, phi = 0 at the y walls.
 
     Per x mode xi the Numerov relation
 
@@ -61,34 +64,40 @@ def solve_potential(rho, gx: UniformGrid1D, gy: UniformGrid1D):
     diag + 2 off cos(pi k / (K + 1)), so a DST-I in y, a division, and the
     inverse DST-I solve all modes at once.
     """
-    rho = _check_shape(rho, gx, gy, "rho")
-    if gy.periodic:
-        raise ValueError("y grid must be natural (Dirichlet walls)")
-    dy = gy.delta
-    k = gy.n_nodes - 2
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (gx.n_nodes, gy.n_nodes):
+        raise ValueError(f"rho: expected shape {(gx.n_nodes, gy.n_nodes)}, got {rho.shape}")
+    if not gx.periodic or gy.periodic:
+        raise ValueError("x grid must be periodic, y grid natural (Dirichlet walls)")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("non-finite rho")
+    dy, k = gy.delta, gy.n_nodes - 2
     rhs = -(dy**2 / 12.0) * (rho[:, 2:] + 10.0 * rho[:, 1:-1] + rho[:, :-2])
     rhs_hat = np.fft.rfft(dst(rhs, type=1, axis=1), axis=0)
-    xi2 = (2.0 * np.pi * np.fft.rfftfreq(gx.n_nodes, d=gx.delta)) ** 2
+    xi2 = _xi2(gx)
     off = 1.0 - xi2 * dy**2 / 12.0
     diag = -2.0 - 10.0 * xi2 * dy**2 / 12.0
     lam = diag[:, None] + 2.0 * off[:, None] * np.cos(np.pi * np.arange(1, k + 1) / (k + 1))
-    phi = np.zeros_like(rho)
-    phi[:, 1:-1] = idst(np.fft.irfft(rhs_hat / lam, n=gx.n_nodes, axis=0), type=1, axis=1)
-    return phi
+    phi_hat = np.zeros((xi2.size, gy.n_nodes), dtype=complex)
+    phi_hat[:, 1:-1] = idst(rhs_hat / lam, type=1, axis=1)
+    return phi_hat
 
 
-def compute_Ex(phi, gx: UniformGrid1D, gy: UniformGrid1D):
-    """x field from the per-row Simpson relation (periodic compact system)
+def compute_Ex(phi_hat, gx: UniformGrid1D):
+    """x rfft of Ex from the per-row Simpson relation (periodic compact system)
 
-      2 dx [ (1/6) Ex_{i-1} + (2/3) Ex_i + (1/6) Ex_{i+1} ] = phi_{i-1} - phi_{i+1}
+      2 dx [ (1/6) Ex_{i-1} + (2/3) Ex_i + (1/6) Ex_{i+1} ] = phi_{i-1} - phi_{i+1},
+
+    circulant: mode k is phihat_k (-i sin theta_k / dx) / lambda_k with
+    theta_k = 2 pi k / nx and lambda_k = 2/3 + cos(theta_k) / 3.
     """
-    phi = _check_shape(phi, gx, gy, "phi")
-    rhs = (np.roll(phi, 1, axis=0) - np.roll(phi, -1, axis=0)) / (2.0 * gx.delta)
-    return solve_cyclic_banded(rhs)
+    n = gx.n_nodes
+    theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    return phi_hat * (-1j * np.sin(theta) / (gx.delta * cyclic_eigenvalues(n)))[:, None]
 
 
-def compute_Ey(phi, rho, gx: UniformGrid1D, gy: UniformGrid1D):
-    """y field: interior Simpson rows plus corrected-midpoint wall rows.
+def compute_Ey(phi_hat, rho, gx: UniformGrid1D, gy: UniformGrid1D):
+    """x rfft of Ey: interior Simpson rows plus corrected-midpoint wall rows.
 
     The wall rows integrate E over the first (last) cell by the midpoint
     rule corrected with the density jump and an x-curvature term,
@@ -96,45 +105,26 @@ def compute_Ey(phi, rho, gx: UniformGrid1D, gy: UniformGrid1D):
       (dy/2)(E_0 + E_1) = phi_0 - phi_1 + (dy^2/12)(rho_1 - rho_0)
                           + (dy^2/12) dxx(phi_1 - phi_0),
 
-    with the x second derivative evaluated spectrally.  Third order or
-    better at the walls, fourth order inside.
+    where dxx is -xi^2 on each x mode; the last row is the mirror image.
+    Third order or better at the walls, fourth order inside.  ``rho``
+    holds node values; only its wall rows are transformed.
     """
-    phi = _check_shape(phi, gx, gy, "phi")
-    rho = _check_shape(rho, gx, gy, "rho")
-    ny = gy.n_nodes
-    dy = gy.delta
-    ab = np.zeros((3, ny))
-    ab[0, 1:] = 1.0 / 6.0
-    ab[2, :-1] = 1.0 / 6.0
-    ab[1, :] = 2.0 / 3.0
-    ab[0, 1] = 0.5
-    ab[1, 0] = 0.5
-    ab[2, -2] = 0.5
-    ab[1, -1] = 0.5
-
-    xi2 = (2.0 * np.pi * np.fft.fftfreq(gx.n_nodes, d=gx.delta)) ** 2  # x wavenumbers
-
-    def dxx(g):
-        return np.real(np.fft.ifft(-xi2 * np.fft.fft(g)))
-
-    rhs = np.zeros((ny, gx.n_nodes))
-    rhs[1:-1, :] = ((phi[:, :-2] - phi[:, 2:]) / (2.0 * dy)).T
-    rhs[0, :] = (
-        (phi[:, 0] - phi[:, 1]) / dy
-        + (dy / 12.0) * (rho[:, 1] - rho[:, 0])
-        + (dy / 12.0) * dxx(phi[:, 1] - phi[:, 0])
-    )
-    rhs[-1, :] = (
-        (phi[:, -2] - phi[:, -1]) / dy
-        + (dy / 12.0) * (rho[:, -1] - rho[:, -2])
-        + (dy / 12.0) * dxx(phi[:, -1] - phi[:, -2])
-    )
-    return solve_banded((1, 1), ab, rhs).T
+    ny, dy = gy.n_nodes, gy.delta
+    ab = np.full((3, ny), 1.0 / 6.0)
+    ab[1] = 2.0 / 3.0
+    ab[[0, 1, 1, 2], [1, 0, -1, -2]] = 0.5  # the wall rows
+    rho = np.asarray(rho, dtype=float)
+    jump = np.fft.rfft(rho[:, [1, -2]] - rho[:, [0, -1]], axis=0)  # inner - wall
+    step = phi_hat[:, [1, -2]] - phi_hat[:, [0, -1]]
+    rhs = np.empty_like(phi_hat)
+    rhs[:, 1:-1] = (phi_hat[:, :-2] - phi_hat[:, 2:]) / (2.0 * dy)
+    rhs[:, [0, -1]] = ((dy / 12.0) * (jump - _xi2(gx)[:, None] * step) - step / dy) * [1, -1]
+    return solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T  # y on the leading axis
 
 
 def solve_fields(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
-    """Full pipeline: potential, both field components, and their splines."""
-    phi = solve_potential(rho, gx, gy)
-    ex = compute_Ex(phi, gx, gy)
-    ey = compute_Ey(phi, rho, gx, gy)
-    return FieldState2D(gx, gy, phi, ex, ey, fit_2d(np.stack([ey, ex], axis=-1), gx, gy))
+    """Potential, field and its spline in x rfft space; node values when read."""
+    phi_hat = solve_potential(rho, gx, gy)
+    ex_hat, ey_hat = compute_Ex(phi_hat, gx), compute_Ey(phi_hat, rho, gx, gy)
+    return FieldState2D(gx, gy, phi_hat, ex_hat, ey_hat,
+                        fit_2d_rfft(np.stack([ey_hat, ex_hat]), gx, gy))

@@ -158,9 +158,8 @@ def _checked_energy(energy: float, state: SimState) -> float:
 
 def _diag_vp(state: SimState, f, gpair) -> dict:
     gx, gv = gpair
-    fs = state.provider.node_field(state.particles)
-    if fs is None:
-        fs = solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx)
+    fs = (state.provider.node_field(state.particles)
+          or solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx))
     ee = _checked_energy(diagnostics.electric_energy_1d(fs.E, gx), state)
     a1, a2, a3 = diagnostics.fourier_mode_amps(fs.E, gx)
     return {
@@ -175,9 +174,7 @@ def _diag_vp(state: SimState, f, gpair) -> dict:
 
 def _diag_gc(state: SimState, rho, gpair) -> dict:
     gx, gy = gpair
-    flds = state.provider.node_field(state.particles)
-    if flds is None:
-        flds = solve_fields(rho, gx, gy)
+    flds = state.provider.node_field(state.particles) or solve_fields(rho, gx, gy)
     energy = _checked_energy(diagnostics.energy_2d(flds.Ex, flds.Ey, gpair), state)
     spec = np.fft.rfft(rho, axis=0)[1] / gx.n_nodes
     return {
@@ -236,10 +233,8 @@ def write_snapshot(path_base: str, arr: np.ndarray, t: float, fmt: str = "bin"):
             np.array(arr.shape, dtype="<i8").tofile(fh)
             arr.tofile(fh)
     with open(path_base + ".txt", "w") as fh:
-        fh.write(f"shape={arr.shape[0]}x{arr.shape[1]}\n")
-        fh.write(f"t={t!r}\n")
-        fh.write(f"format={fmt}\n")
-        fh.write("layout=dims:2xint64-le,data:row-major-float64\n")
+        fh.write(f"shape={arr.shape[0]}x{arr.shape[1]}\nt={t!r}\nformat={fmt}\n"
+                 "layout=dims:2xint64-le,data:row-major-float64\n")
 
 
 def read_snapshot(path: str) -> np.ndarray:
@@ -250,8 +245,7 @@ def read_snapshot(path: str) -> np.ndarray:
 
 class _Writer:
     def __init__(self, outdir: str, cfg: CaseConfig, channel_names):
-        self.outdir = outdir
-        self.cfg = cfg
+        self.outdir, self.cfg = outdir, cfg
         os.makedirs(outdir, exist_ok=True)
         os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
         with open(os.path.join(outdir, "config.echo"), "w") as fh:
@@ -262,13 +256,11 @@ class _Writer:
         self.csv.writerow(self.names)
 
     def row(self, t: float, row: dict):
-        self.csv.writerow(
-            [f"{t:.17g}"] + [f"{row[name]:.17g}" for name in self.names[1:]]
-        )
+        self.csv.writerow([f"{t:.17g}"] + [f"{row[name]:.17g}" for name in self.names[1:]])
 
-    def snapshot(self, state: SimState):
+    def snapshot(self, state: SimState, f: np.ndarray):
         base = os.path.join(self.outdir, "snapshots", f"snap_{state.step_index:06d}")
-        write_snapshot(base, state.f_nodes, state.t, self.cfg.snapshot_format)
+        write_snapshot(base, f, state.t, self.cfg.snapshot_format)
 
     def close(self):
         self.fh.flush()
@@ -297,31 +289,30 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
         if writer:
             writer.row(state.t, row)
 
+    def snapshot():
+        f = _node_f(state)
+        snaps.append((state.t, f.copy()))
+        if writer:
+            writer.snapshot(state, f)
+
     def partial():
         channels = {n: np.array([r[n] for r in rows]) for n in names}
         return RunResult(config, np.array(times), channels, snaps, state)
 
     try:
         record()
-        if state.f_nodes is not None:
-            snaps.append((state.t, state.f_nodes.copy()))
-            if writer:
-                writer.snapshot(state)
+        snapshot()
         for n in range(1, config.n_steps() + 1):
             step(state)
             if n % config.diag_every == 0 or n == config.n_steps():
                 record()
-            if n % config.snapshot_every == 0 and state.f_nodes is not None:
-                snaps.append((state.t, state.f_nodes.copy()))
-                if writer:
-                    writer.snapshot(state)
+            if n % config.snapshot_every == 0:
+                snapshot()
     except NumericsAbort as abort:
         abort.partial = partial()
         raise
     except (FloatingPointError, ValueError) as err:
-        raise NumericsAbort(
-            f"{err} at step {state.step_index + 1}", partial()
-        ) from err
+        raise NumericsAbort(f"{err} at step {state.step_index + 1}", partial()) from err
     finally:
         if writer:
             writer.close()

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_array
 
@@ -107,44 +108,44 @@ class SplineCoeffs:
 def solve_cyclic_banded(rhs):
     """Solve the periodic spline system with stencil (1/6, 2/3, 1/6).
 
-    The matrix is circulant, so the real FFT diagonalizes it: mode k has
-    the eigenvalue 2/3 + cos(2 pi k / N) / 3, never below 1/3, and the
-    solve is one forward transform, a division and the inverse transform.
-    ``rhs`` may be (N,) or (N, nrhs); the solve runs on axis 0.
+    The matrix is circulant, so the real FFT diagonalizes it (eigenvalues
+    ``cyclic_eigenvalues``, never below 1/3): one forward transform, a
+    division and the inverse transform.  ``rhs`` may be (N,) or (N, nrhs);
+    the solve runs on axis 0.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    lam = 2.0 / 3.0 + np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n) / 3.0
-    lam = lam.reshape((-1,) + (1,) * (rhs.ndim - 1))
+    lam = cyclic_eigenvalues(n).reshape((-1,) + (1,) * (rhs.ndim - 1))
     return np.fft.irfft(np.fft.rfft(rhs, axis=0) / lam, n=n, axis=0)
 
 
-def _solve_natural(samples, grid: UniformGrid1D):
-    """Natural fit along axis 0: returns coefficients with ghosts, (n+2, ...)."""
-    rhs = np.array(samples, dtype=float)
-    n = grid.n_nodes  # = n_cells + 1
-    d = grid.delta
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0 / 6.0
-    ab[2, :-1] = 1.0 / 6.0
-    ab[1, :] = 2.0 / 3.0
+def cyclic_eigenvalues(n: int):
+    """2/3 + cos(2 pi k / n) / 3 of the periodic system's rfft modes k <= n // 2."""
+    return 2.0 / 3.0 + np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n) / 3.0
+
+
+def _solve_natural(samples, grid: UniformGrid1D, ends=None):
+    """Natural fit along axis 0: returns coefficients with ghosts, (n+2, ...).
+    ``ends``: (lo, hi) end derivatives over the trailing axes; the grid's if None."""
+    rhs = np.array(samples, dtype=complex if np.iscomplexobj(samples) else float)
+    n, d = grid.n_nodes, grid.delta  # n = n_cells + 1
+    lo, hi = (grid.deriv_lo, grid.deriv_hi) if ends is None else ends
+    ab = np.full((3, n), 1.0 / 6.0)
+    ab[1] = 2.0 / 3.0
     # end rows after eliminating the ghosts through the derivative conditions
-    ab[0, 1] = 1.0 / 3.0
-    ab[2, -2] = 1.0 / 3.0
-    rhs[0] += d * grid.deriv_lo / 3.0
-    rhs[-1] -= d * grid.deriv_hi / 3.0
-    core = solve_banded((1, 1), ab, rhs)
-    out = np.empty((n + 2,) + rhs.shape[1:])
+    ab[[0, 2], [1, -2]] = 1.0 / 3.0
+    rhs[0] += d * lo / 3.0
+    rhs[-1] -= d * hi / 3.0
+    core = solve_banded((1, 1), ab, rhs, overwrite_b=True)
+    out = np.empty_like(rhs, shape=(n + 2,) + rhs.shape[1:])
     out[1:-1] = core
-    out[0] = core[1] - 2.0 * d * grid.deriv_lo
-    out[-1] = core[-2] + 2.0 * d * grid.deriv_hi
+    out[0] = core[1] - 2.0 * d * lo
+    out[-1] = core[-2] + 2.0 * d * hi
     return out
 
 
 def _fit_axis0(samples, grid: UniformGrid1D):
-    if grid.periodic:
-        return solve_cyclic_banded(samples)
-    return _solve_natural(samples, grid)
+    return solve_cyclic_banded(samples) if grid.periodic else _solve_natural(samples, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,21 @@ def fit_2d(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
     rows = cx.reshape(ncx, ny, m).transpose(1, 2, 0).reshape(ny, m * ncx)
     c = _fit_axis0(rows, gy).reshape(-1, m, ncx).transpose(2, 0, 1)  # (ncx, ncy, m)
     return SplineCoeffs((gx, gy), c if f.ndim == 3 else c[..., 0])
+
+
+def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
+    """``fit_2d`` of m samples given as their rfft along a periodic x,
+    (m, nx // 2 + 1, ny): the x fit divides by the cyclic eigenvalues, the
+    natural y fit solves with the x modes as columns (end derivatives in
+    mode 0 alone), one irfft gives the (nx, ny + 2, m) coefficients."""
+    (m, nk, ny), nx = spectra.shape, gx.n_nodes
+    rows = (spectra / cyclic_eigenvalues(nx)[:, None]).reshape(m * nk, ny).T
+    mode0 = nx * (np.arange(m * nk) % nk == 0)
+    c_hat = _solve_natural(rows, gy, (gy.deriv_lo * mode0, gy.deriv_hi * mode0))
+    c = irfft(c_hat.T.reshape(m, nk, ny + 2), n=nx, axis=1)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("non-finite spline coefficients")
+    return SplineCoeffs((gx, gy), c.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

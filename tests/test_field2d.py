@@ -8,6 +8,7 @@ from fslvlasov.field2d import (
     solve_potential,
 )
 from fslvlasov.grids import NATURAL, UniformGrid1D
+from fslvlasov.splines import fit_2d, fit_2d_rfft
 
 LY = 2.0 * np.pi
 
@@ -20,6 +21,28 @@ def make_grids(nx, ny, lx=7.0):
 
 def mesh(gx, gy):
     return np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
+
+
+# the stages work on x rfft spectra: node values go in through rfft and
+# come out through irfft
+def rfft_x(a):
+    return np.fft.rfft(a, axis=0)
+
+
+def irfft_x(a, gx):
+    return np.fft.irfft(a, n=gx.n_nodes, axis=0)
+
+
+def potential(rho, gx, gy):
+    return irfft_x(solve_potential(rho, gx, gy), gx)
+
+
+def field_x(phi, gx):
+    return irfft_x(compute_Ex(rfft_x(phi), gx), gx)
+
+
+def field_y(phi, rho, gx, gy):
+    return irfft_x(compute_Ey(rfft_x(phi), rho, gx, gy), gx)
 
 
 def dense_potential_oracle(rho, gx, gy):
@@ -82,7 +105,7 @@ class TestPotential:
     def test_zero_rho(self):
         gx, gy = make_grids(8, 16)
         np.testing.assert_array_equal(
-            solve_potential(np.zeros((8, 17)), gx, gy), np.zeros((8, 17))
+            potential(np.zeros((8, 17)), gx, gy), np.zeros((8, 17))
         )
 
     def test_sin_y_eigenfunction(self):
@@ -91,7 +114,7 @@ class TestPotential:
         for ny in (16, 32, 64):
             gx, gy = make_grids(8, ny)
             _, y = mesh(gx, gy)
-            phi = solve_potential(np.sin(y), gx, gy)
+            phi = potential(np.sin(y), gx, gy)
             errs[ny] = np.abs(phi - np.sin(y)).max()
         assert errs[64] < 1e-6
         slope = np.log(errs[16] / errs[64]) / np.log(4.0)
@@ -102,7 +125,7 @@ class TestPotential:
         x, y = mesh(gx, gy)
         k = 2.0 * np.pi / gx.length
         rho = np.sin(k * x) * np.sin(y)
-        phi = solve_potential(rho, gx, gy)
+        phi = potential(rho, gx, gy)
         np.testing.assert_allclose(
             phi, rho / (k**2 + 1.0), atol=5.0 * gy.delta**4
         )
@@ -112,14 +135,14 @@ class TestPotential:
         rng = np.random.default_rng(1)
         rho = rng.normal(size=(16, 17))
         np.testing.assert_allclose(
-            solve_potential(rho, gx, gy), dense_potential_oracle(rho, gx, gy),
+            potential(rho, gx, gy), dense_potential_oracle(rho, gx, gy),
             atol=1e-12,
         )
 
     def test_dirichlet_walls(self):
         gx, gy = make_grids(8, 32)
         rng = np.random.default_rng(2)
-        phi = solve_potential(rng.normal(size=(8, 33)), gx, gy)
+        phi = potential(rng.normal(size=(8, 33)), gx, gy)
         np.testing.assert_array_equal(phi[:, 0], 0.0)
         np.testing.assert_array_equal(phi[:, -1], 0.0)
 
@@ -128,7 +151,7 @@ class TestEx:
     def test_constant_in_x(self):
         gx, gy = make_grids(16, 16)
         _, y = mesh(gx, gy)
-        np.testing.assert_allclose(compute_Ex(np.sin(y), gx, gy), 0.0, atol=1e-14)
+        np.testing.assert_allclose(field_x(np.sin(y), gx), 0.0, atol=1e-14)
 
     def test_cos_mode_derivative_with_order(self):
         errs = {}
@@ -136,7 +159,7 @@ class TestEx:
             gx, gy = make_grids(nx, 8)
             x, y = mesh(gx, gy)
             k = 2.0 * np.pi / gx.length
-            ex = compute_Ex(np.cos(k * x), gx, gy)
+            ex = field_x(np.cos(k * x), gx)
             errs[nx] = np.abs(ex - k * np.sin(k * x)).max()
         slope = np.log(errs[8] / errs[32]) / np.log(4.0)
         assert slope >= 2.7
@@ -145,7 +168,7 @@ class TestEx:
         gx, gy = make_grids(32, 8)
         rng = np.random.default_rng(3)
         phi = rng.normal(size=(32, 9))
-        ex = compute_Ex(phi, gx, gy)
+        ex = field_x(phi, gx)
         lhs = 2.0 * gx.delta * (
             np.roll(ex, 1, axis=0) / 6.0 + 2.0 * ex / 3.0 + np.roll(ex, -1, axis=0) / 6.0
         )
@@ -160,8 +183,8 @@ class TestEy:
             gx, gy = make_grids(8, ny)
             _, y = mesh(gx, gy)
             rho = np.sin(y)
-            phi = solve_potential(rho, gx, gy)
-            ey = compute_Ey(phi, rho, gx, gy)
+            phi = potential(rho, gx, gy)
+            ey = field_y(phi, rho, gx, gy)
             errs[ny] = np.abs(ey + np.cos(y)).max()
         slopes = [
             np.log(errs[n] / errs[2 * n]) / np.log(2.0) for n in (32, 64, 128)
@@ -172,7 +195,7 @@ class TestEy:
         gx, gy = make_grids(16, 16)
         x, _ = mesh(gx, gy)
         phi = np.cos(2.0 * np.pi * x / gx.length)
-        ey = compute_Ey(phi, np.zeros_like(phi), gx, gy)
+        ey = field_y(phi, np.zeros_like(phi), gx, gy)
         np.testing.assert_allclose(ey, 0.0, atol=1e-13)
 
     def test_matches_dense_oracle_16x16(self):
@@ -181,7 +204,7 @@ class TestEy:
         phi = rng.normal(size=(16, 17))
         rho = rng.normal(size=(16, 17))
         np.testing.assert_allclose(
-            compute_Ey(phi, rho, gx, gy), dense_ey_oracle(phi, rho, gx, gy),
+            field_y(phi, rho, gx, gy), dense_ey_oracle(phi, rho, gx, gy),
             atol=1e-12,
         )
 
@@ -216,3 +239,38 @@ class TestFullPipeline:
         fs = solve_fields(r1 + 0.5 * r2, gx, gy)
         np.testing.assert_allclose(fs.Ey, f1.Ey + 0.5 * f2.Ey, atol=1e-12)
         np.testing.assert_allclose(fs.Ex, f1.Ex + 0.5 * f2.Ex, atol=1e-12)
+
+
+class TestSpectralSolve:
+    """The solve fits the field spline in x rfft space: the same
+    coefficients as ``fit_2d`` of its own node values."""
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (9, 9), (15, 15), (16, 16), (128, 128),
+                                       (9, 20), (16, 5), (15, 40), (128, 33)])
+    def test_coefficients_equal_fit_of_node_values(self, nx, ny):
+        gx, gy = make_grids(nx, ny)
+        x, y = mesh(gx, gy)
+        rng = np.random.default_rng(nx + 1000 * ny)
+        rho = np.sin(y) * (1.0 + 0.1 * np.cos(2.0 * np.pi * x / gx.length))
+        fs = solve_fields(rho + 0.01 * rng.normal(size=x.shape), gx, gy)
+        ref = fit_2d(np.stack([fs.Ey, fs.Ex], axis=-1), gx, gy).coeffs
+        got = fs.E_spline.coeffs
+        assert got.shape == ref.shape == (nx, ny + 3, 2)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx", [12, 13])
+    def test_end_derivatives_enter_mode_zero(self, nx):
+        gx = UniformGrid1D(0.0, 7.0, nx)
+        gy = UniformGrid1D(0.0, LY, 9, bc=NATURAL, deriv_lo=0.3, deriv_hi=-0.7)
+        f = np.random.default_rng(nx).normal(size=(nx, 10, 2))
+        got = fit_2d_rfft(np.moveaxis(rfft_x(f), -1, 0), gx, gy).coeffs
+        ref = fit_2d(f, gx, gy).coeffs
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_node_values_built_once_on_first_read(self):
+        gx, gy = make_grids(16, 16)
+        rho = np.random.default_rng(7).normal(size=(16, 17))
+        fs = solve_fields(rho, gx, gy)
+        assert not {"phi", "Ex", "Ey"} & set(vars(fs))
+        assert fs.Ex is fs.Ex and "phi" not in vars(fs)
+        np.testing.assert_array_equal(fs.phi, potential(rho, gx, gy))

@@ -444,7 +444,7 @@ class TestPoissonDst:
         gx = UniformGrid1D(0.0, 7.0, nx)
         gy = UniformGrid1D(0.0, 2.0 * np.pi, ny, bc=NATURAL)
         rho = np.random.default_rng(nx * ny).normal(size=(gx.n_nodes, gy.n_nodes))
-        phi = solve_potential(rho, gx, gy)
+        phi = np.fft.irfft(solve_potential(rho, gx, gy), n=gx.n_nodes, axis=0)
         ref = _dense_numerov(rho, gx, gy)
         assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
         np.testing.assert_array_equal(phi[:, [0, -1]], 0.0)
@@ -453,3 +453,8 @@ class TestPoissonDst:
         g = UniformGrid1D(0.0, 7.0, 8)
         with pytest.raises(ValueError, match="natural"):
             solve_potential(np.zeros((8, 8)), g, g)
+
+    def test_requires_periodic_x(self):
+        g = UniformGrid1D(0.0, 7.0, 8, bc=NATURAL)
+        with pytest.raises(ValueError, match="periodic"):
+            solve_fields(np.zeros((9, 9)), g, g)

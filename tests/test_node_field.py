@@ -102,6 +102,24 @@ class TestStageOneNodeVelocities:
         assert fld.node_field(_copy(p)) is None
 
 
+class TestLazyNodeValues:
+    def test_stage_solve_builds_no_node_values(self, monkeypatch):
+        solved = []
+
+        def recording(*args):
+            solved.append(solve_fields(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(pushers, "solve_fields", recording)
+        p = _seeded(GX, GY, 8)
+        fld = SelfConsistentField2D(GX, GY)
+        fld.reseed(p)
+        fld.rhs(_copy(p), 0.0)  # a stage off the nodes: deposit, solve, gather
+        assert len(solved) == 1 and not {"phi", "Ex", "Ey"} & set(vars(solved[0]))
+        fld.rhs(p, 0.0)  # stage 1 of the seeded set reads the node values
+        assert len(solved) == 2 and {"Ex", "Ey"} <= set(vars(solved[1]))
+
+
 class TestStageThroughKeptStencils:
     """A stage off the nodes deposits, solves and gathers at its positions,
     the gather reading the deposit's kept stencils: the same bits as the

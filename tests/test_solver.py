@@ -3,6 +3,7 @@ import pytest
 
 from fslvlasov import cases, landau, solver
 from fslvlasov.cases import apply_overrides, case_defaults, maxwellian
+from fslvlasov.deposition import deposit_phase_space
 from fslvlasov.diagnostics import fit_damping
 
 
@@ -266,6 +267,21 @@ class TestRun:
         cfg = landau_cfg(t_end=2.0, snapshot_every=10)
         res = solver.run(cfg)
         assert [t for t, _ in res.snapshots] == [0.0, 1.0, 2.0]
+
+    def test_hybrid_snapshots_between_remaps(self, tmp_path):
+        # steps 10 and 30 fall between remaps; their snapshots were skipped
+        cfg = landau_cfg(scheme="hybrid", T=4, t_end=3.0, snapshot_every=10)
+        out = tmp_path / "run"
+        res = solver.run(cfg, outdir=str(out))
+        assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 1.0, 2.0, 3.0])
+        st = res.state
+        assert st.f_nodes is None  # the run ends mid-cycle
+        f_end = deposit_phase_space(st.particles, st.g1, st.g2)
+        np.testing.assert_array_equal(res.snapshots[-1][1], f_end)
+        files = sorted(p.name for p in (out / "snapshots").glob("*.bin"))
+        assert files == [f"snap_{n:06d}.bin" for n in (0, 10, 20, 30)]
+        np.testing.assert_array_equal(
+            solver.read_snapshot(str(out / "snapshots" / "snap_000030.bin")), f_end)
 
     def test_abort_flushes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = landau_cfg(t_end=1.0)
