@@ -8,15 +8,16 @@ in v and another half shift in x, each a 1D spline interpolation per row
 or column.  The guiding-center step finds implicit-midpoint feet by
 fixed-point iteration, which loses stability at large time steps, where
 the forward scheme stays stable: the paper's comparison.  Feet beyond the
-natural walls are clamped, and the mass that leaves is booked in
-``state.mass_lost``.
+natural walls read f at the wall.
 
 ``BackwardFields``, the comparator's provider, counts the field solves
 and keeps the guiding-center fields the midpoint extrapolates from; the
 diagnostics row reads the current one (``node_field``, None for VP).
-``bsl_step`` advances the solver's ``SimState`` by one step.  Non-finite
-values raise FloatingPointError, which ``solver.run`` reports as a
-NumericsAbort at that step.
+``bsl_step`` returns the new node values and the mass that left through
+the walls; the solver remaps them as it does the forward scheme's (books
+the loss, refits, reseeds) and advances the clock.  Non-finite values raise
+FloatingPointError, which ``solver.run`` reports as a NumericsAbort at
+that step.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from .cases import GC, VP
-from .deposition import seed_particles
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
-from .splines import SplineCoeffs, eval_2d, fit_2d, solve_cyclic_banded, stencil_weights
+from .splines import SplineCoeffs, eval_2d, solve_cyclic_banded, stencil_weights
 from .splines import _solve_natural  # natural multi-RHS fit for the v sweeps
 
 
@@ -104,8 +104,8 @@ def _bsl_step_gc(state):
     midpoint field linearly extrapolated from the two previous solves
     (1.5 E^n - 0.5 E^{n-1}); the foot is 2M - node.  The iteration's
     contraction degrades as dt grows, which is what makes this comparator
-    lose stability at large time steps.  Feet are clamped to the y walls;
-    returns the new node values and the mass lost.
+    lose stability at large time steps.  The splines read points beyond
+    the y walls at the walls; returns the new node values and the mass lost.
     """
     cfg = state.config
     gx, gy = state.g1, state.g2
@@ -116,7 +116,7 @@ def _bsl_step_gc(state):
     )
 
     def u_mid(px, py):
-        e = eval_2d(e_mid, px, np.clip(py, gy.xmin, gy.xmax))
+        e = eval_2d(e_mid, px, py)
         return e[:, 0], -e[:, 1]
 
     mx, my = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
@@ -127,30 +127,25 @@ def _bsl_step_gc(state):
         midx = gx.wrap(px - 0.5 * cfg.dt * ux)
         midy = py - 0.5 * cfg.dt * uy
     foot_x = gx.wrap(px - cfg.dt * ux)
-    foot_y = np.clip(py - cfg.dt * uy, gy.xmin, gy.xmax)
-    f_new = eval_2d(state.f_coeffs, foot_x, foot_y, clamp=True).reshape(
-        gx.n_nodes, gy.n_nodes
-    )
+    foot_y = py - cfg.dt * uy
+    f_new = eval_2d(state.f_coeffs, foot_x, foot_y).reshape(gx.n_nodes, gy.n_nodes)
     return f_new, float(np.sum(state.f_nodes)) - float(np.sum(f_new))
 
 
 def bsl_step(state):
-    """Advance ``state`` by one backward step."""
+    """One backward step from ``state``: (f at the nodes, mass lost).
+
+    The solver's remap takes both; here only the field history moves on.
+    """
+    model = state.config.model
     steps = {VP: _bsl_step_vp, GC: _bsl_step_gc}
-    if state.model not in steps:
+    if model not in steps:
         raise ValueError("backward comparator supports VP and GC models only")
-    f, lost = steps[state.model](state)
+    f, lost = steps[model](state)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError("non-finite f")
-    state.mass_lost += state.cell * lost
-    state.f_nodes = f
-    state.f_coeffs = fit_2d(f, state.g1, state.g2)
-    state.particles = seed_particles(state.f_coeffs)
-    if state.model == GC:  # the two fields the next midpoint extrapolates from
+    if model == GC:  # the two fields the next midpoint extrapolates from
         fields = state.provider
         fields.prev, fields.field = fields.field, solve_fields(f, state.g1, state.g2)
         fields.solves += 1
-    state.step_index += 1
-    state.t = state.step_index * state.config.dt
-    return state
-
+    return f, lost

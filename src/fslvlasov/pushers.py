@@ -103,9 +103,9 @@ class SelfConsistentField2D(_NodeSeeded):
     """Rotated field E_perp = (Ey, -Ex) at the particles (guiding center).
 
     The y walls are streamlines (Ex = 0 there), so the field seen by the
-    ghost particles just outside is the constant-normal extension: splines
-    are evaluated at the wall-clipped y, and the ghost slots of a
-    node-seeded set take the wall node values.
+    ghost particles just outside is the constant-normal extension: the
+    splines read a point beyond a wall at the wall (``splines._locate``),
+    and the ghost slots of a node-seeded set take the wall node values.
     """
 
     def __init__(self, gx: UniformGrid1D, gy: UniformGrid1D):
@@ -125,8 +125,7 @@ class SelfConsistentField2D(_NodeSeeded):
         rho = deposit_phase_space(p, self.gx, self.gy, stage=self.stage)
         state = solve_fields(rho, self.gx, self.gy)
         self.solves += 1
-        py_in = np.clip(p.pos2, self.gy.xmin, self.gy.xmax)
-        e = eval_2d(state.E_spline, p.pos1, py_in, stage=self.stage)
+        e = eval_2d(state.E_spline, p.pos1, p.pos2, stage=self.stage)
         return e[:, 0], -e[:, 1]
 
 

@@ -3,20 +3,21 @@ models: the forward step, the diagnostics rows, and the run loop with its
 file outputs.
 
 ``step`` pushes the node-seeded particles with the configured pusher
-(``pushers.VP_PUSHERS`` or ``GC_PUSHERS``, looked up every step).  On a
-remap step it scatters their frozen weights back onto the phase-space grid,
-refits the spline coefficients, reseeds the particles at the nodes and
-hands the new set to the provider (``reseed``), which solves its field
-once, on the grid and on first use; the diagnostics row and the first
-stage of the next step share that field (``node_field``, see
-``pushers``).  The forward scheme remaps every step; the hybrid scheme
-remaps every T steps, and in between the pushed particles keep their
-frozen weights and every stage solves its own field.  ``scheme = bsl``
-steps with the backward comparator of ``bsl``, whose provider keeps its
-field history.
+(``pushers.VP_PUSHERS`` or ``GC_PUSHERS``, looked up every step) and
+scatters their frozen weights back onto the phase-space grid every step
+(fsl) or every T steps (hybrid; in between the pushed particles keep their
+frozen weights and every stage solves its own field).  ``scheme = bsl``
+takes the new node values from the backward comparator of ``bsl``, whose
+provider keeps its field history.  Every scheme then has one remap: it
+books the mass lost, refits the spline coefficients, reseeds the particles
+at the nodes and hands the new set to the provider (``reseed``), which
+solves its field once, on the grid and on first use; the diagnostics row
+and the first stage of the next step share that field (``node_field``,
+see ``pushers``).
 
-A diagnostics row reads f at the nodes from one source: the last remap's
-f, or between hybrid remaps the deposit of the pushed set.
+A diagnostics row and a snapshot read f at the nodes from one source: the
+last remap's f, or between hybrid remaps the pushed set's deposit, made
+once a step.
 """
 
 from __future__ import annotations
@@ -71,12 +72,11 @@ class NumericsAbort(RuntimeError):
 @dataclass
 class SimState:
     config: CaseConfig
-    model: str
     g1: UniformGrid1D
     g2: UniformGrid1D
     f_coeffs: SplineCoeffs
     particles: ParticleSet
-    f_nodes: Optional[np.ndarray]   # None between hybrid remaps
+    f_nodes: Optional[np.ndarray]   # None between hybrid remaps until read
     provider: object
     t: float = 0.0
     step_index: int = 0
@@ -102,18 +102,19 @@ def init(config: CaseConfig) -> SimState:
     else:
         provider = ExternalLinearForce(cases.hill_coefficient(config))
     provider.reseed(particles)
-    return SimState(config, config.model, g1, g2, coeffs, particles, f0, provider)
+    return SimState(config, g1, g2, coeffs, particles, f0, provider)
 
 
 # ---------------------------------------------------------------------------
 # the forward step
 
 
-def _remap(state: SimState, pushed: ParticleSet):
-    f_new = deposit_phase_space(pushed, state.g1, state.g2)
+def _remap(state: SimState, f_new: np.ndarray, lost: float):
+    """Take ``f_new`` as f at the nodes, ``lost`` (a node-value sum) as
+    the mass that left: refit, reseed and hand the new set over."""
     if not np.all(np.isfinite(f_new)):
         raise NumericsAbort(f"non-finite f at step {state.step_index + 1}")
-    state.mass_lost += state.cell * (float(np.sum(pushed.weights)) - float(np.sum(f_new)))
+    state.mass_lost += state.cell * lost
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
     state.f_nodes = f_new
@@ -121,18 +122,19 @@ def _remap(state: SimState, pushed: ParticleSet):
 
 
 def step(state: SimState) -> SimState:
-    """Advance ``state`` by one step of its scheme: push, and remap every
-    step (fsl) or every T-th step (hybrid); bsl steps backward."""
+    """Advance ``state`` by one step of its scheme: bsl steps backward;
+    fsl and hybrid push, and remap every T-th step (T = 1 for fsl)."""
     cfg = state.config
     if cfg.scheme == "bsl":
-        return bsl_step(state)
-    pushers = GC_PUSHERS if state.model == GC else VP_PUSHERS
-    pushed = pushers[cfg.pusher](state.particles, state.provider, cfg.dt, state.t)
-    if cfg.scheme == "fsl" or (state.step_index + 1) % cfg.T == 0:
-        _remap(state, pushed)
+        _remap(state, *bsl_step(state))
     else:
-        state.particles = pushed
-        state.f_nodes = None
+        pushers = GC_PUSHERS if cfg.model == GC else VP_PUSHERS
+        pushed = pushers[cfg.pusher](state.particles, state.provider, cfg.dt, state.t)
+        if (state.step_index + 1) % cfg.T == 0:
+            f_new = deposit_phase_space(pushed, state.g1, state.g2)
+            _remap(state, f_new, float(np.sum(pushed.weights)) - float(np.sum(f_new)))
+        else:
+            state.particles, state.f_nodes = pushed, None
     state.step_index += 1
     state.t = state.step_index * cfg.dt
     return state
@@ -144,10 +146,10 @@ def step(state: SimState) -> SimState:
 
 def _node_f(state: SimState) -> np.ndarray:
     """f at the nodes: the last remap's, or mid-cycle the deposit of the
-    pushed set."""
-    if state.f_nodes is not None:
-        return state.f_nodes
-    return deposit_phase_space(state.particles, state.g1, state.g2)
+    pushed set, kept in ``state.f_nodes`` for the rest of the step."""
+    if state.f_nodes is None:
+        state.f_nodes = deposit_phase_space(state.particles, state.g1, state.g2)
+    return state.f_nodes
 
 
 def _checked_energy(energy: float, state: SimState) -> float:
@@ -197,7 +199,7 @@ _MODEL_ROWS = {VP: _diag_vp, GC: _diag_gc, HILL: _diag_hill}
 def diag_row(state: SimState) -> dict:
     """The model's diagnostics channels at the current step."""
     f, gpair = _node_f(state), (state.g1, state.g2)
-    row = _MODEL_ROWS[state.model](state, f, gpair)
+    row = _MODEL_ROWS[state.config.model](state, f, gpair)
     row.update(
         mass=diagnostics.mass(f, gpair),
         l2=diagnostics.lp_norm(f, gpair, 2),
@@ -278,7 +280,7 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
     NumericsAbort carrying the rows recorded so far.
     """
     state = init(config)
-    names = CHANNELS[state.model]
+    names = CHANNELS[config.model]
     writer = _Writer(outdir, config, names) if outdir else None
     times, rows, snaps = [], [], []
 

@@ -11,6 +11,8 @@ grids lead to a cyclic tridiagonal system with stencil (1/6, 2/3, 1/6);
 natural grids append two end-derivative conditions, which fold into two
 ghost coefficients per side stored inline with the node coefficients.
 The periodic system is circulant and is solved by a real FFT division.
+Every read beyond a natural wall reads the spline at the wall: ``_locate``
+clips the point in grid units, so callers pass their points unclipped.
 
 Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
 and basis weights, with the stencil point on the leading axis so every
@@ -201,28 +203,27 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
 # evaluation
 
 
-def _locate(grid: UniformGrid1D, x, clamp: bool = False):
+def _locate(grid: UniformGrid1D, x):
     """Cell index and fractional offset for physical positions.
 
-    Periodic grids wrap; natural grids raise on points outside the domain
-    unless ``clamp`` is set (BSL feet use clamping with loss accounting).
+    Periodic grids wrap.  Natural grids read a point beyond a wall at the
+    wall: u is clipped to [0, n_cells] in grid units, the one wall rule of
+    every spline read.
     """
     u = grid.to_units(x)
     if grid.periodic:
         i0 = np.floor(u).astype(np.int64)
         return i0, u - i0
     n = grid.n_cells
-    if not clamp and (np.any(u < -1e-9) or np.any(u > n + 1e-9)):
-        raise ValueError("evaluation point outside natural-BC domain")
     u = np.clip(u, 0.0, float(n))
     i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
     return i0, u - i0
 
 
-def stencil(grid: UniformGrid1D, x, clamp: bool = False, out=(None, None)):
+def stencil(grid: UniformGrid1D, x, out=(None, None)):
     """Coefficient indices and weights of the 4-point stencils at x, (4, n),
     written to the ``out`` pair of arrays if given."""
-    i0, t = _locate(grid, x, clamp=clamp)
+    i0, t = _locate(grid, x)
     if grid.periodic:
         # i0 lies in [0, n): the table wraps the offsets without a modulo
         table = np.arange(-1, grid.n_cells + 2) % grid.n_cells
@@ -268,20 +269,19 @@ class StageOperator:
         self.starts = tuple(0 if g.periodic else PAD - 1 for g in grids)  # ghost slot 0
         return self
 
-    def gather(self, c: SplineCoeffs, pts, clamp: bool):
-        """(n, m) values of M c at ``pts``, the operator's points (natural
-        ones clipped to the walls); other points raise."""
-        g, x, d = c.grids[0], pts[0], len(pts)
+    def gather(self, c: SplineCoeffs, pts):
+        """(n, m) values of M c at ``pts``, the operator's points; other
+        points raise."""
+        x, d = pts[0], len(pts)
         x0 = self.pts[0] if len(self.pts) == d else np.empty(0)
-        if x.size != x0.size or x is not x0 and not np.array_equal(
-                x, x0 if g.periodic else np.clip(x0, g.xmin, g.xmax)):
+        if x.size != x0.size or x is not x0 and not np.array_equal(x, x0):
             raise ValueError("gather points differ from those of the stage operator")
         _tensor(self.w, self.data)
         rows = np.flatnonzero(np.logical_or.reduce([  # the deposit's cell off the grid
             (u < 0) | (u >= g.n_cells) for g, p in zip(c.grids, self.pts)
             if not g.periodic for u in (g.to_units(p),)]))
         if rows.size:
-            st = [stencil(g, p.ravel()[rows], clamp=clamp) for g, p in zip(c.grids, pts)]
+            st = [stencil(g, p.ravel()[rows]) for g, p in zip(c.grids, pts)]
             cols = [(i + s).T for (i, _), s in zip(st, self.starts)]
             self.indices[rows] = cols[0] if d == 1 else (
                 (cols[0] * self.dims[1])[:, :, None] + cols[1][:, None, :])
@@ -294,26 +294,26 @@ class StageOperator:
         return np.stack([self.matrix @ ck.ravel() for ck in self.cpad], axis=-1)
 
 
-def eval_1d(c: SplineCoeffs, x, clamp: bool = False, stage: StageOperator = None):
+def eval_1d(c: SplineCoeffs, x, stage: StageOperator = None):
     """Evaluate a 1D spline at x (scalar or array); ``stage``: see StageOperator."""
     (grid,) = c.grids
     xs = np.asarray(x, dtype=float)
     if stage is not None:
-        return stage.gather(c, (xs,), clamp).reshape(xs.shape)
+        return stage.gather(c, (xs,)).reshape(xs.shape)
     xr = xs.ravel()
     vals = np.empty(xr.size)
     for b in blocks(xr.size):
-        idx, w = stencil(grid, xr[b], clamp=clamp)
+        idx, w = stencil(grid, xr[b])
         vals[b] = (c.coeffs[idx] * w).sum(axis=0)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
-def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False, stage: StageOperator = None):
+def eval_2d(c: SplineCoeffs, x, y, stage: StageOperator = None):
     """Evaluate a 2D tensor-product spline at paired points (x, y).
 
     Coefficients with a trailing component axis give values of shape
     x.shape + (m,); all components share one stencil.  ``stage``: the
-    operator of a deposit at (x, y) before a clip to the walls.
+    operator of a deposit at (x, y).
     """
     gx, gy = c.grids
     xs = np.asarray(x, dtype=float)
@@ -321,15 +321,15 @@ def eval_2d(c: SplineCoeffs, x, y, clamp: bool = False, stage: StageOperator = N
     if xs.shape != ys.shape:
         raise ValueError("x and y must have matching shapes")
     if stage is not None:
-        return stage.gather(c, (xs, ys), clamp).reshape(xs.shape + c.coeffs.shape[2:])
+        return stage.gather(c, (xs, ys)).reshape(xs.shape + c.coeffs.shape[2:])
     xr, yr = xs.ravel(), ys.ravel()
     ncx, ncy = c.coeffs.shape[:2]
     comps = c.coeffs.reshape(ncx, ncy, -1)
     flat_comps = [comps[..., k].ravel() for k in range(comps.shape[2])]
     vals = np.empty((xr.size, len(flat_comps)))
     for b in blocks(xr.size):
-        ix, wx = stencil(gx, xr[b], clamp=clamp)
-        iy, wy = stencil(gy, yr[b], clamp=clamp)
+        ix, wx = stencil(gx, xr[b])
+        iy, wy = stencil(gy, yr[b])
         flat = (ix * ncy)[:, None, :] + iy[None, :, :]           # (4, 4, block)
         w = wx[:, None, :] * wy[None, :, :]
         for k, ck in enumerate(flat_comps):

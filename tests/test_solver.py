@@ -187,8 +187,22 @@ class TestBsl:
         sf = solver.init(cfg_f)
         sb = solver.init(cfg_b)
         solver.step(sf)
-        solver.bsl_step(sb)
+        solver.step(sb)
         assert np.abs(sf.f_nodes - sb.f_nodes).max() < 1e-6
+
+    def test_bsl_step_returns_f_and_loss_and_the_solver_remaps(self):
+        cfg = apply_overrides(case_defaults("two_stream"), {
+            "nx": 8, "nv": 8, "scheme": "bsl"})
+        st = solver.init(cfg)
+        f0, p0 = st.f_nodes, st.particles
+        f, lost = solver.bsl_step(st)
+        assert f.shape == f0.shape and lost != 0.0
+        assert st.f_nodes is f0 and st.particles is p0
+        assert (st.step_index, st.t, st.mass_lost) == (0, 0.0, 0.0)
+        solver.step(st)  # the same backward step, remapped
+        np.testing.assert_array_equal(st.f_nodes, f)
+        assert st.particles is not p0
+        assert (st.step_index, st.t, st.mass_lost) == (1, cfg.dt, st.cell * lost)
 
     def test_landau_damping_rate_bsl(self):
         cfg = landau_cfg(scheme="bsl", t_end=40.0)
@@ -275,13 +289,23 @@ class TestRun:
         res = solver.run(cfg, outdir=str(out))
         assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 1.0, 2.0, 3.0])
         st = res.state
-        assert st.f_nodes is None  # the run ends mid-cycle
+        assert st.step_index % 4 != 0  # the run ends mid-cycle
         f_end = deposit_phase_space(st.particles, st.g1, st.g2)
         np.testing.assert_array_equal(res.snapshots[-1][1], f_end)
         files = sorted(p.name for p in (out / "snapshots").glob("*.bin"))
         assert files == [f"snap_{n:06d}.bin" for n in (0, 10, 20, 30)]
         np.testing.assert_array_equal(
             solver.read_snapshot(str(out / "snapshots" / "snap_000030.bin")), f_end)
+
+    def test_mid_cycle_snapshot_shares_the_row_deposit(self, monkeypatch):
+        # 7 remaps and 23 mid-cycle steps, each deposited once; the
+        # snapshots at steps 10 and 30 once deposited a second time
+        calls = []
+        real = solver.deposit_phase_space
+        monkeypatch.setattr(solver, "deposit_phase_space",
+                            lambda *a: calls.append(1) or real(*a))
+        solver.run(landau_cfg(scheme="hybrid", T=4, t_end=3.0, snapshot_every=10))
+        assert len(calls) == 30
 
     def test_abort_flushes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = landau_cfg(t_end=1.0)

@@ -192,13 +192,13 @@ class TestEval:
         c2 = fit_1d(np.sin(g2.nodes()), g2)
         assert eval_1d(c2, 0.25) == eval_1d(c2, 16.25)
 
-    def test_natural_outside_raises(self):
+    def test_natural_outside_reads_the_wall(self):
         grid = UniformGrid1D(0.0, 1.0, 8, bc=NATURAL)
-        c = fit_1d(np.zeros(9), grid)
-        with pytest.raises(ValueError):
-            eval_1d(c, 1.5)
-        # opt-in clamping evaluates at the wall
-        assert eval_1d(c, 1.5, clamp=True) == pytest.approx(0.0, abs=1e-14)
+        f = np.random.default_rng(3).normal(size=9)
+        c = fit_1d(f, grid)
+        assert eval_1d(c, 1.5) == eval_1d(c, 1.0)
+        assert eval_1d(c, -0.25) == eval_1d(c, 0.0)
+        np.testing.assert_allclose(eval_1d(c, [-0.25, 1.5]), f[[0, -1]], rtol=0, atol=1e-14)
 
     def test_natural_derivative_condition_honored(self):
         # fitting sin with its true end slopes restores near-wall accuracy;

@@ -8,7 +8,8 @@ fixed list CONFIGS below (case, scheme and pusher at a short t_end) in one
 child process of its own, so the two never share an import.  For every
 run and channel the script prints the largest difference over the whole
 series divided by the channel's scale, the largest |value| in the old
-series (1 when that is 0).  NaN entries must be NaN in both series.
+series (1 when that is 0).  NaN entries must be NaN in both series.  The
+``snapshots`` column does the same over all snapshot arrays of the run.
 Exit status 1 when any difference exceeds ``--rtol`` (default 0: the
 series must match bit for bit), 0 otherwise.
 """
@@ -24,18 +25,19 @@ import sys
 
 #: (label, case, overrides): default grids, 6 to 12 steps each; together
 #: they run every (model, pusher) pair, every scheme and every model's
-#: hybrid rows between remaps
+#: hybrid rows between remaps; the hybrid runs also take snapshots there
 CONFIGS = [
     ("landau fsl verlet", "landau", {"t_end": 1.2}),
     ("landau fsl rk4", "landau", {"t_end": 1.2, "pusher": "rk4"}),
-    ("landau hybrid T=3", "landau", {"t_end": 1.2, "scheme": "hybrid", "T": 3}),
+    ("landau hybrid T=3", "landau",
+     {"t_end": 1.2, "scheme": "hybrid", "T": 3, "snapshot_every": 5}),
     ("landau bsl", "landau", {"t_end": 1.2, "scheme": "bsl"}),
     ("two_stream fsl verlet", "two_stream", {"t_end": 5.0}),
     ("bump_on_tail fsl rk4", "bump_on_tail", {"t_end": 5.0}),
     ("kelvin_helmholtz fsl rk4", "kelvin_helmholtz", {"t_end": 5.0}),
     ("kelvin_helmholtz fsl rk2", "kelvin_helmholtz", {"t_end": 5.0, "pusher": "rk2"}),
     ("kelvin_helmholtz hybrid T=3", "kelvin_helmholtz",
-     {"t_end": 4.5, "scheme": "hybrid", "T": 3}),
+     {"t_end": 4.5, "scheme": "hybrid", "T": 3, "snapshot_every": 4}),
     ("kelvin_helmholtz bsl", "kelvin_helmholtz", {"t_end": 3.0, "scheme": "bsl"}),
     ("hill fsl rk2", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0}),
     # the remaining (model, pusher) pairs, so every tableau runs
@@ -45,9 +47,10 @@ CONFIGS = [
     ("hill fsl rk4", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "rk4"}),
     ("hill fsl verlet", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "verlet"}),
     ("two_stream hybrid T=2 rk2", "two_stream",
-     {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2"}),
+     {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2", "snapshot_every": 3}),
     ("hill hybrid T=2", "hill",
-     {"t_end": 12 * 2.0 * math.pi / 25.0, "scheme": "hybrid", "T": 2}),
+     {"t_end": 12 * 2.0 * math.pi / 25.0, "scheme": "hybrid", "T": 2,
+      "snapshot_every": 5}),
 ]
 
 
@@ -62,6 +65,7 @@ def dump():
         res = solver.run(cfg)
         out[label] = {name: np.asarray(v, dtype=float).tolist()
                       for name, v in res.channels.items()}
+        out[label]["snapshots"] = [f.tolist() for _, f in res.snapshots]
     json.dump(out, sys.stdout)
 
 
@@ -84,7 +88,8 @@ def series_of(path: str) -> dict:
 
 
 def rel_diff(old, new) -> float:
-    """Largest |old - new| over the channel scale; inf on a length or NaN mismatch."""
+    """Largest |old - new| over the scale, the largest |old|; inf on a shape
+    or NaN mismatch.  A list of snapshots compares as one stacked array."""
     import numpy as np
 
     a, b = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
