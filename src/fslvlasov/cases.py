@@ -1,8 +1,13 @@
-"""Benchmark case library and the flat key=value run configuration."""
+"""Benchmark case library and the flat key=value run configuration.
+
+The keys are the ``CaseConfig`` fields: one pair a line in a config file
+(which must set ``case``) or a ``--set``, ``#`` comments, no repeated key,
+every float finite.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -12,8 +17,6 @@ from . import grids, pushers
 VP = "vp"
 GC = "gc"
 HILL = "hill"
-
-CASES = ("landau", "two_stream", "bump_on_tail", "kelvin_helmholtz", "hill")
 
 SCHEMES = ("fsl", "bsl", "hybrid")
 
@@ -87,13 +90,11 @@ _DEFAULTS = {
     ),
 }
 
-_FIELD_TYPES = {
-    "case": str, "scheme": str, "pusher": str, "snapshot_format": str,
-    "T": int, "nx": int, "nv": int, "diag_every": int, "snapshot_every": int,
-    "dt": float, "t_end": float, "v_max": float, "k": float, "alpha": float,
-    "Lx": float, "eps": float, "a_mean": float, "a_eps": float,
-    "omega0": float, "deriv_v": float,
-}
+CASES = tuple(_DEFAULTS)
+
+#: the type of each key; an annotation not listed here fails at import
+_TYPES = {f.name: {"str": str, "int": int, "float": float, "Optional[float]": float}[f.type]
+          for f in fields(CaseConfig)}
 
 _POSITIVE = {"T", "nx", "nv", "diag_every", "snapshot_every",
              "dt", "t_end", "v_max", "k", "Lx", "omega0"}
@@ -106,25 +107,21 @@ def case_defaults(case: str) -> CaseConfig:
 
 
 def _convert(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    if key not in _TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    typ = _FIELD_TYPES[key]
+    typ = _TYPES[key]
     try:
-        if typ is int:
-            val = int(raw)
-        elif typ is float:
-            val = float(raw)
-        else:
-            val = raw
+        return typ(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}")
-    return val
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
 def _validate(cfg: CaseConfig) -> CaseConfig:
-    for key in _POSITIVE:
+    for key, typ in _TYPES.items():
         val = getattr(cfg, key)
-        if val is not None and not val > 0:
+        if typ is float and val is not None and not np.isfinite(val):
+            raise ConfigError(f"key {key!r} must be finite, got {val}")
+        if key in _POSITIVE and val is not None and not val > 0:
             raise ConfigError(f"key {key!r} must be positive, got {val}")
     for key in ("nx", "nv"):
         if getattr(cfg, key) < grids.MIN_CELLS:
@@ -140,7 +137,10 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
         raise ConfigError(f"unknown {kind} {cfg.pusher!r}")
     if cfg.model == GC and cfg.Lx is None:
         raise ConfigError("kelvin_helmholtz requires Lx")
-    steps, lo = cfg.t_end / cfg.dt, max(int(cfg.t_end / cfg.dt), 1)
+    steps = cfg.t_end / cfg.dt
+    if not np.isfinite(steps):
+        raise ConfigError(f"t_end={cfg.t_end!r} over dt={cfg.dt!r} overflows the step count")
+    lo = max(int(steps), 1)
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"t_end={cfg.t_end!r} is {steps:.6g} steps of dt={cfg.dt!r}; nearest "
                           f"valid: t_end={lo * cfg.dt:.12g} or {(lo + 1) * cfg.dt:.12g}")
@@ -160,40 +160,39 @@ def apply_overrides(cfg: CaseConfig, overrides: dict) -> CaseConfig:
     return _validate(replace(cfg, **parsed))
 
 
-def parse_config(text: str) -> CaseConfig:
-    """Parse the flat key=value format ('#' comments, one pair per line)."""
+def read_pairs(items, what: str = "line") -> dict:
+    """Typed values of ``key=value`` items; errors name ``{what} {i}``."""
     pairs = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+    for i, item in enumerate(items, start=1):
+        body = item.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
-            raise ConfigError(f"line {ln}: expected key=value, got {body!r}")
-        key, raw = (part.strip() for part in body.split("=", 1))
-        if key in pairs:
-            raise ConfigError(f"line {ln}: duplicate key {key!r}")
         try:
+            if "=" not in body:
+                raise ConfigError(f"expected key=value, got {body!r}")
+            key, raw = (part.strip() for part in body.split("=", 1))
+            if key in pairs:
+                raise ConfigError(f"duplicate key {key!r}")
             pairs[key] = _convert(key, raw)
         except ConfigError as err:
-            raise ConfigError(f"line {ln}: {err}") from None
+            raise ConfigError(f"{what} {i}: {err}") from None
+    return pairs
+
+
+def parse_config(text: str) -> CaseConfig:
+    """Parse a config file's text (see the module docstring)."""
+    pairs = read_pairs(text.splitlines())
     if "case" not in pairs:
         raise ConfigError("config must set 'case'")
-    cfg = case_defaults(pairs.pop("case"))
-    return apply_overrides(cfg, pairs)
+    return apply_overrides(case_defaults(pairs.pop("case")), pairs)
 
 
 def format_config(cfg: CaseConfig) -> str:
     """Echo the effective configuration; round-trips through parse_config."""
     lines = [f"case={cfg.case}"]
-    for key in sorted(_FIELD_TYPES):
-        if key == "case":
-            continue
+    for key in sorted(_TYPES):
         val = getattr(cfg, key)
-        if val is None:
-            continue
-        if isinstance(val, float):
-            lines.append(f"{key}={val!r}")
-        else:
+        if key != "case" and val is not None:
             lines.append(f"{key}={val}")
     return "\n".join(lines) + "\n"
 
@@ -250,7 +249,10 @@ def initial_f(cfg: CaseConfig, g1, g2):
         if w0 is None:
             from .hill import matched_omega0
 
-            w0 = matched_omega0(hill_coefficient(cfg))
+            try:
+                w0 = matched_omega0(hill_coefficient(cfg))
+            except ValueError as err:
+                raise ConfigError(f"{err}: set omega0, or move a_mean/a_eps") from None
         return np.exp(-(x**2) / (2.0 * w0**2) - w0**2 * v**2 / 2.0)
     raise ConfigError(f"unknown case {cfg.case!r}")
 

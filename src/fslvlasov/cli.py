@@ -56,19 +56,16 @@ def main(argv=None) -> int:
             cfg = cases.case_defaults(args.case)
         else:
             raise cases.ConfigError("one of --case or --config is required")
-        overrides = {}
-        for item in args.overrides:
-            if "=" not in item:
-                raise cases.ConfigError(f"--set expects key=value, got {item!r}")
-            key, val = item.split("=", 1)
-            overrides[key.strip()] = val.strip()
-        cfg = cases.apply_overrides(cfg, overrides)
+        cfg = cases.apply_overrides(cfg, cases.read_pairs(args.overrides, what="--set"))
     except (cases.ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         result = solver.run(cfg, outdir=args.out)
+    except cases.ConfigError as err:  # a setting only the run can test (hill's stable zone)
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except solver.NumericsAbort as err:
         print(f"numeric abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC

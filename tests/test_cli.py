@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fslvlasov import cases
-from fslvlasov.cases import ConfigError, apply_overrides, case_defaults, parse_config
+from fslvlasov.cases import (CaseConfig, ConfigError, apply_overrides, case_defaults,
+                             parse_config)
 from fslvlasov.cli import main
 from fslvlasov.solver import read_snapshot
 
@@ -83,6 +86,32 @@ class TestParseConfig:
         for name, t_end, steps in [("kelvin_helmholtz", 15.0, 30), ("bump_on_tail", 50.0, 100),
                                    ("hill", 4.0 * np.pi, 50), ("landau", 0.3, 3)]:
             assert apply_overrides(case_defaults(name), {"t_end": t_end}).n_steps() == steps
+
+    def test_conversion_error_in_a_file_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 2: key 'nx': cannot parse 'abc' as int"):
+            parse_config("case=landau\nnx=abc\n")
+
+    def test_every_field_is_a_key_and_round_trips(self):
+        # one non-default value per CaseConfig field; a field added without
+        # an entry here fails the first assertion
+        values = {
+            "case": "two_stream", "scheme": "hybrid", "T": "3", "pusher": "rk4",
+            "nx": "8", "nv": "10", "dt": "0.25", "t_end": "1.0", "v_max": "5.0",
+            "k": "0.4", "alpha": "0.01", "Lx": "9.0", "eps": "0.02", "a_mean": "0.7",
+            "a_eps": "0.1", "omega0": "1.1", "deriv_v": "0.5", "diag_every": "2",
+            "snapshot_every": "3", "snapshot_format": "csv",
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(CaseConfig)}
+        cfg = parse_config("".join(f"{k}={v}\n" for k, v in values.items()))
+        default = case_defaults("landau")
+        for key, raw in values.items():
+            assert str(getattr(cfg, key)) == raw and getattr(cfg, key) != getattr(default, key)
+        assert parse_config(cases.format_config(cfg)) == cfg
+
+    def test_numpy_float_values_echo_as_plain_numbers(self):
+        cfg = apply_overrides(case_defaults("landau"), {"alpha": np.float64(0.0022)})
+        assert "alpha=0.0022\n" in cases.format_config(cfg)
+        assert parse_config(cases.format_config(cfg)) == cfg
 
 
 class TestCli:
@@ -220,3 +249,33 @@ class TestCli:
             "--set", "t_end=5", "--set", "nx=32", "--set", "nv=32",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(CaseConfig)
+                                     if "float" in f.type])
+    def test_non_finite_float_is_config_error(self, key, value, capsys):
+        assert main(["--case", "landau", "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"key {key!r} must be finite" in err
+
+    @pytest.mark.parametrize("t_end, dt", [("1e308", "0.1"), ("60", "1e-320")])
+    def test_step_count_overflow_is_config_error(self, t_end, dt, capsys):
+        assert main(["--case", "landau", "--set", f"t_end={t_end}", "--set", f"dt={dt}"]) == 2
+        assert "overflows the step count" in capsys.readouterr().err
+
+    def test_repeated_set_key_is_config_error(self, tmp_path, capsys):
+        assert main(["--case", "landau", "--set", "nx=8", "--set", "nx=16"]) == 2
+        assert "--set 2: duplicate key 'nx'" in capsys.readouterr().err
+        # a --set may still override a key of the config file
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("case=landau\nnx=16\nnv=8\nt_end=0.2\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--set", "nx=8", "--out", str(out)]) == 0
+        assert parse_config((out / "config.echo").read_text()).nx == 8
+
+    def test_hill_outside_a_stable_zone_is_config_error(self, capsys):
+        code = main(["--case", "hill", "--set", "a_mean=0.25",
+                     "--set", "nx=16", "--set", "nv=16"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "stable zone" in err and "omega0" in err

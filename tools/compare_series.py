@@ -10,8 +10,10 @@ run and channel the script prints the largest difference over the whole
 series divided by the channel's scale, the largest |value| in the old
 series (1 when that is 0).  NaN entries must be NaN in both series.  The
 ``snapshots`` column does the same over all snapshot arrays of the run.
+The ``config`` column reads 0 when the two trees echo the run's
+configuration (``cases.format_config``) byte for byte, 1 otherwise.
 Exit status 1 when any difference exceeds ``--rtol`` (default 0: the
-series must match bit for bit), 0 otherwise.
+series must match bit for bit) or any echo differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ def dump():
         out[label] = {name: np.asarray(v, dtype=float).tolist()
                       for name, v in res.channels.items()}
         out[label]["snapshots"] = [f.tolist() for _, f in res.snapshots]
+        out[label]["config"] = cases.format_config(cfg)
     json.dump(out, sys.stdout)
 
 
@@ -110,15 +113,18 @@ def main(argv=None) -> int:
                    help="largest allowed difference over the channel scale (default 0)")
     args = p.parse_args(argv)
     old, new = series_of(args.old_src), series_of(args.new_src)
-    worst = 0.0
+    worst, echoes_differ = 0.0, 0
     for label, _, _ in CONFIGS:
+        echo_differs = int(old[label].pop("config") != new[label].pop("config"))
+        echoes_differ += echo_differs
         diffs = {name: rel_diff(old[label][name], new[label][name]) for name in old[label]}
         worst = max(worst, *diffs.values())
         cells = "  ".join(f"{name} {d:.2g}" for name, d in diffs.items())
-        print(f"{label:30s} {cells}")
-    verdict = "ok" if worst <= args.rtol else "FAIL"
-    print(f"largest relative difference {worst:.3g} (rtol {args.rtol:g}): {verdict}")
-    return 0 if worst <= args.rtol else 1
+        print(f"{label:30s} {cells}  config {echo_differs}")
+    ok = worst <= args.rtol and not echoes_differ
+    print(f"largest relative difference {worst:.3g} (rtol {args.rtol:g}), "
+          f"{echoes_differ} config echoes differ: {'ok' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
