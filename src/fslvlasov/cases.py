@@ -7,6 +7,7 @@ every float finite.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -99,6 +100,10 @@ _TYPES = {f.name: {"str": str, "int": int, "float": float, "Optional[float]": fl
 _POSITIVE = {"T", "nx", "nv", "diag_every", "snapshot_every",
              "dt", "t_end", "v_max", "k", "Lx", "omega0"}
 
+#: bytes of physical memory, past which a grid cannot run; inf where unknown
+MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+          if hasattr(os, "sysconf") else float("inf"))
+
 
 def case_defaults(case: str) -> CaseConfig:
     if case not in _DEFAULTS:
@@ -128,6 +133,10 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
             raise ConfigError(
                 f"key {key!r} must be at least {grids.MIN_CELLS}, got {getattr(cfg, key)}"
             )
+    need = 64 * (cfg.nx + 1) * (cfg.nv + 3)  # f, its coefficients, the particles: 8 doubles
+    if need > MEMORY:  # estimated before anything of the grid is allocated
+        raise ConfigError(f"a {cfg.nx}x{cfg.nv} grid needs over {need / 2**30:.3g} GiB, "
+                          f"more than the {MEMORY / 2**30:.3g} GiB of memory here")
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.T != 1 and cfg.scheme != "hybrid":

@@ -10,6 +10,7 @@ from . import cases, landau, solver
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_OUTPUT = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,9 +64,12 @@ def main(argv=None) -> int:
 
     try:
         result = solver.run(cfg, outdir=args.out)
-    except cases.ConfigError as err:  # a setting only the run can test (hill's stable zone)
+    except cases.ConfigError as err:  # a setting only the run can test (f0, hill's stable zone)
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except solver.OutputError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return EXIT_OUTPUT
     except solver.NumericsAbort as err:
         print(f"numeric abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -12,13 +12,13 @@ and clamping them would pile mass at the wall.
 Kernel layout: per dimension the stencil is a pair of (4, n) arrays
 (node indices, weights); along a natural dimension the accumulator has PAD
 extra cells at each end, which catch the stencil nodes off the grid and
-are sliced off, so no validity mask reaches the outer product.  The
-particle weights are multiplied into the x weights first.  Particles go
-through in blocks of ``splines.BLOCK``; the (block, 4, 4) contributions
-are added with ``np.add.at``, which accumulates one by one in particle
-order, so the sums do not depend on the blocking and are bit-reproducible
-run to run.  Given a ``splines.StageOperator`` M, the contributions are
-its rows instead and M^T 1, summed once, adds in particle order too.
+are sliced off, so no validity mask reaches the outer product.  Particles
+go through in blocks of ``splines.BLOCK``.  The 2D deposit adds a block's
+slot-major (4, 4, block) flat indices and weights (w wx) wy with one
+``np.add.at``: a node sums block by block, then slot (a, b) by slot, then
+particle by particle, so BLOCK also fixes its bits.  With a
+``splines.StageOperator`` it runs the same sum and keeps the stencils for
+the gather; the 1D deposit, 4 wide, sums M^T 1 in particle order instead.
 """
 
 from __future__ import annotations
@@ -93,18 +93,14 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
     ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
     nya = gy.n_nodes + 2 * oy
     op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None
-    out = None if op else np.zeros((gx.n_nodes + 2 * ox) * nya)
+    out = np.zeros((gx.n_nodes + 2 * ox) * nya)
     for b in blocks(p.pos1.size):
         ix, wx = _dim_stencil(gx, p.pos1[b], (None, op.w[0, :, b]) if op else (None, None))
         iy, wy = _dim_stencil(gy, p.pos2[b], (None, op.w[1, :, b]) if op else (None, None))
-        # particle-major rows written through transposes: long inner loops, no copy
-        flat, w = (op.indices[b], op.data[b]) if op else (
-            np.empty((ix.shape[1], 4, 4), dtype=np.int64), np.empty((ix.shape[1], 4, 4)))
-        np.add((ix * nya + (ox * nya + oy))[:, None], iy[None], out=flat.transpose(1, 2, 0))
-        np.multiply((p.weights[b] * wx)[:, None], wy[None], out=w.transpose(1, 2, 0))
-        if not op:
-            np.add.at(out, flat.ravel(), w.ravel())
-    out = op.matrix_t @ op.ones if op else out  # both add in particle order
+        flat = (ix * nya + (ox * nya + oy))[:, None] + iy[None]  # slot-major (4, 4, block)
+        np.add.at(out, flat.ravel(), ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
+        if op:  # the gather's particle-major rows; it refills op.data itself
+            np.copyto(op.indices[b].transpose(1, 2, 0), flat)
     # contiguous: a strided result changes the summation order of np.sum
     return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 

@@ -10,8 +10,8 @@ node-seeded set of each remap; ``node_field(p)``, the field of that set
 ``solves``, the field solves so far, for tests that audit the stage
 structure.  A self-consistent rhs deposits the weights, solves the
 Poisson problem and gathers the field through one sparse B-spline matrix
-M of the stage's particles (``splines.StageOperator``: the deposit sums
-M^T 1, the gather computes M c).  The node-seeded set is the exception:
+M of the stage's particles (``splines.StageOperator``: the deposit writes
+M's columns, the gather computes M c).  The node-seeded set is the exception:
 its field is solved on the grid once, on first use, and shared by the
 diagnostics row and stage 1, which reads the node values, since the
 particles sit where the field spline interpolates.  The integrators pass

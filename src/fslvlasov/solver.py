@@ -69,6 +69,10 @@ class NumericsAbort(RuntimeError):
         self.partial = partial
 
 
+class OutputError(RuntimeError):
+    """The output directory or a file in it cannot be written."""
+
+
 @dataclass
 class SimState:
     config: CaseConfig
@@ -90,7 +94,11 @@ class SimState:
 def init(config: CaseConfig) -> SimState:
     """Sample f0 at the nodes, fit the spline, seed particles, build fields."""
     g1, g2 = cases.build_grids(config)
-    f0 = cases.initial_f(config, g1, g2)
+    with np.errstate(all="ignore"):  # checked below, as a config error
+        f0 = cases.initial_f(config, g1, g2)
+    if not np.all(np.isfinite(f0)):  # name the keys that shape f0, beside the grid's
+        keys = {VP: "alpha, k, Lx, v_max", GC: "eps, Lx", HILL: "omega0, a_mean, a_eps"}
+        raise cases.ConfigError(f"non-finite initial f: check {keys[config.model]}")
     coeffs = fit_2d(f0, g1, g2)
     particles = seed_particles(coeffs)
     if config.scheme == "bsl":
@@ -248,7 +256,6 @@ def read_snapshot(path: str) -> np.ndarray:
 class _Writer:
     def __init__(self, outdir: str, cfg: CaseConfig, channel_names):
         self.outdir, self.cfg = outdir, cfg
-        os.makedirs(outdir, exist_ok=True)
         os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
         with open(os.path.join(outdir, "config.echo"), "w") as fh:
             fh.write(cases.format_config(cfg))
@@ -274,15 +281,14 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
 
     Returns the in-memory series and snapshots; when ``outdir`` is given,
     also writes config.echo, series.csv and snapshots/ (flushed even if
-    the run aborts on non-finite values).  A non-finite check that fires
-    inside a step (FloatingPointError from the pushers, ValueError from
-    deposition, fitting or the field solves) ends the run as a
-    NumericsAbort carrying the rows recorded so far.
+    the run aborts on non-finite values), and any OSError there is an
+    OutputError.  The setup raises ConfigError (non-finite f0, Hill outside
+    a stable zone).  Any other non-finite check (FloatingPointError from
+    the pushers, ValueError from deposition, fitting or the field solves)
+    ends the run as a NumericsAbort carrying the rows recorded so far.
     """
-    state = init(config)
     names = CHANNELS[config.model]
-    writer = _Writer(outdir, config, names) if outdir else None
-    times, rows, snaps = [], [], []
+    writer, times, rows, snaps, state = None, [], [], [], None
 
     def record():
         row = diag_row(state)
@@ -302,20 +308,28 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
         return RunResult(config, np.array(times), channels, snaps, state)
 
     try:
-        record()
-        snapshot()
-        for n in range(1, config.n_steps() + 1):
-            step(state)
-            if n % config.diag_every == 0 or n == config.n_steps():
-                record()
-            if n % config.snapshot_every == 0:
-                snapshot()
+        try:
+            writer = _Writer(outdir, config, names) if outdir else None
+            state = init(config)
+            record()
+            snapshot()
+            for n in range(1, config.n_steps() + 1):
+                step(state)
+                if n % config.diag_every == 0 or n == config.n_steps():
+                    record()
+                if n % config.snapshot_every == 0:
+                    snapshot()
+        finally:
+            if writer:
+                writer.close()
+    except cases.ConfigError:
+        raise
     except NumericsAbort as abort:
         abort.partial = partial()
         raise
     except (FloatingPointError, ValueError) as err:
-        raise NumericsAbort(f"{err} at step {state.step_index + 1}", partial()) from err
-    finally:
-        if writer:
-            writer.close()
+        at = f"step {state.step_index + 1}" if state else "setup"
+        raise NumericsAbort(f"{err} at {at}", partial()) from err
+    except OSError as err:
+        raise OutputError(f"cannot write to {outdir}: {err}") from err
     return partial()

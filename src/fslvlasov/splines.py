@@ -24,10 +24,11 @@ components share one fit and one stencil.  The gathers here and the
 deposits work through the points in blocks of BLOCK (see there).
 A field stage deposits and gathers at the same points through one
 ``StageOperator`` M, particle-major CSR with int32 columns in the
-deposit's padded node layout.  The deposit writes (w wx) (x) wy and sums
-M^T 1; the gather refills wx (x) wy, locates again the wall rows (cell
-off a natural grid, where it clips) and computes M c per component, c
-padded alike: each row sums in the plain gather's order, bit for bit.
+deposit's padded node layout.  The deposit writes the columns and the
+weights (1D: also w wx, to sum M^T 1); the gather refills wx (x) wy,
+locates again the wall rows (cell off a natural grid, where it clips) and
+computes M c per component, c padded alike: each row sums in the plain
+gather's order, bit for bit.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ class StageOperator:
     """The B-spline matrix M at a stage's points ``pts`` (see the module
     notes): CSR ``matrix`` (transpose ``matrix_t``) on int32 ``indices`` into
     the padded layout (``dims`` cells, coefficient 0 at ``starts``) and
-    ``data``, (n,) + (4,) * d each; ``w``: per-dimension weights to refill."""
+    ``data``, (n,) + (4,) * d each; ``w``: per-dimension weights to refill.
+    The gather writes ``data``; ``matrix_t @ ones`` is the 1D deposit's."""
 
     w = cpad = dims = None
     pts = ()

@@ -9,6 +9,9 @@ from fslvlasov.cases import (CaseConfig, ConfigError, apply_overrides, case_defa
 from fslvlasov.cli import main
 from fslvlasov.solver import read_snapshot
 
+#: a grid small enough for a quick run
+SMALL = ["--set", "nx=8", "--set", "nv=8"]
+
 
 class TestParseConfig:
     def test_case_with_override(self):
@@ -272,6 +275,26 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["--config", str(cfg), "--set", "nx=8", "--out", str(out)]) == 0
         assert parse_config((out / "config.echo").read_text()).nx == 8
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["--case", "hill", "--set", "omega0=1e-300", *SMALL], 2,
+         "config error: non-finite initial f: check omega0"),
+        (["--case", "hill", "--set", "a_eps=1e300", *SMALL], 2,
+         "config error: non-finite initial f: check omega0, a_mean, a_eps"),
+        # rejected from the estimate: nothing of the grid is allocated
+        (["--case", "landau", "--set", "nx=100000000", "--set", "nv=100000000"], 2,
+         "config error: a 100000000x100000000 grid needs over"),
+        (["--case", "landau", "--set", "t_end=0.2", "--out", "{afile}/sub", *SMALL], 4,
+         "output error: cannot write to"),
+    ])
+    def test_failure_ends_in_one_line_and_an_exit_code(self, args, code, message,
+                                                        tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("a regular file\n")
+        assert main([a.format(afile=afile) for a in args]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_hill_outside_a_stable_zone_is_config_error(self, capsys):
         code = main(["--case", "hill", "--set", "a_mean=0.25",

@@ -2,8 +2,9 @@
 
 The stacked spline gather is checked against per-component evaluation and
 a direct basis-function sum, the stacked fit against scalar fits, the
-deposits bitwise against a per-particle loop with explicit validity
-masks, the blocked kernels bitwise against a single block, the gathers
+deposits bitwise against a loop with explicit validity masks in their
+summation order, the blocked kernels bitwise against a single block (the
+2D deposit, which sums block by block, to round-off), the gathers
 through a deposit's kept stencils bitwise against the plain gathers, and
 the DST-I Poisson solve against a dense per-mode solve.
 """
@@ -177,14 +178,18 @@ def _reference_stencil(g: UniformGrid1D, pos):
 
 
 def _loop_deposit_2d(p, gx, gy):
+    """The 2D deposit's summation order: block by block of ``splines.BLOCK``
+    particles, then stencil slot (a, b) by slot, then particle by particle."""
     ix, wx, vx = _reference_stencil(gx, p.pos1)
     iy, wy, vy = _reference_stencil(gy, p.pos2)
     out = np.zeros((gx.n_nodes, gy.n_nodes))
-    for k in range(p.pos1.size):
+    for start in range(0, p.pos1.size, splines.BLOCK):
+        block = range(start, min(start + splines.BLOCK, p.pos1.size))
         for a in range(4):
             for b in range(4):
-                if vx[k, a] and vy[k, b]:
-                    out[ix[k, a], iy[k, b]] += (p.weights[k] * wx[k, a]) * wy[k, b]
+                for k in block:
+                    if vx[k, a] and vy[k, b]:
+                        out[ix[k, a], iy[k, b]] += (p.weights[k] * wx[k, a]) * wy[k, b]
     return out
 
 
@@ -241,6 +246,14 @@ class TestDepositBitwise:
         )
 
 
+def _check_blocked_deposit(blocked, single, p, gx, gy):
+    """The 2D deposit sums block by block, so its bits follow ``splines.BLOCK``:
+    at the patched size they are the oracle's at that size, and they agree
+    with the single-block deposit to round-off."""
+    np.testing.assert_array_equal(blocked, _loop_deposit_2d(p, gx, gy))
+    assert np.max(np.abs(blocked - single)) <= 1e-14 * np.max(np.abs(single))
+
+
 class TestBlocking:
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
         gx, gy = GRID_PAIRS["periodic-natural"]
@@ -260,8 +273,10 @@ class TestBlocking:
 
         whole = kernels()
         monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
-        for single, blocked in zip(whole, kernels()):
-            np.testing.assert_array_equal(blocked, single)
+        blocked = kernels()
+        for single, again in zip(whole[1:], blocked[1:]):
+            np.testing.assert_array_equal(again, single)
+        _check_blocked_deposit(blocked[0], whole[0], p, gx, gy)
 
 
 class TestKeptStencils:
@@ -329,8 +344,10 @@ class TestKeptStencils:
 
         whole = kernels(None, None)
         monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
-        for single, blocked in zip(whole, kernels(StageOperator(), StageOperator())):
-            np.testing.assert_array_equal(blocked, single)
+        blocked = kernels(StageOperator(), StageOperator())
+        for single, again in zip(whole[1:], blocked[1:]):
+            np.testing.assert_array_equal(again, single)
+        _check_blocked_deposit(blocked[0], whole[0], p, gx, gy)
 
 
 #: GRID_PAIRS plus the smallest periodic x the config allows (4 cells)

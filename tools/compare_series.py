@@ -1,6 +1,6 @@
 """Compare the diagnostic series of two source trees, channel by channel.
 
-    python3 tools/compare_series.py OLD_SRC NEW_SRC [--rtol R]
+    python3 tools/compare_series.py OLD_SRC NEW_SRC [--rtol R] [--atol A]
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts (a
 checkout root holding ``src/fslvlasov`` works too).  Each tree runs the
@@ -11,9 +11,13 @@ series divided by the channel's scale, the largest |value| in the old
 series (1 when that is 0).  NaN entries must be NaN in both series.  The
 ``snapshots`` column does the same over all snapshot arrays of the run.
 The ``config`` column reads 0 when the two trees echo the run's
-configuration (``cases.format_config``) byte for byte, 1 otherwise.
-Exit status 1 when any difference exceeds ``--rtol`` (default 0: the
-series must match bit for bit) or any echo differs, 0 otherwise.
+configuration (``cases.format_config``) byte for byte, 1 otherwise.  A
+last row holds each column's worst case over all runs.
+
+A channel passes when its largest absolute difference is at most
+``rtol * scale + atol``, the rule of perfbench's fingerprint check.  Exit
+status 1 when a channel fails or any echo differs, 0 otherwise.  The
+defaults rtol = atol = 0 ask for the series to match bit for bit.
 """
 
 from __future__ import annotations
@@ -90,19 +94,45 @@ def series_of(path: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def rel_diff(old, new) -> float:
-    """Largest |old - new| over the scale, the largest |old|; inf on a shape
-    or NaN mismatch.  A list of snapshots compares as one stacked array."""
+def diff_and_scale(old, new) -> tuple[float, float]:
+    """Largest |old - new| and the scale, the largest |old| (1 when 0);
+    the difference is inf on a shape or NaN mismatch.  A list of snapshots
+    compares as one stacked array."""
     import numpy as np
 
     a, b = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
     if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
-        return float("inf")
+        return float("inf"), 1.0
     ok = ~np.isnan(a)
     if not ok.any():
-        return 0.0
-    scale = float(np.max(np.abs(a[ok]))) or 1.0
-    return float(np.max(np.abs(a[ok] - b[ok]))) / scale
+        return 0.0, 1.0
+    return float(np.max(np.abs(a[ok] - b[ok]))), float(np.max(np.abs(a[ok]))) or 1.0
+
+
+def report(old: dict, new: dict, rtol: float = 0.0, atol: float = 0.0) -> bool:
+    """Print one row of relative differences for each run of ``old``, then
+    the worst case of each column; True when every channel passes and
+    every echo matches.  ``old`` and ``new`` map run labels to the series
+    that ``dump`` writes."""
+    worst, failed, echoes_differ = {}, 0, 0
+    for label in old:
+        o, n = dict(old[label]), dict(new[label])
+        echo_differs = int(o.pop("config") != n.pop("config"))
+        echoes_differ += echo_differs
+        cells = {}
+        for name in o:
+            diff, scale = diff_and_scale(o[name], n[name])
+            failed += diff > rtol * scale + atol
+            cells[name] = diff / scale
+        cells["config"] = echo_differs
+        for name, d in cells.items():
+            worst[name] = max(worst.get(name, 0), d)
+        print(f"{label:30s} " + "  ".join(f"{k} {d:.2g}" for k, d in cells.items()))
+    print(f"{'worst':30s} " + "  ".join(f"{k} {d:.2g}" for k, d in worst.items()))
+    ok = not failed and not echoes_differ
+    print(f"{failed} channels past rtol {rtol:g} x scale + atol {atol:g}, "
+          f"{echoes_differ} config echoes differ: {'ok' if ok else 'FAIL'}")
+    return ok
 
 
 def main(argv=None) -> int:
@@ -110,21 +140,12 @@ def main(argv=None) -> int:
     p.add_argument("old_src")
     p.add_argument("new_src")
     p.add_argument("--rtol", type=float, default=0.0,
-                   help="largest allowed difference over the channel scale (default 0)")
+                   help="allowed difference per unit of the channel scale (default 0)")
+    p.add_argument("--atol", type=float, default=0.0,
+                   help="allowed absolute difference on top of rtol (default 0)")
     args = p.parse_args(argv)
-    old, new = series_of(args.old_src), series_of(args.new_src)
-    worst, echoes_differ = 0.0, 0
-    for label, _, _ in CONFIGS:
-        echo_differs = int(old[label].pop("config") != new[label].pop("config"))
-        echoes_differ += echo_differs
-        diffs = {name: rel_diff(old[label][name], new[label][name]) for name in old[label]}
-        worst = max(worst, *diffs.values())
-        cells = "  ".join(f"{name} {d:.2g}" for name, d in diffs.items())
-        print(f"{label:30s} {cells}  config {echo_differs}")
-    ok = worst <= args.rtol and not echoes_differ
-    print(f"largest relative difference {worst:.3g} (rtol {args.rtol:g}), "
-          f"{echoes_differ} config echoes differ: {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return 0 if report(series_of(args.old_src), series_of(args.new_src),
+                       args.rtol, args.atol) else 1
 
 
 if __name__ == "__main__":
