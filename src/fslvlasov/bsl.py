@@ -15,9 +15,8 @@ and keeps the guiding-center fields the midpoint extrapolates from; the
 diagnostics row reads the current one (``node_field``, None for VP).
 ``bsl_step`` returns the new node values and the mass that left through
 the walls; the solver remaps them as it does the forward scheme's (books
-the loss, refits, reseeds) and advances the clock.  Non-finite values raise
-FloatingPointError, which ``solver.run`` reports as a NumericsAbort at
-that step.
+the loss, refits, reseeds) and advances the clock.  Non-finite values fail
+the checks of the field solves or of the remap.
 """
 
 from __future__ import annotations
@@ -136,14 +135,10 @@ def bsl_step(state):
     """One backward step from ``state``: (f at the nodes, mass lost).
 
     The solver's remap takes both; here only the field history moves on.
+    ``cases`` rejects the scheme for the Hill model, as a config error.
     """
     model = state.config.model
-    steps = {VP: _bsl_step_vp, GC: _bsl_step_gc}
-    if model not in steps:
-        raise ValueError("backward comparator supports VP and GC models only")
-    f, lost = steps[model](state)
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError("non-finite f")
+    f, lost = {VP: _bsl_step_vp, GC: _bsl_step_gc}[model](state)
     if model == GC:  # the two fields the next midpoint extrapolates from
         fields = state.provider
         fields.prev, fields.field = fields.field, solve_fields(f, state.g1, state.g2)

@@ -22,7 +22,7 @@ HILL = "hill"
 SCHEMES = ("fsl", "bsl", "hybrid")
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 

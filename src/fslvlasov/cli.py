@@ -58,13 +58,8 @@ def main(argv=None) -> int:
         else:
             raise cases.ConfigError("one of --case or --config is required")
         cfg = cases.apply_overrides(cfg, cases.read_pairs(args.overrides, what="--set"))
-    except (cases.ConfigError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         result = solver.run(cfg, outdir=args.out)
-    except cases.ConfigError as err:  # a setting only the run can test (f0, hill's stable zone)
+    except (cases.ConfigError, OSError) as err:  # OSError: reading --config (run's are OutputError)
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except solver.OutputError as err:

@@ -5,10 +5,9 @@ x stays in rfft space from rho to the field's spline coefficients: the
 potential by a DST-I in y, Ex by the circulant Simpson relation, Ey by
 the Simpson rows in y closed by corrected-midpoint wall rows, then the
 stacked (Ey, Ex) fit and the one irfft (``splines.fit_2d_rfft``).  Node
-values of phi, Ex and Ey are each built by an irfft when first read: Ex
-and Ey by the node-seeded set's field (diagnostics row and stage 1) and
-the other diagnostics rows, phi by the tests alone; a push's other stage
-solves read none.
+values of Ex and Ey are each built by an irfft when first read: by the
+node-seeded set's field (diagnostics row and stage 1) and the other
+diagnostics rows; a push's other stage solves read none.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .splines import fit_2d  # noqa: F401  perfbench's fit_field span until ROAD
 
 @dataclass(frozen=True)
 class FieldState2D:
-    """x rfft spectra (nx // 2 + 1, ny) of phi, Ex and Ey, their spline, and
-    node values ``phi``, ``Ex``, ``Ey``, each built by an irfft on first read."""
+    """x rfft spectra (nx // 2 + 1, ny) of phi, Ex and Ey, the field's spline,
+    and node values ``Ex``, ``Ey``, each built by an irfft on first read."""
 
     gx: UniformGrid1D
     gy: UniformGrid1D
@@ -37,7 +36,6 @@ class FieldState2D:
     Ey_hat: np.ndarray
     E_spline: SplineCoeffs  # components (Ey, Ex) on the trailing axis
 
-    phi = cached_property(lambda self: irfft(self.phi_hat, n=self.gx.n_nodes, axis=0))
     Ex = cached_property(lambda self: irfft(self.Ex_hat, n=self.gx.n_nodes, axis=0))
     Ey = cached_property(lambda self: irfft(self.Ey_hat, n=self.gx.n_nodes, axis=0))
 

@@ -94,8 +94,7 @@ class SimState:
 def init(config: CaseConfig) -> SimState:
     """Sample f0 at the nodes, fit the spline, seed particles, build fields."""
     g1, g2 = cases.build_grids(config)
-    with np.errstate(all="ignore"):  # checked below, as a config error
-        f0 = cases.initial_f(config, g1, g2)
+    f0 = cases.initial_f(config, g1, g2)
     if not np.all(np.isfinite(f0)):  # name the keys that shape f0, beside the grid's
         keys = {VP: "alpha, k, Lx, v_max", GC: "eps, Lx", HILL: "omega0, a_mean, a_eps"}
         raise cases.ConfigError(f"non-finite initial f: check {keys[config.model]}")
@@ -121,7 +120,7 @@ def _remap(state: SimState, f_new: np.ndarray, lost: float):
     """Take ``f_new`` as f at the nodes, ``lost`` (a node-value sum) as
     the mass that left: refit, reseed and hand the new set over."""
     if not np.all(np.isfinite(f_new)):
-        raise NumericsAbort(f"non-finite f at step {state.step_index + 1}")
+        raise FloatingPointError("non-finite f")
     state.mass_lost += state.cell * lost
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
@@ -160,9 +159,9 @@ def _node_f(state: SimState) -> np.ndarray:
     return state.f_nodes
 
 
-def _checked_energy(energy: float, state: SimState) -> float:
+def _checked_energy(energy: float) -> float:
     if not np.isfinite(energy) or energy > ENERGY_ABORT:
-        raise NumericsAbort(f"field energy diverged at t={state.t:g}")
+        raise FloatingPointError("field energy diverged")
     return energy
 
 
@@ -170,7 +169,7 @@ def _diag_vp(state: SimState, f, gpair) -> dict:
     gx, gv = gpair
     fs = (state.provider.node_field(state.particles)
           or solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx))
-    ee = _checked_energy(diagnostics.electric_energy_1d(fs.E, gx), state)
+    ee = _checked_energy(diagnostics.electric_energy_1d(fs.E, gx))
     a1, a2, a3 = diagnostics.fourier_mode_amps(fs.E, gx)
     return {
         "l1": diagnostics.lp_norm(f, gpair, 1),
@@ -185,7 +184,7 @@ def _diag_vp(state: SimState, f, gpair) -> dict:
 def _diag_gc(state: SimState, rho, gpair) -> dict:
     gx, gy = gpair
     flds = state.provider.node_field(state.particles) or solve_fields(rho, gx, gy)
-    energy = _checked_energy(diagnostics.energy_2d(flds.Ex, flds.Ey, gpair), state)
+    energy = _checked_energy(diagnostics.energy_2d(flds.Ex, flds.Ey, gpair))
     spec = np.fft.rfft(rho, axis=0)[1] / gx.n_nodes
     return {
         "energy": energy,
@@ -197,7 +196,7 @@ def _diag_gc(state: SimState, rho, gpair) -> dict:
 
 def _diag_hill(state: SimState, f, gpair) -> dict:
     if not np.all(np.isfinite(f)):
-        raise NumericsAbort(f"non-finite f at t={state.t:g}")
+        raise FloatingPointError("non-finite f")
     return {"xrms": diagnostics.xrms(f, gpair)}
 
 
@@ -283,9 +282,12 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
     also writes config.echo, series.csv and snapshots/ (flushed even if
     the run aborts on non-finite values), and any OSError there is an
     OutputError.  The setup raises ConfigError (non-finite f0, Hill outside
-    a stable zone).  Any other non-finite check (FloatingPointError from
-    the pushers, ValueError from deposition, fitting or the field solves)
-    ends the run as a NumericsAbort carrying the rows recorded so far.
+    a stable zone).  Every numeric check raises (FloatingPointError from
+    the pushers, the remap and the rows, ValueError from deposition,
+    fitting or the field solves), so numpy's float warnings are off; this
+    is the one place that ends the run as a NumericsAbort, naming the
+    setup, the t = 0 row or step n (with its row and snapshot) and
+    carrying the rows recorded so far.
     """
     names = CHANNELS[config.model]
     writer, times, rows, snaps, state = None, [], [], [], None
@@ -307,29 +309,27 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
         channels = {n: np.array([r[n] for r in rows]) for n in names}
         return RunResult(config, np.array(times), channels, snaps, state)
 
-    try:
+    where = "setup"
+    with np.errstate(all="ignore"):  # every numeric check raises, none warns
         try:
-            writer = _Writer(outdir, config, names) if outdir else None
-            state = init(config)
-            record()
-            snapshot()
-            for n in range(1, config.n_steps() + 1):
-                step(state)
-                if n % config.diag_every == 0 or n == config.n_steps():
-                    record()
-                if n % config.snapshot_every == 0:
-                    snapshot()
-        finally:
-            if writer:
-                writer.close()
-    except cases.ConfigError:
-        raise
-    except NumericsAbort as abort:
-        abort.partial = partial()
-        raise
-    except (FloatingPointError, ValueError) as err:
-        at = f"step {state.step_index + 1}" if state else "setup"
-        raise NumericsAbort(f"{err} at {at}", partial()) from err
-    except OSError as err:
-        raise OutputError(f"cannot write to {outdir}: {err}") from err
+            try:
+                writer = _Writer(outdir, config, names) if outdir else None
+                state = init(config)
+                where = "t = 0"
+                record()
+                snapshot()
+                for n in range(1, config.n_steps() + 1):
+                    where = f"step {n}"
+                    step(state)
+                    if n % config.diag_every == 0 or n == config.n_steps():
+                        record()
+                    if n % config.snapshot_every == 0:
+                        snapshot()
+            finally:
+                if writer:
+                    writer.close()
+        except (FloatingPointError, ValueError) as err:
+            raise NumericsAbort(f"{err} at {where}", partial()) from err
+        except OSError as err:
+            raise OutputError(f"cannot write to {outdir}: {err}") from err
     return partial()

@@ -286,6 +286,9 @@ class TestCli:
          "config error: a 100000000x100000000 grid needs over"),
         (["--case", "landau", "--set", "t_end=0.2", "--out", "{afile}/sub", *SMALL], 4,
          "output error: cannot write to"),
+        # f overflows the t = 0 row's field solve: no float warning comes first
+        (["--case", "kelvin_helmholtz", "--set", "eps=1e307", "--set", "t_end=1", *SMALL], 3,
+         "numeric abort: array must not contain infs or NaNs at t = 0\n"),
     ])
     def test_failure_ends_in_one_line_and_an_exit_code(self, args, code, message,
                                                         tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import irfft
 
 from fslvlasov.field2d import (
     compute_Ex,
@@ -271,6 +272,7 @@ class TestSpectralSolve:
         gx, gy = make_grids(16, 16)
         rho = np.random.default_rng(7).normal(size=(16, 17))
         fs = solve_fields(rho, gx, gy)
-        assert not {"phi", "Ex", "Ey"} & set(vars(fs))
-        assert fs.Ex is fs.Ex and "phi" not in vars(fs)
-        np.testing.assert_array_equal(fs.phi, potential(rho, gx, gy))
+        assert not {"Ex", "Ey"} & set(vars(fs))
+        assert fs.Ex is fs.Ex and "Ey" not in vars(fs)
+        np.testing.assert_array_equal(irfft(fs.phi_hat, n=gx.n_nodes, axis=0),
+                                      potential(rho, gx, gy))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fslvlasov import cases, landau, solver
+from fslvlasov import cases, landau, pushers, solver
 from fslvlasov.cases import apply_overrides, case_defaults, maxwellian
 from fslvlasov.deposition import deposit_phase_space
 from fslvlasov.diagnostics import fit_damping
@@ -314,6 +314,37 @@ class TestKelvinHelmholtzGrowth:
         assert abs(self.rate("bsl", 2.0) / self.RATE - 1.0) > 0.15
 
 
+class TestSelfConsistentTimeOrder:
+    """End-to-end time order of every self-consistent pusher.  Under plain
+    FSL each remap adds an interpolation error, so the error goes like
+    C1 dt^p + C2 h^4 / dt and self-convergence at a fixed grid hides p.  The
+    hybrid scheme with T dt = 1 keeps the remaps fixed in physical time and
+    leaves the integrator's error, stages' deposits, solves and gathers
+    included.  32^2, t_end 8; the error is max |f - f(dt = 1/16)| at the
+    nodes.  Measured orders over the 1 -> 1/2, 1/2 -> 1/4, 1/4 -> 1/8
+    halvings: KH (Lx = 4 pi) rk4 3.94, 3.99, 4.02; rk3 2.97, 3.00, 3.16;
+    rk2 1.95, 2.05, 2.31; landau rk4 3.97, 4.09, 4.15; verlet 2.22, 2.12,
+    2.33; rk2 2.50, 2.15, 2.35.  The gate reads the last two."""
+
+    @pytest.mark.parametrize("case, pusher, order", [
+        ("kelvin_helmholtz", "rk4", 4), ("kelvin_helmholtz", "rk3", 3),
+        ("kelvin_helmholtz", "rk2", 2), ("landau", "rk4", 4),
+        ("landau", "verlet", 2), ("landau", "rk2", 2),
+    ])
+    def test_hybrid_order_is_nominal(self, case, pusher, order):
+        box = {"Lx": 4.0 * np.pi} if case == "kelvin_helmholtz" else {}
+        f = {}
+        for T in (2, 4, 8, 16):
+            cfg = apply_overrides(case_defaults(case), {
+                "nx": 32, "nv": 32, "t_end": 8.0, "scheme": "hybrid", "T": T,
+                "dt": 1.0 / T, "pusher": pusher, "diag_every": 1000,
+                "snapshot_every": 1000, **box})
+            f[T] = solver.run(cfg).state.f_nodes
+        err = [np.abs(f[T] - f[16]).max() for T in (2, 4, 8)]
+        orders = np.log2(np.divide(err[:-1], err[1:]))
+        assert np.all(np.abs(orders - order) <= 0.4), orders
+
+
 class TestRun:
     def test_reproducible_bitwise(self):
         cfg = landau_cfg(t_end=1.0)
@@ -399,6 +430,38 @@ class TestRun:
         assert isinstance(err.value.__cause__, ValueError)
         assert "non-finite particle data" in str(err.value)
         assert err.value.partial.times.size == 3
+
+    def test_row_failure_is_labelled_with_its_step(self, monkeypatch):
+        # rk4 on KH solves for the t = 0 row (call 1), for stages 2-4 of
+        # step 1 (calls 2-4), then for the row after step 1 (call 5)
+        real, calls = pushers.solve_fields, []
+
+        def fifth_fails(rho, gx, gy):
+            calls.append(rho)
+            if len(calls) == 5:
+                raise ValueError("non-finite rho")
+            return real(rho, gx, gy)
+
+        monkeypatch.setattr(pushers, "solve_fields", fifth_fails)
+        cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {"nx": 8, "nv": 8, "t_end": 2.0})
+        with pytest.raises(solver.NumericsAbort, match="^non-finite rho at step 1$") as err:
+            solver.run(cfg)
+        assert err.value.partial.times.tolist() == [0.0]
+
+    def test_non_finite_backward_step_aborts_at_its_step(self, monkeypatch):
+        real_init = solver.init
+
+        def poisoned(config):
+            st = real_init(config)
+            st.f_nodes = st.f_nodes.copy()
+            st.f_nodes[0, 0] = np.nan  # the backward step interpolates these
+            return st
+
+        monkeypatch.setattr(solver, "init", poisoned)
+        with pytest.raises(solver.NumericsAbort,
+                           match="^non-finite charge density at step 1$") as err:
+            solver.run(landau_cfg(scheme="bsl", t_end=1.0, nx=8, nv=8))
+        assert err.value.partial.times.tolist() == [0.0]
 
     def test_forward_energy_channels_always_present_in_hybrid(self):
         cfg = landau_cfg(scheme="hybrid", T=4, t_end=1.0)
