@@ -68,17 +68,17 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
     return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.flatten())
 
 
-def _dim_stencil(grid: UniformGrid1D, pos, out=(None, None)):
+def _dim_stencil(grid: UniformGrid1D, pos, w=None):
     """Per-particle stencil (node indices, weights) along one dimension, (4, n),
-    written to the ``out`` pair of views if given.  Off-grid nodes included."""
+    the weights written to ``w`` if given.  Off-grid nodes included."""
     if grid.periodic:
-        return stencil(grid, pos, out=out)
-    # a point outside u in [-2, n + 2) has no stencil node on the grid, so
-    # the clip, which bounds the index arithmetic for far strays, changes
-    # no contribution
-    u = np.clip(grid.to_units(pos), -3.0, grid.n_cells + 2.0)
-    i0 = np.floor(u).astype(np.int64)
-    return np.add(i0, STENCIL_OFFSETS, out=out[0]), stencil_weights(u - i0, out=out[1])
+        return stencil(grid, pos, w)
+    # a point outside u in [-2, n + 2) has no stencil node on the grid: the
+    # clip bounds the index arithmetic of far strays and changes no contribution
+    u = grid.to_units(pos)  # a fresh array: the locate runs in place
+    i0 = np.floor(np.clip(u, -3.0, grid.n_cells + 2.0, out=u))
+    u -= i0
+    return i0.astype(np.int64) + STENCIL_OFFSETS, stencil_weights(u, out=w)
 
 
 def _check_finite(*arrays):
@@ -95,8 +95,8 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
     op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None
     out = np.zeros((gx.n_nodes + 2 * ox) * nya)
     for b in blocks(p.pos1.size):
-        ix, wx = _dim_stencil(gx, p.pos1[b], (None, op.w[0, :, b]) if op else (None, None))
-        iy, wy = _dim_stencil(gy, p.pos2[b], (None, op.w[1, :, b]) if op else (None, None))
+        ix, wx = _dim_stencil(gx, p.pos1[b], op.w[0, :, b] if op else None)
+        iy, wy = _dim_stencil(gy, p.pos2[b], op.w[1, :, b] if op else None)
         flat = (ix * nya + (ox * nya + oy))[:, None] + iy[None]  # slot-major (4, 4, block)
         np.add.at(out, flat.ravel(), ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
         if op:  # the gather's particle-major rows; it refills op.data itself
@@ -120,13 +120,12 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float,
     op = stage.reserve((x,), (gx,)) if stage else None
     out = None if op else np.zeros(gx.n_nodes + 2 * ox)
     for b in blocks(x.size):
-        ix, wx = _dim_stencil(gx, x[b], (None, op.w[0, :, b]) if op else (None, None))
-        flat, w = (op.indices[b], op.data[b]) if op else (  # as above
-            np.empty((ix.shape[1], 4), dtype=np.int64), np.empty((ix.shape[1], 4)))
-        np.add(ix, ox, out=flat.T)
-        np.multiply(p.weights[b], wx, out=w.T)
-        if not op:
-            np.add.at(out, flat.ravel(), w.ravel())
+        ix, wx = _dim_stencil(gx, x[b], op.w[0, :, b] if op else None)
+        if op:  # the operator's particle-major rows, for M^T 1 and the gather
+            np.add(ix, ox, out=op.indices[b].T)
+            np.multiply(p.weights[b], wx, out=op.data[b].T)
+        else:  # particle by particle, then slot by slot, as M^T 1 sums
+            np.add.at(out, (ix + ox).T.ravel(), (p.weights[b] * wx).T.ravel())
     out = op.matrix_t @ op.ones if op else out
     return dv * out[ox:ox + gx.n_nodes]
 

@@ -62,13 +62,15 @@ class UniformGrid1D:
 
         Periodic coordinates are wrapped into [0, n_cells); natural ones are
         returned as-is (callers decide how to treat out-of-range points).
+        The result is a fresh array, never ``x``: callers may write over it.
         """
-        u = (np.asarray(x, dtype=float) - self.xmin) / self.delta
+        u = np.subtract(x, self.xmin, out=np.empty(np.shape(x)))
+        u /= self.delta
         if self.periodic:
             n = self.n_cells
-            u = u - n * np.floor(u / n)
+            u -= n * np.floor(u / n)
             # guard the half-open interval against round-off at the seam
-            u = np.where(u >= n, u - n, u)
+            np.subtract(u, n, out=u, where=u >= n)
         return u
 
     def wrap(self, x):

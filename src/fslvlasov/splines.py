@@ -16,7 +16,9 @@ clips the point in grid units, so callers pass their points unclipped.
 
 Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
 and basis weights, with the stencil point on the leading axis so every
-arithmetic pass runs over n contiguous points.  A 2D evaluation builds one
+arithmetic pass runs over n contiguous points.  The weights are products
+written in place into their rows, without ``pow``, and the locate works in
+place on the fresh array of ``to_units``.  A 2D evaluation builds one
 (4, 4, n) flat index into the coefficient block and one (4, 4, n) tensor
 weight, then reads each component through a single ``np.take``.  2D
 coefficients may carry a trailing component axis: the two field
@@ -76,17 +78,19 @@ def stencil_weights(t, out=None):
 
     These weight the four coefficients at offsets (-1, 0, 1, 2) from the
     cell index.  The stencil point is the leading axis: shape (4,) + t.shape,
-    written to ``out`` if given.
+    written to ``out`` if given.  With s = 1 - t the rows are s^3/6,
+    2/3 - t^2 + t^3/2, 2/3 - s^2 + s^3/2 and t^3/6, by products in place.
     """
     t = np.asarray(t, dtype=float)
-    s = 1.0 - t
-    t3 = t**3
-    s3 = s**3
     w = np.empty((4,) + t.shape) if out is None else out
-    w[0] = s3 / 6.0
-    w[1] = (4.0 - 6.0 * t**2 + 3.0 * t3) / 6.0
-    w[2] = (4.0 - 6.0 * s**2 + 3.0 * s3) / 6.0
-    w[3] = t3 / 6.0
+    s3, t2, s2, t3 = (w[k, ...] for k in range(4))  # the rows, as views
+    s = np.subtract(1.0, t, out=np.empty(t.shape))
+    np.multiply(np.multiply(t, t, out=t2), t, out=t3)
+    np.multiply(np.multiply(s, s, out=s2), s, out=s3)
+    np.add(np.subtract(2.0 / 3.0, t2, out=t2), np.multiply(t3, 0.5, out=s), out=t2)
+    np.add(np.subtract(2.0 / 3.0, s2, out=s2), np.multiply(s3, 0.5, out=s), out=s2)
+    np.divide(s3, 6.0, out=s3)
+    np.divide(t3, 6.0, out=t3)
     return w
 
 
@@ -211,27 +215,22 @@ def _locate(grid: UniformGrid1D, x):
     wall: u is clipped to [0, n_cells] in grid units, the one wall rule of
     every spline read.
     """
-    u = grid.to_units(x)
-    if grid.periodic:
-        i0 = np.floor(u).astype(np.int64)
-        return i0, u - i0
-    n = grid.n_cells
-    u = np.clip(u, 0.0, float(n))
-    i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
-    return i0, u - i0
+    u = grid.to_units(x)  # a fresh array: the locate runs in place
+    if not grid.periodic:
+        np.clip(u, 0.0, float(grid.n_cells), out=u)
+    i0 = np.floor(u) if grid.periodic else np.minimum(np.floor(u), grid.n_cells - 1)
+    u -= i0
+    return i0.astype(np.int64), u
 
 
-def stencil(grid: UniformGrid1D, x, out=(None, None)):
+def stencil(grid: UniformGrid1D, x, w=None):
     """Coefficient indices and weights of the 4-point stencils at x, (4, n),
-    written to the ``out`` pair of arrays if given."""
+    the weights written to ``w`` if given."""
     i0, t = _locate(grid, x)
-    if grid.periodic:
-        # i0 lies in [0, n): the table wraps the offsets without a modulo
-        table = np.arange(-1, grid.n_cells + 2) % grid.n_cells
-        idx = np.take(table, i0 + (STENCIL_OFFSETS + 1), out=out[0], mode="clip")
-    else:  # ghost at slot 0 shifts node k to slot k+1
-        idx = np.add(i0, STENCIL_OFFSETS + 1, out=out[0])
-    return idx, stencil_weights(t, out=out[1])
+    idx = i0 + (STENCIL_OFFSETS + 1)  # natural: the ghost at slot 0 shifts node k to k+1
+    if grid.periodic:  # i0 lies in [0, n): the table wraps the offsets without a modulo
+        idx = np.take(np.arange(-1, grid.n_cells + 2) % grid.n_cells, idx, mode="clip")
+    return idx, stencil_weights(t, out=w)
 
 
 #: deposit cells beyond each natural end: u in [-3, n + 2] puts nodes in [-4, n + 4]

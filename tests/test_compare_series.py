@@ -50,7 +50,21 @@ def test_rows_and_worst_case(capsys):
     worst = dict(zip(rows[2].split()[1::2], map(float, rows[2].split()[2::2])))
     assert worst == {"energy": pytest.approx(2e-13), "mass": 0.0,
                      "snapshots": pytest.approx(2e-12), "config": 1.0}
-    assert rows[3].startswith("2 channels past rtol 0 x scale + atol 0, 1 config echoes")
+    assert rows[3:5] == ["past: kh snapshots |diff| 4e-12 allowed 0",
+                         "past: hill energy |diff| 1e-13 allowed 0"]
+    assert rows[5].startswith("2 channels past rtol 0 x scale + atol 0, 1 config echoes")
+
+
+def test_failing_channels_are_named(capsys):
+    """Each failing channel gets its run, |diff| and allowed difference, in
+    run order; channels that pass and an echo that differs get no line."""
+    new = _runs(0.25 + 8e-13, NAN, 2.0 + 4e-12, "case = hill\n")
+    assert not compare_series.report(OLD, new, 1e-12, 1e-13)
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[3:-1] == ["past: kh mass |diff| inf allowed 1.1e-12",  # NaN: scale 1
+                          "past: kh snapshots |diff| 4e-12 allowed 2.1e-12",
+                          "past: hill energy |diff| 8e-13 allowed 6e-13"]
+    assert rows[-1].startswith("3 channels past")
 
 
 def test_main_exit_status(monkeypatch, capsys):

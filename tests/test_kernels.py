@@ -16,6 +16,7 @@ from fslvlasov import splines
 from fslvlasov.deposition import (
     PAD,
     ParticleSet,
+    _dim_stencil,
     basis_centers,
     deposit_charge,
     deposit_phase_space,
@@ -430,6 +431,38 @@ class TestStageOperator:
         # equal values in another array are the same points
         np.testing.assert_array_equal(eval_2d(c2, p.pos1.copy(), y, stage=op),
                                       eval_2d(c2, p.pos1, y))
+
+
+class TestLocateLeavesItsInput:
+    """The locate writes over a fresh array of grid units, never over the
+    caller's points: ``np.asarray(x, dtype=float)`` would be ``x`` itself."""
+
+    @pytest.mark.parametrize("g", GRID_PAIRS["periodic-natural"], ids=["periodic", "natural"])
+    @pytest.mark.parametrize("shape", [(), (300,)], ids=["0-d", "array"])
+    def test_locate_kernels(self, g, shape):
+        rng = np.random.default_rng(41)
+        kernels = {"to_units": g.to_units, "_locate": lambda x: splines._locate(g, x),
+                   "stencil": lambda x: splines.stencil(g, x),
+                   "_dim_stencil": lambda x: _dim_stencil(g, x)}
+        for name, kernel in kernels.items():
+            x = np.array(rng.uniform(g.xmin - g.length, g.xmax + g.length, shape))
+            kept = x.copy()
+            kernel(x)
+            np.testing.assert_array_equal(x, kept, err_msg=name)
+
+    def test_stage_deposit_and_gather(self, grids):
+        gx, gy = grids
+        rng = np.random.default_rng(42)
+        p = _particles(gx, gy, rng)
+        kept = p.pos1.copy(), p.pos2.copy()
+        op, op1 = StageOperator(), StageOperator()
+        deposit_phase_space(p, gx, gy, stage=op)
+        eval_2d(fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy),
+                p.pos1, p.pos2, stage=op)
+        deposit_charge(p, gx, 0.3, stage=op1)
+        eval_1d(fit_1d(rng.normal(size=gx.n_nodes), gx), p.pos1, stage=op1)
+        np.testing.assert_array_equal(p.pos1, kept[0])
+        np.testing.assert_array_equal(p.pos2, kept[1])
 
 
 def _dense_numerov(rho, gx, gy):

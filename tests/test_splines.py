@@ -10,6 +10,7 @@ from fslvlasov.splines import (
     fit_1d,
     fit_2d,
     solve_cyclic_banded,
+    stencil_weights,
 )
 
 
@@ -63,6 +64,32 @@ class TestBasis:
         u = rng.uniform(-0.5, 0.5, 10_000)
         total = sum(basis_eval(u - k) for k in range(-2, 3))
         assert np.abs(total - 1.0).max() < 1e-14
+
+
+class TestStencilWeights:
+    """The pow-free stencil weights: each row against the basis, the rows'
+    sum, and the mirror w[k](t) = w[3 - k](1 - t), exact where 1 - t is."""
+
+    T = np.concatenate([np.random.default_rng(8).uniform(0.0, 1.0, 100_000), [0.0, 0.5, 1.0]])
+
+    def test_rows_match_the_basis(self):
+        w = stencil_weights(self.T)
+        for k in range(4):  # the coefficient at offset k - 1 sits t + 1 - k away
+            assert np.abs(w[k] - basis_eval(self.T + 1.0 - k)).max() <= 4.5e-16
+
+    def test_rows_sum_to_one(self):
+        assert np.abs(stencil_weights(self.T).sum(axis=0) - 1.0).max() <= 4.5e-16
+
+    def test_mirror_on_dyadic_t(self):
+        t = np.arange(1025) / 1024.0
+        np.testing.assert_array_equal(stencil_weights(t), stencil_weights(1.0 - t)[::-1])
+
+    def test_writes_out_and_takes_a_scalar(self):
+        out = np.full((4, 3), np.nan)
+        t = np.array([0.0, 0.25, 1.0])
+        assert stencil_weights(t, out=out) is out
+        np.testing.assert_array_equal(out[:, 1], stencil_weights(0.25))
+        np.testing.assert_allclose(out[:, 0], [1 / 6, 2 / 3, 1 / 6, 0.0], rtol=0, atol=4.5e-16)
 
 
 class TestFit1D:

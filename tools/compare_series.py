@@ -15,9 +15,11 @@ configuration (``cases.format_config``) byte for byte, 1 otherwise.  A
 last row holds each column's worst case over all runs.
 
 A channel passes when its largest absolute difference is at most
-``rtol * scale + atol``, the rule of perfbench's fingerprint check.  Exit
-status 1 when a channel fails or any echo differs, 0 otherwise.  The
-defaults rtol = atol = 0 ask for the series to match bit for bit.
+``rtol * scale + atol``, the rule of perfbench's fingerprint check.  Each
+channel that fails gets a line ``past: RUN CHANNEL |diff| D allowed A``
+before the summary line.  Exit status 1 when a channel fails or any echo
+differs, 0 otherwise.  The defaults rtol = atol = 0 ask for the series
+to match bit for bit.
 """
 
 from __future__ import annotations
@@ -110,11 +112,11 @@ def diff_and_scale(old, new) -> tuple[float, float]:
 
 
 def report(old: dict, new: dict, rtol: float = 0.0, atol: float = 0.0) -> bool:
-    """Print one row of relative differences for each run of ``old``, then
-    the worst case of each column; True when every channel passes and
-    every echo matches.  ``old`` and ``new`` map run labels to the series
+    """Print one row of relative differences for each run of ``old``, the
+    worst case of each column, then a line for each failing channel; True
+    when every channel passes and every echo matches.  ``old`` and ``new`` map run labels to the series
     that ``dump`` writes."""
-    worst, failed, echoes_differ = {}, 0, 0
+    worst, failed, echoes_differ = {}, [], 0
     for label in old:
         o, n = dict(old[label]), dict(new[label])
         echo_differs = int(o.pop("config") != n.pop("config"))
@@ -122,15 +124,19 @@ def report(old: dict, new: dict, rtol: float = 0.0, atol: float = 0.0) -> bool:
         cells = {}
         for name in o:
             diff, scale = diff_and_scale(o[name], n[name])
-            failed += diff > rtol * scale + atol
+            allowed = rtol * scale + atol
+            if diff > allowed:
+                failed.append(f"past: {label} {name} |diff| {diff:.3g} allowed {allowed:.3g}")
             cells[name] = diff / scale
         cells["config"] = echo_differs
         for name, d in cells.items():
             worst[name] = max(worst.get(name, 0), d)
         print(f"{label:30s} " + "  ".join(f"{k} {d:.2g}" for k, d in cells.items()))
     print(f"{'worst':30s} " + "  ".join(f"{k} {d:.2g}" for k, d in worst.items()))
+    for line in failed:
+        print(line)
     ok = not failed and not echoes_differ
-    print(f"{failed} channels past rtol {rtol:g} x scale + atol {atol:g}, "
+    print(f"{len(failed)} channels past rtol {rtol:g} x scale + atol {atol:g}, "
           f"{echoes_differ} config echoes differ: {'ok' if ok else 'FAIL'}")
     return ok
 
