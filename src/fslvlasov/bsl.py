@@ -8,7 +8,8 @@ in v and another half shift in x, each a 1D spline interpolation per row
 or column.  The guiding-center step finds implicit-midpoint feet by
 fixed-point iteration, which loses stability at large time steps, where
 the forward scheme stays stable: the paper's comparison.  Feet beyond the
-natural walls read f at the wall.
+natural walls read f at the wall, by the clip of ``splines._locate``, where
+every spline read locates.
 
 ``BackwardFields``, the comparator's provider, counts the field solves
 and keeps the guiding-center fields the midpoint extrapolates from; the
@@ -27,8 +28,8 @@ from .cases import GC, VP
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
-from .splines import SplineCoeffs, eval_2d, solve_cyclic_banded, stencil_weights
-from .splines import _solve_natural  # natural multi-RHS fit for the v sweeps
+from .splines import SplineCoeffs, eval_2d, solve_cyclic_banded, stencil, stencil_weights
+from .splines import _locate, _solve_natural  # the v sweeps' locate and multi-RHS fit
 
 
 class BackwardFields:
@@ -50,27 +51,19 @@ def _advect_x_rows(f, gx: UniformGrid1D, shift):
     """Interpolate each v row of f at x_i - shift_j (periodic splines)."""
     nx = gx.n_nodes
     c = solve_cyclic_banded(f)
-    s = np.asarray(shift) / gx.delta
-    m = np.floor(-s).astype(np.int64)
-    w = stencil_weights(-s - m)                    # (4, nv)
-    cols = np.arange(f.shape[1])[None, :]
-    base = np.arange(nx)[:, None] + m[None, :]
+    idx, w = stencil(gx, gx.xmin - np.asarray(shift))  # node 0's feet, (4, nv)
+    rows, cols = np.arange(nx)[:, None], np.arange(f.shape[1])
     out = np.zeros_like(f)
-    for q, off in enumerate((-1, 0, 1, 2)):
-        idx = np.mod(base + off, nx)
-        out += w[q][None, :] * c[idx, cols]
+    for q in range(4):  # node i's feet lie i cells on
+        out += w[q] * c[(rows + idx[q]) % nx, cols]
     return out
 
 
 def _advect_v_cols(f, gv: UniformGrid1D, shift):
-    """Interpolate each x column of f at v_j - shift_i (natural splines,
-    feet outside the wall are clamped to it)."""
-    n = gv.n_cells
+    """Interpolate each x column of f at v_j - shift_i (natural splines)."""
     c = _solve_natural(f.T, gv).T                  # (nx, nv + 2)
-    u = np.arange(f.shape[1])[None, :] - np.asarray(shift)[:, None] / gv.delta
-    u = np.clip(u, 0.0, float(n))
-    i0 = np.minimum(np.floor(u), n - 1).astype(np.int64)
-    w = stencil_weights(u - i0)                    # (4, nx, nv+1)
+    i0, t = _locate(gv, gv.nodes()[None, :] - np.asarray(shift)[:, None])
+    w = stencil_weights(t)                         # (4, nx, nv+1)
     rows = np.arange(f.shape[0])[:, None]
     out = np.zeros_like(f)
     for q, off in enumerate((-1, 0, 1, 2)):

@@ -10,9 +10,10 @@ remap iteration linearly unstable (measured growth 1.077 per remap),
 and clamping them would pile mass at the wall.
 
 Kernel layout: per dimension the stencil is a pair of (4, n) arrays
-(node indices, weights); along a natural dimension the accumulator has PAD
-extra cells at each end, which catch the stencil nodes off the grid and
-are sliced off, so no validity mask reaches the outer product.  Particles
+(node indices, weights) from ``splines.stencil`` at margin PAD - 1: along
+a natural dimension its indices land in the accumulator's PAD extra cells
+at each end, which catch the stencil nodes off the grid and are sliced
+off, so no validity mask reaches the outer product.  Particles
 go through in blocks of ``splines.BLOCK``.  The 2D deposit adds a block's
 slot-major (4, 4, block) flat indices and weights (w wx) wy with one
 ``np.add.at``: a node sums block by block, then slot (a, b) by slot, then
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import (PAD, STENCIL_OFFSETS, SplineCoeffs, StageOperator, blocks, stencil,
-                      stencil_weights)
+from .splines import PAD, SplineCoeffs, StageOperator, blocks, stencil
 
 
 @dataclass
@@ -68,19 +68,6 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
     return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.flatten())
 
 
-def _dim_stencil(grid: UniformGrid1D, pos, w=None):
-    """Per-particle stencil (node indices, weights) along one dimension, (4, n),
-    the weights written to ``w`` if given.  Off-grid nodes included."""
-    if grid.periodic:
-        return stencil(grid, pos, w)
-    # a point outside u in [-2, n + 2) has no stencil node on the grid: the
-    # clip bounds the index arithmetic of far strays and changes no contribution
-    u = grid.to_units(pos)  # a fresh array: the locate runs in place
-    i0 = np.floor(np.clip(u, -3.0, grid.n_cells + 2.0, out=u))
-    u -= i0
-    return i0.astype(np.int64) + STENCIL_OFFSETS, stencil_weights(u, out=w)
-
-
 def _check_finite(*arrays):
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite particle data")
@@ -95,9 +82,9 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
     op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None
     out = np.zeros((gx.n_nodes + 2 * ox) * nya)
     for b in blocks(p.pos1.size):
-        ix, wx = _dim_stencil(gx, p.pos1[b], op.w[0, :, b] if op else None)
-        iy, wy = _dim_stencil(gy, p.pos2[b], op.w[1, :, b] if op else None)
-        flat = (ix * nya + (ox * nya + oy))[:, None] + iy[None]  # slot-major (4, 4, block)
+        ix, wx = stencil(gx, p.pos1[b], op.w[0, :, b] if op else None, PAD - 1)
+        iy, wy = stencil(gy, p.pos2[b], op.w[1, :, b] if op else None, PAD - 1)
+        flat = (ix * nya)[:, None] + iy[None]  # slot-major (4, 4, block)
         np.add.at(out, flat.ravel(), ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
         if op:  # the gather's particle-major rows; it refills op.data itself
             np.copyto(op.indices[b].transpose(1, 2, 0), flat)
@@ -120,12 +107,12 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float,
     op = stage.reserve((x,), (gx,)) if stage else None
     out = None if op else np.zeros(gx.n_nodes + 2 * ox)
     for b in blocks(x.size):
-        ix, wx = _dim_stencil(gx, x[b], op.w[0, :, b] if op else None)
+        ix, wx = stencil(gx, x[b], op.w[0, :, b] if op else None, PAD - 1)
         if op:  # the operator's particle-major rows, for M^T 1 and the gather
-            np.add(ix, ox, out=op.indices[b].T)
+            np.copyto(op.indices[b].T, ix)
             np.multiply(p.weights[b], wx, out=op.data[b].T)
         else:  # particle by particle, then slot by slot, as M^T 1 sums
-            np.add.at(out, (ix + ox).T.ravel(), (p.weights[b] * wx).T.ravel())
+            np.add.at(out, ix.T.ravel(), (p.weights[b] * wx).T.ravel())
     out = op.matrix_t @ op.ones if op else out
     return dv * out[ox:ox + gx.n_nodes]
 

@@ -105,7 +105,8 @@ def solve_dominant_root(k: float, tol_residual=1e-10) -> DispersionRoot:
     """Least-damped dispersion root (w_r > 0 member) and its residue.
 
     Newton iteration seeded by the Bohm-Gross estimate w^2 = 1 + 3 k^2;
-    if that stalls, a coarse scan of |D| over a box in omega reseeds it.
+    if that stalls or leaves plasma_Z's strip (k = 1 does), a coarse scan
+    of |D| over a box in omega reseeds it.
     """
     _check_k(k)
     if k > 1.0:
@@ -113,7 +114,7 @@ def solve_dominant_root(k: float, tol_residual=1e-10) -> DispersionRoot:
     guess = np.sqrt(1.0 + 3.0 * k**2) - 0.01j
     try:
         w = _newton(k, guess)
-    except RuntimeError:
+    except (RuntimeError, ValueError):  # a stall, or plasma_Z's strip error
         wr = np.linspace(0.5, 2.5, 81)
         wi = np.linspace(-1.0, 0.0, 41)
         grid = wr[:, None] + 1j * wi[None, :]

@@ -16,13 +16,15 @@ clips the point in grid units, so callers pass their points unclipped.
 
 Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
 and basis weights, with the stencil point on the leading axis so every
-arithmetic pass runs over n contiguous points.  The weights are products
-written in place into their rows, without ``pow``, and the locate works in
-place on the fresh array of ``to_units``.  A 2D evaluation builds one
-(4, 4, n) flat index into the coefficient block and one (4, 4, n) tensor
-weight, then reads each component through a single ``np.take``.  2D
-coefficients may carry a trailing component axis: the two field
-components share one fit and one stencil.  The gathers here and the
+arithmetic pass runs over n contiguous points.  ``_locate`` and
+``stencil`` alone map points to cells and indices: every read (margin 0),
+deposit (margin PAD - 1) and BSL sweep locates there.  The weights are
+products written in place into their rows, without ``pow``, and the
+locate works in place on the fresh array of ``to_units``.  A 2D
+evaluation builds one (4, 4, n) flat index into the coefficient block and
+one (4, 4, n) tensor weight, then reads each component through a single
+``np.take``.  2D coefficients may carry a trailing component axis: the
+two field components share one fit and one stencil.  The gathers here and the
 deposits work through the points in blocks of BLOCK (see there).
 A field stage deposits and gathers at the same points through one
 ``StageOperator`` M, particle-major CSR with int32 columns in the
@@ -208,32 +210,37 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
 # evaluation
 
 
-def _locate(grid: UniformGrid1D, x):
+def _locate(grid: UniformGrid1D, x, margin=0):
     """Cell index and fractional offset for physical positions.
 
-    Periodic grids wrap.  Natural grids read a point beyond a wall at the
-    wall: u is clipped to [0, n_cells] in grid units, the one wall rule of
-    every spline read.
+    Periodic grids wrap.  A natural grid clips u to [-margin, n_cells +
+    margin] in grid units, the one wall rule of every spline read (margin
+    0: a point beyond a wall reads the wall) and scatter (``PAD - 1``).
     """
     u = grid.to_units(x)  # a fresh array: the locate runs in place
+    hi = grid.n_cells + margin
     if not grid.periodic:
-        np.clip(u, 0.0, float(grid.n_cells), out=u)
-    i0 = np.floor(u) if grid.periodic else np.minimum(np.floor(u), grid.n_cells - 1)
+        np.clip(u, -margin, hi, out=u)
+    i0 = np.floor(u) if grid.periodic else np.minimum(np.floor(u), hi - 1)
     u -= i0
     return i0.astype(np.int64), u
 
 
-def stencil(grid: UniformGrid1D, x, w=None):
+def stencil(grid: UniformGrid1D, x, w=None, margin=0):
     """Coefficient indices and weights of the 4-point stencils at x, (4, n),
-    the weights written to ``w`` if given."""
-    i0, t = _locate(grid, x)
-    idx = i0 + (STENCIL_OFFSETS + 1)  # natural: the ghost at slot 0 shifts node k to k+1
+    the weights written to ``w`` if given.  Natural grids put node k at
+    index k + 1 + margin: the ghost at slot margin, the scatter pad before."""
+    i0, t = _locate(grid, x, margin)
     if grid.periodic:  # i0 lies in [0, n): the table wraps the offsets without a modulo
-        idx = np.take(np.arange(-1, grid.n_cells + 2) % grid.n_cells, idx, mode="clip")
+        idx = np.take(np.arange(-1, grid.n_cells + 2) % grid.n_cells,
+                      i0 + (STENCIL_OFFSETS + 1), mode="clip")
+    else:
+        idx = i0 + (STENCIL_OFFSETS + 1 + margin)
     return idx, stencil_weights(t, out=w)
 
 
-#: deposit cells beyond each natural end: u in [-3, n + 2] puts nodes in [-4, n + 4]
+#: deposit cells beyond each natural end: the deposits locate with margin
+#: PAD - 1, so u in [-3, n + 3] puts nodes in [-4, n + 4]
 PAD = 4
 
 

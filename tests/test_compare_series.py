@@ -73,3 +73,17 @@ def test_main_exit_status(monkeypatch, capsys):
     assert compare_series.main(["old", "new", "--rtol", "1e-12"]) == 1
     assert compare_series.main(["old", "new", "--rtol", "1e-12", "--atol", "1e-13"]) == 0
     assert compare_series.main(["old", "old"]) == 0
+
+
+def test_every_run_snapshots_mid_run_and_at_its_end():
+    """Each run's snapshot_every divides its step count and is below it, so
+    the snapshots column compares a mid-run f and the last f; a hybrid run
+    also snapshots between remaps."""
+    from fslvlasov import cases
+
+    for label, case, overrides in compare_series.CONFIGS:
+        cfg = cases.apply_overrides(cases.case_defaults(case), overrides)
+        n, every = cfg.n_steps(), cfg.snapshot_every
+        assert n % every == 0 and every < n, label
+        if cfg.scheme == "hybrid":
+            assert any(s % cfg.T for s in range(every, n + 1, every)), label

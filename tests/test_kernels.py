@@ -5,18 +5,18 @@ a direct basis-function sum, the stacked fit against scalar fits, the
 deposits bitwise against a loop with explicit validity masks in their
 summation order, the blocked kernels bitwise against a single block (the
 2D deposit, which sums block by block, to round-off), the gathers
-through a deposit's kept stencils bitwise against the plain gathers, and
-the DST-I Poisson solve against a dense per-mode solve.
+through a deposit's kept stencils bitwise against the plain gathers, the
+BSL sweeps against the plain gather at their feet, and the DST-I Poisson
+solve against a dense per-mode solve.
 """
 
 import numpy as np
 import pytest
 
-from fslvlasov import splines
+from fslvlasov import bsl, splines
 from fslvlasov.deposition import (
     PAD,
     ParticleSet,
-    _dim_stencil,
     basis_centers,
     deposit_charge,
     deposit_phase_space,
@@ -391,8 +391,8 @@ class TestStageOperator:
                                       deposit_charge(p, gx, 0.5))
         assert op.indices.dtype == np.int32 and op.indices.shape == (x.size, 4)
         assert op.dims == (n + 1 + 2 * PAD,)
-        # u clipped to -3 puts nodes -4..-1 in pad columns 0..3, u clipped
-        # to n + 2 puts nodes n + 1..n + 4 past the last node column n + PAD
+        # u clipped to -3 puts nodes -4..-1 in pad columns 0..3; cell n + 2
+        # (u beyond n + 2) puts nodes n + 1..n + 4 past the last node column n + PAD
         np.testing.assert_array_equal(op.indices[:2], [[0, 1, 2, 3]] * 2)
         np.testing.assert_array_equal(op.indices[2:4], [np.arange(n + 1, n + 5) + PAD] * 2)
         assert ((op.indices[4:] >= PAD - 1) & (op.indices[4:] <= n + 1 + PAD)).all()
@@ -443,7 +443,7 @@ class TestLocateLeavesItsInput:
         rng = np.random.default_rng(41)
         kernels = {"to_units": g.to_units, "_locate": lambda x: splines._locate(g, x),
                    "stencil": lambda x: splines.stencil(g, x),
-                   "_dim_stencil": lambda x: _dim_stencil(g, x)}
+                   "stencil margin": lambda x: splines.stencil(g, x, margin=PAD - 1)}
         for name, kernel in kernels.items():
             x = np.array(rng.uniform(g.xmin - g.length, g.xmax + g.length, shape))
             kept = x.copy()
@@ -463,6 +463,39 @@ class TestLocateLeavesItsInput:
         eval_1d(fit_1d(rng.normal(size=gx.n_nodes), gx), p.pos1, stage=op1)
         np.testing.assert_array_equal(p.pos1, kept[0])
         np.testing.assert_array_equal(p.pos2, kept[1])
+
+
+class TestBslSweeps:
+    """Each BSL sweep equals ``eval_1d`` of its row's or column's fit at the
+    feet (x_i - shift_j periodic, v_j - shift_i natural): the sweeps fit
+    and read whole arrays, the oracle one row at a time."""
+
+    def test_x_rows_equal_the_fit_at_the_feet(self):
+        gx = GRID_PAIRS["periodic-natural"][0]
+        rng = np.random.default_rng(51)
+        f = rng.normal(size=(gx.n_nodes, 9))
+        shift = np.concatenate([rng.uniform(-3.0, 3.0, 5) * gx.length,
+                                [0.0, gx.delta, -2.5 * gx.length, 1e-12]])
+        got = bsl._advect_x_rows(f, gx, shift)
+        for j, s in enumerate(shift):
+            want = eval_1d(fit_1d(f[:, j], gx), gx.nodes() - s)
+            np.testing.assert_allclose(got[:, j], want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("gv", [GRID_PAIRS["periodic-natural"][1],
+                                    GRID_PAIRS["natural-natural"][0]])
+    def test_v_cols_equal_the_fit_at_the_feet(self, gv):
+        rng = np.random.default_rng(52)
+        f = rng.normal(size=(10, gv.n_nodes))
+        # feet inside, on a wall and beyond +-v_max, near and far
+        shift = np.concatenate([rng.uniform(-0.6, 0.6, 4) * gv.length,
+                                [0.0, gv.delta, gv.length, -gv.length, 1e3, -1e3]])
+        got = bsl._advect_v_cols(f, gv, shift)
+        for i, s in enumerate(shift):
+            want = eval_1d(fit_1d(f[i], gv), gv.nodes() - s)
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-13)
+        # a column shifted past a wall reads that wall's value everywhere
+        np.testing.assert_allclose(got[-2], f[-2, 0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got[-1], f[-1, -1], rtol=0, atol=1e-13)
 
 
 def _dense_numerov(rho, gx, gy):

@@ -85,11 +85,18 @@ class TestDominantRoot:
         )
 
     def test_root_residual_small(self):
-        for k in (0.2, 0.3, 0.4, 0.5, 0.6):
+        for k in (0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0):
             root = solve_dominant_root(k)
             assert abs(dispersion_D(k, root.omega)) < 1e-10
             assert root.omega_r > 0
             assert root.r > 0
+
+    def test_k_one_root(self):
+        # the Newton iterate from the Bohm-Gross guess leaves plasma_Z's
+        # strip here; the scan's reseed finds the root
+        root = solve_dominant_root(1.0)
+        assert root.omega_r == pytest.approx(2.045905, abs=1e-6)
+        assert root.omega_i == pytest.approx(-0.851330, abs=1e-6)
 
     def test_conjugate_pair_member(self):
         # the mirrored root -w_r + i w_i also annihilates D

@@ -33,32 +33,38 @@ import sys
 
 #: (label, case, overrides): default grids, 6 to 12 steps each; together
 #: they run every (model, pusher) pair, every scheme and every model's
-#: hybrid rows between remaps; the hybrid runs also take snapshots there
+#: hybrid rows between remaps.  Each snapshot_every divides the step count,
+#: so every run compares f mid-run and at its last step; the hybrid runs
+#: snapshot between remaps too
+HILL_T = 12 * 2.0 * math.pi / 25.0
 CONFIGS = [
-    ("landau fsl verlet", "landau", {"t_end": 1.2}),
-    ("landau fsl rk4", "landau", {"t_end": 1.2, "pusher": "rk4"}),
+    ("landau fsl verlet", "landau", {"t_end": 1.2, "snapshot_every": 6}),
+    ("landau fsl rk4", "landau", {"t_end": 1.2, "pusher": "rk4", "snapshot_every": 6}),
     ("landau hybrid T=3", "landau",
-     {"t_end": 1.2, "scheme": "hybrid", "T": 3, "snapshot_every": 5}),
-    ("landau bsl", "landau", {"t_end": 1.2, "scheme": "bsl"}),
-    ("two_stream fsl verlet", "two_stream", {"t_end": 5.0}),
-    ("bump_on_tail fsl rk4", "bump_on_tail", {"t_end": 5.0}),
-    ("kelvin_helmholtz fsl rk4", "kelvin_helmholtz", {"t_end": 5.0}),
-    ("kelvin_helmholtz fsl rk2", "kelvin_helmholtz", {"t_end": 5.0, "pusher": "rk2"}),
+     {"t_end": 1.2, "scheme": "hybrid", "T": 3, "snapshot_every": 4}),
+    ("landau bsl", "landau", {"t_end": 1.2, "scheme": "bsl", "snapshot_every": 6}),
+    ("two_stream fsl verlet", "two_stream", {"t_end": 5.0, "snapshot_every": 5}),
+    ("bump_on_tail fsl rk4", "bump_on_tail", {"t_end": 5.0, "snapshot_every": 5}),
+    ("kelvin_helmholtz fsl rk4", "kelvin_helmholtz", {"t_end": 5.0, "snapshot_every": 5}),
+    ("kelvin_helmholtz fsl rk2", "kelvin_helmholtz",
+     {"t_end": 5.0, "pusher": "rk2", "snapshot_every": 5}),
     ("kelvin_helmholtz hybrid T=3", "kelvin_helmholtz",
-     {"t_end": 4.5, "scheme": "hybrid", "T": 3, "snapshot_every": 4}),
-    ("kelvin_helmholtz bsl", "kelvin_helmholtz", {"t_end": 3.0, "scheme": "bsl"}),
-    ("hill fsl rk2", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0}),
+     {"t_end": 4.5, "scheme": "hybrid", "T": 3, "snapshot_every": 1}),
+    ("kelvin_helmholtz bsl", "kelvin_helmholtz",
+     {"t_end": 3.0, "scheme": "bsl", "snapshot_every": 3}),
+    ("hill fsl rk2", "hill", {"t_end": HILL_T, "snapshot_every": 6}),
     # the remaining (model, pusher) pairs, so every tableau runs
-    ("landau fsl rk2", "landau", {"t_end": 1.2, "pusher": "rk2"}),
-    ("kelvin_helmholtz fsl euler", "kelvin_helmholtz", {"t_end": 5.0, "pusher": "euler"}),
-    ("kelvin_helmholtz fsl rk3", "kelvin_helmholtz", {"t_end": 5.0, "pusher": "rk3"}),
-    ("hill fsl rk4", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "rk4"}),
-    ("hill fsl verlet", "hill", {"t_end": 12 * 2.0 * math.pi / 25.0, "pusher": "verlet"}),
+    ("landau fsl rk2", "landau", {"t_end": 1.2, "pusher": "rk2", "snapshot_every": 6}),
+    ("kelvin_helmholtz fsl euler", "kelvin_helmholtz",
+     {"t_end": 5.0, "pusher": "euler", "snapshot_every": 5}),
+    ("kelvin_helmholtz fsl rk3", "kelvin_helmholtz",
+     {"t_end": 5.0, "pusher": "rk3", "snapshot_every": 5}),
+    ("hill fsl rk4", "hill", {"t_end": HILL_T, "pusher": "rk4", "snapshot_every": 6}),
+    ("hill fsl verlet", "hill", {"t_end": HILL_T, "pusher": "verlet", "snapshot_every": 6}),
     ("two_stream hybrid T=2 rk2", "two_stream",
-     {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2", "snapshot_every": 3}),
+     {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2", "snapshot_every": 5}),
     ("hill hybrid T=2", "hill",
-     {"t_end": 12 * 2.0 * math.pi / 25.0, "scheme": "hybrid", "T": 2,
-      "snapshot_every": 5}),
+     {"t_end": HILL_T, "scheme": "hybrid", "T": 2, "snapshot_every": 3}),
 ]
 
 
