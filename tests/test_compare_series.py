@@ -3,6 +3,7 @@ per channel, the config echo and the worst-case row, on canned series (no
 subprocess)."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -42,17 +43,36 @@ def test_pass_rule(new, rtol, atol, ok, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1].endswith("ok" if ok else "FAIL")
 
 
+def _cells(row):
+    """{channel: (relative, absolute difference)} and the config flag of a row."""
+    cells = {k: (float(r), float(d)) for k, r, d in re.findall(r"(\S+) (\S+) \((\S+)\)", row)}
+    return cells, int(row.split("config ")[1])
+
+
 def test_rows_and_worst_case(capsys):
     new = _runs(0.25 + 1e-13, -1e-15, 2.0 + 4e-12, "case = hill\n")
     compare_series.report(OLD, new)
     rows = capsys.readouterr().out.strip().splitlines()
     assert [r.split()[0] for r in rows[:3]] == ["kh", "hill", "worst"]
-    worst = dict(zip(rows[2].split()[1::2], map(float, rows[2].split()[2::2])))
-    assert worst == {"energy": pytest.approx(2e-13), "mass": 0.0,
-                     "snapshots": pytest.approx(2e-12), "config": 1.0}
+    assert _cells(rows[2]) == ({"energy": pytest.approx((2e-13, 1e-13)), "mass": (0.0, 0.0),
+                                "snapshots": pytest.approx((2e-12, 4e-12))}, 1)
     assert rows[3:5] == ["past: kh snapshots |diff| 4e-12 allowed 0",
                          "past: hill energy |diff| 1e-13 allowed 0"]
     assert rows[5].startswith("2 channels past rtol 0 x scale + atol 0, 1 config echoes")
+
+
+def test_absolute_difference_beside_relative(capsys):
+    """A round-off channel reads a large relative difference; the absolute
+    one beside it shows the size.  The worst row takes each column's
+    largest relative and largest absolute difference, run by run."""
+    new = _runs(0.25 + 1e-13, -2e-15, 2.0)
+    compare_series.report(OLD, new)
+    kh, hill, worst = capsys.readouterr().out.strip().splitlines()[:3]
+    assert _cells(kh) == ({"energy": (0.0, 0.0), "mass": pytest.approx((1.0, 1e-15)),
+                           "snapshots": (0.0, 0.0)}, 0)
+    assert _cells(hill) == ({"energy": pytest.approx((2e-13, 1e-13))}, 0)
+    assert _cells(worst)[0] == {"energy": pytest.approx((2e-13, 1e-13)),
+                                "mass": pytest.approx((1.0, 1e-15)), "snapshots": (0.0, 0.0)}
 
 
 def test_failing_channels_are_named(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fslvlasov import cases, solver
 from fslvlasov.hill import (
@@ -13,6 +14,10 @@ TWO_PI = 2.0 * np.pi
 
 def a_default(t):
     return 0.81 + 0.3 * np.cos(t)
+
+
+#: the case's own coefficient, 0.81 + 0.15 cos t
+a_case = cases.hill_coefficient(cases.case_defaults("hill"))
 
 
 class TestEnvelope:
@@ -51,6 +56,40 @@ class TestEnvelope:
             hill_envelope(a_default, [0.0, 1.0], omega0=-2.0)
 
 
+class TestIndependentOracles:
+    """Checks that share no code with the step-matrix products."""
+
+    def test_constant_coefficient_closed_form(self):
+        # a = omega^2: the matched envelope is w = omega^-1/2, psi = omega t
+        omega = 0.9
+        times = np.linspace(0.0, 3 * TWO_PI, 37)
+        w0 = matched_omega0(lambda t: omega**2)
+        env = hill_envelope(lambda t: omega**2, times, omega0=w0)
+        assert abs(w0 - omega**-0.5) < 1e-10
+        np.testing.assert_allclose(env.omega, omega**-0.5, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(env.psi, omega * times, rtol=0, atol=1e-10)
+
+    def test_case_coefficient_against_solve_ivp(self):
+        # the monodromy of x'' + a x = 0, then the nonlinear envelope
+        # system w'' = -a w + 1/w^3 from (w0, 0), both by DOP853
+        tol = dict(method="DOP853", rtol=1e-12, atol=1e-12)
+        m = solve_ivp(lambda t, y: np.concatenate([y[2:], -a_case(t) * y[:2]]),
+                      (0.0, TWO_PI), [1.0, 0.0, 0.0, 1.0], **tol).y[:, -1]
+        A, B, C, D = m
+        w0 = np.sqrt(abs(B / np.sqrt(1.0 - ((A + D) / 2.0) ** 2)))
+        assert abs(matched_omega0(a_case) - w0) < 1e-9
+
+        times = np.linspace(0.0, 3 * TWO_PI, 61)
+        w = solve_ivp(lambda t, y: [y[1], -a_case(t) * y[0] + y[0] ** -3],
+                      (0.0, times[-1]), [w0, 0.0], t_eval=times, **tol).y[0]
+        np.testing.assert_allclose(hill_envelope(a_case, times, omega0=w0).omega, w,
+                                   rtol=0, atol=1e-9)
+
+    def test_case_coefficient_pinned(self):
+        # the value of the RK4 reference at dt_ref = 2 pi 1e-4
+        assert matched_omega0(a_case) == pytest.approx(0.9684935648916215, rel=1e-12)
+
+
 class TestReferenceXrms:
     def test_initial_value_matches_gaussian_moments(self):
         # int x^2 f = 2 pi w0^2 and int f = 2 pi for the unnormalized
@@ -83,7 +122,7 @@ class TestEndToEndOrder:
 
     def test_rk2_is_second_order_and_rk4_more_accurate(self):
         base = cases.apply_overrides(cases.case_defaults("hill"), {"nx": 48, "nv": 48})
-        w0 = matched_omega0(cases.hill_coefficient(base))  # shared: the costly part
+        w0 = matched_omega0(cases.hill_coefficient(base))  # once, not once a run
 
         def err(pusher, m):
             cfg = cases.apply_overrides(base, {

@@ -314,6 +314,83 @@ class TestKelvinHelmholtzGrowth:
         assert abs(self.rate("bsl", 2.0) / self.RATE - 1.0) > 0.15
 
 
+def kinetic_root(df0, k, guess):
+    """Root near ``guess`` of the kinetic dispersion relation eps(k, omega)
+    = 1 - k^-2 int f0'(v) / (v - omega / k) dv, by secant steps.  For a
+    growing root (Im omega > 0) the real-line integral needs no analytic
+    continuation; trapezoid rule on [-12, 12], 4801 points."""
+    v = np.linspace(-12.0, 12.0, 4801)
+
+    def eps(omega):
+        return 1.0 - np.trapezoid(df0(v) / (v - omega / k), v) / k**2
+
+    w0, w1 = guess, guess * (1.0 + 1e-3)
+    for _ in range(50):
+        e0, e1 = eps(w0), eps(w1)
+        w0, w1 = w1, w1 - e1 * (w1 - w0) / (e1 - e0)
+        if abs(w1 - w0) < 1e-12:
+            break
+    return w1
+
+
+def _maxwellian_sum_slope(v, parts):
+    """f0'(v) of a sum of Maxwellians given as (density, drift, v_t)."""
+    return sum(-n * (v - u) / vt**2 * maxwellian((v - u) / vt) / vt for n, u, vt in parts)
+
+
+#: bump_on_tail's f0: bulk density 0.9 at rest, beam 0.1 at 4.5 with v_t 0.5
+BUMP_F0 = ((0.9, 0.0, 1.0), (0.1, 4.5, 0.5))
+
+
+class TestVlasovPoissonGrowth:
+    """two_stream (f0 = v^2 M(v), k = 0.5) and bump_on_tail (mode 3 of
+    Lx = 20 pi, k = 0.3) grow at Im omega of the kinetic root.  The slope of
+    log E1 (two_stream, 32x128, alpha 1e-6, over t in [14, 24]) and of log
+    E3 (bump_on_tail, 64x128, alpha 1e-4, over [15, 35]); an earlier window
+    reads the start-up transient.  Measured (rate / Im omega - 1):
+    two_stream rk4 +0.8% at dt 0.5 and -0.3% at dt 2, verlet +2.2% and
+    +39.0%; bump_on_tail rk4 -1.0% at dt 0.5 and -2.1% at dt 1.  At a large
+    dt the accuracy comes from the pusher's order, so the gate does not
+    compare FSL with the backward comparator."""
+
+    TWO_STREAM = kinetic_root(lambda v: (2.0 * v - v**3) * maxwellian(v), 0.5, 0.3j)
+    BUMP_ON_TAIL = kinetic_root(lambda v: _maxwellian_sum_slope(v, BUMP_F0), 0.3, 1.0 + 0.2j)
+
+    @staticmethod
+    def rate(case, nx, alpha, window, channel, pusher, dt):
+        cfg = apply_overrides(case_defaults(case), {
+            "nx": nx, "nv": 128, "alpha": alpha, "t_end": window[1], "dt": dt,
+            "pusher": pusher})
+        res = solver.run(cfg)
+        fit = res.times >= window[0] - 1e-9
+        return np.polyfit(res.times[fit], np.log(res.channel(channel)[fit]), 1)[0]
+
+    def test_roots(self):
+        assert self.TWO_STREAM == pytest.approx(0.25925j, abs=1e-5)
+        assert self.BUMP_ON_TAIL == pytest.approx(1.00122 + 0.19810j, abs=1e-5)
+        # the closed form: each Maxwellian adds -n Z'(zeta) / (2 k^2 v_t^2)
+        k, w = 0.3, self.BUMP_ON_TAIL
+        eps = 1.0 - sum(n * landau.plasma_Z_prime((w / k - u) / (np.sqrt(2.0) * vt))
+                        / (2.0 * k**2 * vt**2) for n, u, vt in BUMP_F0)
+        assert abs(eps) < 1e-9
+
+    @pytest.mark.parametrize("pusher, dt, rel", [
+        ("rk4", 0.5, 0.02), ("rk4", 2.0, 0.02), ("verlet", 0.5, 0.04)])
+    def test_two_stream_rate(self, pusher, dt, rel):
+        rate = self.rate("two_stream", 32, 1e-6, (14.0, 24.0), "E1", pusher, dt)
+        assert rate == pytest.approx(self.TWO_STREAM.imag, rel=rel)
+
+    def test_two_stream_step_two_is_large(self):
+        # the witness that dt 2 is large: a second-order pusher misses
+        rate = self.rate("two_stream", 32, 1e-6, (14.0, 24.0), "E1", "verlet", 2.0)
+        assert abs(rate / self.TWO_STREAM.imag - 1.0) > 0.2
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0])
+    def test_bump_on_tail_rate(self, dt):
+        rate = self.rate("bump_on_tail", 64, 1e-4, (15.0, 35.0), "E3", "rk4", dt)
+        assert rate == pytest.approx(self.BUMP_ON_TAIL.imag, rel=0.03)
+
+
 class TestSelfConsistentTimeOrder:
     """End-to-end time order of every self-consistent pusher.  Under plain
     FSL each remap adds an interpolation error, so the error goes like

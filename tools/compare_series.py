@@ -8,11 +8,13 @@ fixed list CONFIGS below (case, scheme and pusher at a short t_end) in one
 child process of its own, so the two never share an import.  For every
 run and channel the script prints the largest difference over the whole
 series divided by the channel's scale, the largest |value| in the old
-series (1 when that is 0).  NaN entries must be NaN in both series.  The
-``snapshots`` column does the same over all snapshot arrays of the run.
-The ``config`` column reads 0 when the two trees echo the run's
-configuration (``cases.format_config``) byte for byte, 1 otherwise.  A
-last row holds each column's worst case over all runs.
+series (1 when that is 0), and in brackets the largest difference itself,
+so that a channel of pure round-off shows as such.  NaN entries must be
+NaN in both series.  The ``snapshots`` column does the same over all
+snapshot arrays of the run.  The ``config`` column reads 0 when the two
+trees echo the run's configuration (``cases.format_config``) byte for
+byte, 1 otherwise.  A last row holds each column's worst relative and
+worst absolute difference over all runs.
 
 A channel passes when its largest absolute difference is at most
 ``rtol * scale + atol``, the rule of perfbench's fingerprint check.  Each
@@ -117,11 +119,16 @@ def diff_and_scale(old, new) -> tuple[float, float]:
     return float(np.max(np.abs(a[ok] - b[ok]))), float(np.max(np.abs(a[ok]))) or 1.0
 
 
+def _row(label: str, cells: dict, echo: int) -> str:
+    return (f"{label:30s} " + "  ".join(f"{k} {r:.2g} ({d:.2g})" for k, (r, d) in cells.items())
+            + f"  config {echo}")
+
+
 def report(old: dict, new: dict, rtol: float = 0.0, atol: float = 0.0) -> bool:
-    """Print one row of relative differences for each run of ``old``, the
-    worst case of each column, then a line for each failing channel; True
-    when every channel passes and every echo matches.  ``old`` and ``new`` map run labels to the series
-    that ``dump`` writes."""
+    """Print one row of relative and absolute differences for each run of
+    ``old``, the worst case of each column, then a line for each failing
+    channel; True when every channel passes and every echo matches.  ``old``
+    and ``new`` map run labels to the series that ``dump`` writes."""
     worst, failed, echoes_differ = {}, [], 0
     for label in old:
         o, n = dict(old[label]), dict(new[label])
@@ -133,12 +140,10 @@ def report(old: dict, new: dict, rtol: float = 0.0, atol: float = 0.0) -> bool:
             allowed = rtol * scale + atol
             if diff > allowed:
                 failed.append(f"past: {label} {name} |diff| {diff:.3g} allowed {allowed:.3g}")
-            cells[name] = diff / scale
-        cells["config"] = echo_differs
-        for name, d in cells.items():
-            worst[name] = max(worst.get(name, 0), d)
-        print(f"{label:30s} " + "  ".join(f"{k} {d:.2g}" for k, d in cells.items()))
-    print(f"{'worst':30s} " + "  ".join(f"{k} {d:.2g}" for k, d in worst.items()))
+            cells[name] = (diff / scale, diff)
+            worst[name] = tuple(map(max, worst.get(name, (0.0, 0.0)), cells[name]))
+        print(_row(label, cells, echo_differs))
+    print(_row("worst", worst, int(echoes_differ > 0)))
     for line in failed:
         print(line)
     ok = not failed and not echoes_differ
