@@ -3,7 +3,7 @@
 For each k the least-damped root of D(k, omega) = 0 gives the wave
 frequency and Landau damping rate; the residue of N/D there gives the
 amplitude and phase of the dominant-mode field used as the benchmark
-reference.  Equivalent to `fslvlasov --dispersion-table`.
+reference.
 """
 
 import numpy as np

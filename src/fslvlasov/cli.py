@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import cases, landau, solver
+from . import cases, solver
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -26,10 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="overrides", help="override a config key (repeatable)",
     )
     p.add_argument("--list-cases", action="store_true", help="list case names")
-    p.add_argument(
-        "--dispersion-table", action="store_true",
-        help="print (k, omega_r, omega_i, r, phi) rows for k = 0.2 .. 0.6",
-    )
     return p
 
 
@@ -39,12 +35,6 @@ def main(argv=None) -> int:
     if args.list_cases:
         for name in cases.CASES:
             print(name)
-        return EXIT_OK
-
-    if args.dispersion_table:
-        print("k omega_r omega_i r phi")
-        for row in landau.dispersion_table():
-            print(" ".join(f"{v:.10g}" for v in row))
         return EXIT_OK
 
     try:

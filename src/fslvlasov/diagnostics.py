@@ -68,10 +68,11 @@ def fourier_mode_amps(values, grid: UniformGrid1D, modes=(1, 2, 3)):
 
 
 def xrms(f_nodes, grids) -> float:
-    """sqrt of the x^2 moment of f (the envelope observable)."""
+    """sqrt of the x^2 moment of f (the envelope observable).  A negative
+    moment, from an under-resolved f that dips below zero, reads NaN."""
     gx = grids[0]
     m2 = _cell_area(grids) * float(np.sum(f_nodes * gx.nodes()[:, None] ** 2))
-    return float(np.sqrt(max(m2, 0.0)))
+    return float(np.sqrt(m2)) if m2 >= 0.0 else np.nan
 
 
 def integrated_fv(f_nodes, grids) -> np.ndarray:

@@ -12,10 +12,8 @@ from .splines import SplineCoeffs, fit_1d
 
 @dataclass(frozen=True)
 class FieldState1D:
-    grid: UniformGrid1D
     E: np.ndarray
     E_spline: SplineCoeffs
-    rho_i: float
 
 
 def solve_poisson_1d(rho, grid: UniformGrid1D) -> FieldState1D:
@@ -41,4 +39,4 @@ def solve_poisson_1d(rho, grid: UniformGrid1D) -> FieldState1D:
     if n % 2 == 0:
         e_hat[-1] = 0.0  # unpaired Nyquist mode has no real antiderivative
     E = np.fft.irfft(e_hat, n=n)
-    return FieldState1D(grid, E, fit_1d(E, grid), rho_i)
+    return FieldState1D(E, fit_1d(E, grid))

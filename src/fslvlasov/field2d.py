@@ -30,7 +30,6 @@ class FieldState2D:
     and node values ``Ex``, ``Ey``, each built by an irfft on first read."""
 
     gx: UniformGrid1D
-    gy: UniformGrid1D
     phi_hat: np.ndarray
     Ex_hat: np.ndarray
     Ey_hat: np.ndarray
@@ -124,5 +123,5 @@ def solve_fields(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
     """Potential, field and its spline in x rfft space; node values when read."""
     phi_hat = solve_potential(rho, gx, gy)
     ex_hat, ey_hat = compute_Ex(phi_hat, gx), compute_Ey(phi_hat, rho, gx, gy)
-    return FieldState2D(gx, gy, phi_hat, ex_hat, ey_hat,
+    return FieldState2D(gx, phi_hat, ex_hat, ey_hat,
                         fit_2d_rfft(np.stack([ey_hat, ex_hat]), gx, gy))

@@ -34,10 +34,8 @@ _EYE = np.eye(2)
 
 @dataclass(frozen=True)
 class HillEnvelope:
-    times: np.ndarray
     omega: np.ndarray
     psi: np.ndarray
-    dt_ref: float
 
 
 def _step_matrices(a, times, dt_ref):
@@ -102,7 +100,7 @@ def hill_envelope(a, times, omega0: float | None = None,
         s[d:] = s[d:] @ s[:-d]
         d *= 2
     u = np.concatenate([[omega0], s[:, 0, 0] * omega0 + 1j * s[:, 0, 1] / omega0])
-    return HillEnvelope(times, np.abs(u)[ends], np.unwrap(np.angle(u))[ends], dt_ref)
+    return HillEnvelope(np.abs(u)[ends], np.unwrap(np.angle(u))[ends])
 
 
 def hill_reference_xrms(env: HillEnvelope, amplitude: float = np.sqrt(TWO_PI)):

@@ -62,19 +62,6 @@ def blocks(n: int):
     return [slice(s, s + BLOCK) for s in range(0, n, BLOCK)]
 
 
-def basis_eval(u):
-    """Evaluate the cubic B-spline S(u) in grid units (vectorized)."""
-    u = np.abs(np.asarray(u, dtype=float))
-    out = np.zeros_like(u)
-    inner = u <= 1.0
-    outer = (u > 1.0) & (u < 2.0)
-    ui = u[inner]
-    out[inner] = (4.0 - 6.0 * ui**2 + 3.0 * ui**3) / 6.0
-    uo = u[outer]
-    out[outer] = (2.0 - uo) ** 3 / 6.0
-    return out if out.ndim else float(out)
-
-
 def stencil_weights(t, out=None):
     """Basis values S(t+1), S(t), S(t-1), S(t-2) for fractional t in [0, 1].
 
@@ -302,18 +289,10 @@ class StageOperator:
         return np.stack([self.matrix @ ck.ravel() for ck in self.cpad], axis=-1)
 
 
-def eval_1d(c: SplineCoeffs, x, stage: StageOperator = None):
-    """Evaluate a 1D spline at x (scalar or array); ``stage``: see StageOperator."""
-    (grid,) = c.grids
+def eval_1d(c: SplineCoeffs, x, stage: StageOperator):
+    """Evaluate a 1D spline at x, the points of ``stage`` (see StageOperator)."""
     xs = np.asarray(x, dtype=float)
-    if stage is not None:
-        return stage.gather(c, (xs,)).reshape(xs.shape)
-    xr = xs.ravel()
-    vals = np.empty(xr.size)
-    for b in blocks(xr.size):
-        idx, w = stencil(grid, xr[b])
-        vals[b] = (c.coeffs[idx] * w).sum(axis=0)
-    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+    return stage.gather(c, (xs,)).reshape(xs.shape)
 
 
 def eval_2d(c: SplineCoeffs, x, y, stage: StageOperator = None):

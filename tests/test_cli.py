@@ -123,15 +123,6 @@ class TestCli:
         out = capsys.readouterr().out.split()
         assert "landau" in out and "kelvin_helmholtz" in out
 
-    def test_dispersion_table(self, capsys):
-        assert main(["--dispersion-table"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].split() == ["k", "omega_r", "omega_i", "r", "phi"]
-        assert len(lines) == 6
-        row_k05 = [float(v) for v in lines[4].split()]
-        assert row_k05[1] == pytest.approx(1.4156, abs=1e-4)
-        assert row_k05[2] == pytest.approx(-0.1533, abs=1e-4)
-
     def test_no_case_is_config_error(self, capsys):
         assert main([]) == 2
 

@@ -10,7 +10,8 @@ from fslvlasov.deposition import (
     seed_particles,
 )
 from fslvlasov.grids import NATURAL, UniformGrid1D
-from fslvlasov.splines import basis_eval, fit_2d
+from fslvlasov.splines import fit_2d
+from spline_oracles import basis_eval
 
 
 def brute_force_deposit(p, gx, gy):

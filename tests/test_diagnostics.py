@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fslvlasov import cases
+from fslvlasov import cases, solver
 from fslvlasov.diagnostics import (
     electric_energy_1d,
     enstrophy,
@@ -120,6 +120,18 @@ class TestProfiles:
             - w0**2 * g.nodes()[None, :] ** 2 / 2.0
         )
         assert xrms(f, (g, g)) == pytest.approx(w0 * np.sqrt(2 * np.pi), rel=1e-10)
+
+    def test_negative_second_moment_reads_nan(self, vp_grids):
+        f = np.zeros((64, 65))
+        f[5, 30] = -1.0
+        assert np.isnan(xrms(f, vp_grids))
+
+    def test_under_resolved_hill_step_reads_nan_not_zero(self):
+        # at 8x8 the first remap's f dips below zero enough that m2 < 0
+        cfg = cases.apply_overrides(cases.case_defaults("hill"), {"nx": 8, "nv": 8})
+        res = solver.run(cases.apply_overrides(cfg, {"t_end": cfg.dt}))
+        x = res.channel("xrms")
+        assert x[0] > 0 and np.isnan(x[1])
 
     def test_bump_on_tail_profile_peaks_near_beam(self):
         cfg = cases.case_defaults("bump_on_tail")

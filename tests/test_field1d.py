@@ -3,7 +3,7 @@ import pytest
 
 from fslvlasov.field1d import solve_poisson_1d
 from fslvlasov.grids import NATURAL, UniformGrid1D
-from fslvlasov.splines import eval_1d
+from spline_oracles import plain_eval_1d
 
 
 @pytest.fixture
@@ -15,7 +15,6 @@ class TestPoisson1D:
     def test_constant_rho_gives_zero_field(self, grid):
         fs = solve_poisson_1d(np.full(grid.n_nodes, 3.7), grid)
         np.testing.assert_allclose(fs.E, 0.0, atol=1e-14)
-        assert fs.rho_i == pytest.approx(3.7)
 
     def test_single_mode_analytic(self, grid):
         # analytic antiderivative oracle: rho = 1 + a cos(kx) -> E = (a/k) sin(kx)
@@ -58,7 +57,7 @@ class TestPoisson1D:
     def test_spline_roundtrips_field(self, grid):
         x = grid.nodes()
         fs = solve_poisson_1d(1.0 + 0.3 * np.cos(0.5 * x), grid)
-        np.testing.assert_allclose(eval_1d(fs.E_spline, x), fs.E, atol=1e-13)
+        np.testing.assert_allclose(plain_eval_1d(fs.E_spline, x), fs.E, atol=1e-13)
 
     def test_rejects_natural_grid(self):
         g = UniformGrid1D(0.0, 1.0, 8, bc=NATURAL)

@@ -146,3 +146,5 @@ class TestTable:
         assert [r[0] for r in rows] == [0.2, 0.3, 0.4, 0.5, 0.6]
         damp = [abs(r[2]) for r in rows]
         assert damp == sorted(damp)
+        assert rows[3][1] == pytest.approx(1.4156, abs=1e-4)
+        assert rows[3][2] == pytest.approx(-0.1533, abs=1e-4)

@@ -1,0 +1,117 @@
+"""Package surface: every module imports on its own, the root exports only
+``__version__``, and every fslvlasov name the demos, tools and benchmark
+import or read from an imported module exists."""
+
+import ast
+import importlib
+import json
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fslvlasov
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = Path(fslvlasov.__file__).resolve().parents[1]
+
+#: run in a child, so the test process keeps its own module objects: load
+#: every module once (numpy and scipy stay loaded), then import each one
+#: again first, after dropping every fslvlasov module
+_FRESH_IMPORTS = """
+import importlib, json, pkgutil, sys
+import fslvlasov
+names = sorted(m.name for m in pkgutil.iter_modules(fslvlasov.__path__))
+for name in names:
+    importlib.import_module("fslvlasov." + name)
+
+def drop():
+    for key in [k for k in sys.modules if k == "fslvlasov" or k.startswith("fslvlasov.")]:
+        del sys.modules[key]
+
+drop()
+root = importlib.import_module("fslvlasov")
+public = sorted(n for n in vars(root) if not n.startswith("_") or n == "__version__")
+failed = {}
+for name in names:
+    drop()
+    try:
+        importlib.import_module("fslvlasov." + name)
+    except Exception as err:  # report every module, not just the first
+        failed[name] = repr(err)
+print(json.dumps({"modules": names, "public": public,
+                  "version": root.__version__, "failed": failed}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_imports():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+class TestImports:
+    def test_every_module_imports_first(self, fresh_imports):
+        assert "solver" in fresh_imports["modules"] and "cli" in fresh_imports["modules"]
+        assert fresh_imports["failed"] == {}
+
+    def test_root_exports_only_the_version(self, fresh_imports):
+        assert fresh_imports["public"] == ["__version__"]
+
+    def test_version_matches_pyproject(self, fresh_imports):
+        text = (REPO / "pyproject.toml").read_text()
+        (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', text, flags=re.M)
+        assert fresh_imports["version"] == version
+
+
+SUBMODULES = {f"fslvlasov.{m.name}" for m in pkgutil.iter_modules(fslvlasov.__path__)}
+
+
+def _script_names(path: Path):
+    """(line, module, name) of each fslvlasov name a script imports, and of
+    each attribute it reads from a module so imported (``solver.run``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [(node.lineno, node.module, alias) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "fslvlasov" for alias in node.names]
+    modules = {a.asname or a.name: f"{m}.{a.name}" for _, m, a in imported
+               if f"{m}.{a.name}" in SUBMODULES}
+    return [(line, m, a.name) for line, m, a in imported] + [
+        (node.lineno, modules[node.value.id], node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules]
+
+
+def _resolve(module: str, name: str):
+    """``from module import name``: an attribute, else a submodule."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+SCRIPTS = sorted(p for d in ("demos", "tools", "perfbench") for p in (REPO / d).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_names_resolve(path):
+    missing = []
+    for line, module, name in _script_names(path):
+        try:
+            _resolve(module, name)
+        except (ImportError, AttributeError):
+            missing.append(f"{path.name}:{line} {module}.{name}")
+    assert missing == []
+
+
+def test_scripts_are_checked():
+    assert any(p.name == "dispersion_table.py" for p in SCRIPTS)
+    assert ("fslvlasov.landau", "dispersion_table") in {
+        (m, n) for _, m, n in _script_names(REPO / "demos" / "dispersion_table.py")}
