@@ -9,7 +9,7 @@ or column.  The guiding-center step finds implicit-midpoint feet by
 fixed-point iteration, which loses stability at large time steps, where
 the forward scheme stays stable: the paper's comparison.  Feet beyond the
 natural walls read f at the wall, by the clip of ``splines._locate``, where
-every spline read locates.
+every spline read locates; feet across the periodic x seam wrap there too.
 
 ``BackwardFields``, the comparator's provider, counts the field solves
 and keeps the guiding-center fields the midpoint extrapolates from; the
@@ -116,9 +116,9 @@ def _bsl_step_gc(state):
     midx, midy = px, py
     for _ in range(4):
         ux, uy = u_mid(midx, midy)
-        midx = gx.wrap(px - 0.5 * cfg.dt * ux)
+        midx = px - 0.5 * cfg.dt * ux
         midy = py - 0.5 * cfg.dt * uy
-    foot_x = gx.wrap(px - cfg.dt * ux)
+    foot_x = px - cfg.dt * ux
     foot_y = py - cfg.dt * uy
     f_new = eval_2d(state.f_coeffs, foot_x, foot_y).reshape(gx.n_nodes, gy.n_nodes)
     return f_new, float(np.sum(state.f_nodes)) - float(np.sum(f_new))

@@ -38,11 +38,11 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
+        if args.config and args.case:  # before the file: its own errors would hide this
+            raise cases.ConfigError("--case and --config are exclusive")
         if args.config:
             with open(args.config) as fh:
                 cfg = cases.parse_config(fh.read())
-            if args.case:
-                raise cases.ConfigError("--case and --config are exclusive")
         elif args.case:
             cfg = cases.case_defaults(args.case)
         else:

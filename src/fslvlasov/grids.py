@@ -60,7 +60,9 @@ class UniformGrid1D:
     def to_units(self, x):
         """Map physical coordinates to grid units (node i sits at u = i).
 
-        Periodic coordinates are wrapped into [0, n_cells); natural ones are
+        Periodic coordinates are wrapped into [0, n_cells): this is the
+        package's one periodic wrap, so positions from the pushers and
+        BSL's feet may lie any number of periods away.  Natural ones are
         returned as-is (callers decide how to treat out-of-range points).
         The result is a fresh array, never ``x``: callers may write over it.
         """
@@ -72,8 +74,3 @@ class UniformGrid1D:
             # guard the half-open interval against round-off at the seam
             np.subtract(u, n, out=u, where=u >= n)
         return u
-
-    def wrap(self, x):
-        """Wrap physical coordinates into [xmin, xmax) (periodic grids only)."""
-        L = self.length
-        return self.xmin + np.mod(np.asarray(x, dtype=float) - self.xmin, L)

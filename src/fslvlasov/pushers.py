@@ -3,8 +3,7 @@
 Every provider has one protocol: ``rhs(p, t) -> (d1, d2)`` at the
 positions of the ParticleSet ``p``, whose weights stay frozen between
 remaps: (v, E(x)) for Vlasov-Poisson, E_perp = (Ey, -Ex) for the guiding
-center, (v, -a(t) x) for the Hill harness; ``wrap(pos1, pos2)``, which
-brings x back into its periodic domain; ``reseed(p)``, which takes the
+center, (v, -a(t) x) for the Hill harness; ``reseed(p)``, which takes the
 node-seeded set of each remap; ``node_field(p)``, the field of that set
 (None for any other set, and always None for the external force); and
 ``solves``, the field solves so far, for tests that audit the stage
@@ -16,7 +15,9 @@ its field is solved on the grid once, on first use, and shared by the
 diagnostics row and stage 1, which reads the node values, since the
 particles sit where the field spline interpolates.  The integrators pass
 that set itself to stage 1, so the identity test of ``node_field`` is the
-only one.
+only one.  The pushers never wrap x: a position may lie any number of
+periods away, and every read and scatter wraps it as it locates
+(``grids.UniformGrid1D.to_units``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start
@@ -74,9 +75,6 @@ class _NodeSeeded:
             self._node_field = self._solve_seeded(p.weights)
             self.solves += 1
         return self._node_field
-
-    def wrap(self, pos1, pos2):
-        return self.gx.wrap(pos1), pos2
 
 
 class SelfConsistentField1D(_NodeSeeded):
@@ -145,9 +143,6 @@ class ExternalLinearForce:
     def rhs(self, p: ParticleSet, t):
         return p.pos2, -self.a(t) * p.pos1
 
-    def wrap(self, pos1, pos2):
-        return pos1, pos2  # natural domain: positions are not wrapped
-
 
 def _check_finite(pos1, pos2):
     if not (np.all(np.isfinite(pos1)) and np.all(np.isfinite(pos2))):
@@ -174,8 +169,8 @@ def push_rk(tableau, p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
     for den, nums in tableau:
         ks.append(fld.rhs(stage, t_stage))
         h = dt / den
-        stage = p.replace_positions(*fld.wrap(p.pos1 + _move(h, nums, [k[0] for k in ks]),
-                                              p.pos2 + _move(h, nums, [k[1] for k in ks])))
+        stage = p.replace_positions(p.pos1 + _move(h, nums, [k[0] for k in ks]),
+                                    p.pos2 + _move(h, nums, [k[1] for k in ks]))
         t_stage = t + h * sum(nums)
     _check_finite(stage.pos1, stage.pos2)
     return stage
@@ -184,7 +179,7 @@ def push_rk(tableau, p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
 def push_verlet(p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
     """Velocity half-kick, drift, field resolve at t+dt, half-kick."""
     vh = p.pos2 + 0.5 * dt * fld.rhs(p, t)[1]
-    x1, vh = fld.wrap(p.pos1 + dt * vh, vh)
+    x1 = p.pos1 + dt * vh
     v1 = vh + 0.5 * dt * fld.rhs(p.replace_positions(x1, vh), t + dt)[1]
     _check_finite(x1, v1)
     return p.replace_positions(x1, v1)

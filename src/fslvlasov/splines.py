@@ -200,9 +200,10 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
 def _locate(grid: UniformGrid1D, x, margin=0):
     """Cell index and fractional offset for physical positions.
 
-    Periodic grids wrap.  A natural grid clips u to [-margin, n_cells +
-    margin] in grid units, the one wall rule of every spline read (margin
-    0: a point beyond a wall reads the wall) and scatter (``PAD - 1``).
+    Periodic grids wrap in ``to_units``, whatever the number of periods
+    away.  A natural grid clips u to [-margin, n_cells + margin] in grid
+    units, the one wall rule of every spline read (margin 0: a point
+    beyond a wall reads the wall) and scatter (``PAD - 1``).
     """
     u = grid.to_units(x)  # a fresh array: the locate runs in place
     hi = grid.n_cells + margin

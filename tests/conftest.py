@@ -21,9 +21,6 @@ class NaNField:
             return p.pos2, np.full(p.pos1.shape, np.nan)
         return self.inner.rhs(p, t)
 
-    def wrap(self, pos1, pos2):
-        return self.inner.wrap(pos1, pos2)
-
     def reseed(self, p):
         pass  # the inner provider keeps the set it was handed at init
 

@@ -1,10 +1,17 @@
 """Plain cubic B-spline reads, the oracles of the spline, deposit, gather
-and BSL tests: the basis by its piecewise formula, and a 1D spline read
-through ``splines.stencil`` block by block, with no stage operator."""
+and BSL tests: the basis by its piecewise formula, a 1D spline read
+through ``splines.stencil`` block by block, with no stage operator, and
+the periodic wrap of physical coordinates by ``np.mod``."""
 
 import numpy as np
 
+from fslvlasov.grids import UniformGrid1D
 from fslvlasov.splines import SplineCoeffs, blocks, stencil
+
+
+def wrap(grid: UniformGrid1D, x):
+    """Wrap physical coordinates into [xmin, xmax) of a periodic grid."""
+    return grid.xmin + np.mod(np.asarray(x, dtype=float) - grid.xmin, grid.length)
 
 
 def basis_eval(u):

@@ -184,9 +184,15 @@ class TestCli:
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 
     def test_case_and_config_exclusive(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("case=landau\n")
-        assert main(["--config", str(cfg), "--case", "landau"]) == 2
+        # the conflict is found before the file is read: neither a missing
+        # file nor a bad value in it hides it
+        good, bad = tmp_path / "c.cfg", tmp_path / "nx3.cfg"
+        good.write_text("case=landau\n")
+        bad.write_text("case=landau\nnx=3\n")
+        for path in (good, bad, tmp_path / "missing.cfg"):
+            assert main(["--config", str(path), "--case", "landau"]) == 2
+            err = capsys.readouterr().err
+            assert "--case and --config are exclusive" in err, err
 
     def test_landau_run_produces_outputs(self, tmp_path, capsys):
         out = tmp_path / "run1"

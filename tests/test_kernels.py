@@ -6,8 +6,9 @@ deposits bitwise against a loop with explicit validity masks in their
 summation order, the blocked kernels bitwise against a single block (the
 2D deposit, which sums block by block, to round-off), the gathers
 through a deposit's kept stencils bitwise against the plain gathers, the
-BSL sweeps against the plain gather at their feet, and the DST-I Poisson
-solve against a dense per-mode solve.
+BSL sweeps against the plain gather at their feet, every periodic read
+and scatter at x + kL against the same at x, and the DST-I Poisson solve
+against a dense per-mode solve.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ from fslvlasov.splines import (
     fit_2d,
     stencil_weights,
 )
-from spline_oracles import basis_eval, plain_eval_1d
+from spline_oracles import basis_eval, plain_eval_1d, wrap
 
 GRID_PAIRS = {
     "periodic-natural": (
@@ -425,7 +426,7 @@ class TestStageOperator:
         with pytest.raises(ValueError, match="stage operator"):
             eval_2d(c2, p.pos1[:-1], y[:-1], stage=op)
         with pytest.raises(ValueError, match="stage operator"):
-            eval_1d(c1, gx.wrap(p.pos1 + 0.5), stage=op)
+            eval_1d(c1, wrap(gx, p.pos1 + 0.5), stage=op)
         with pytest.raises(ValueError, match="stage operator"):
             eval_1d(c1, p.pos1, stage=op)  # the points of a 2D operator
         # equal values in another array are the same points
@@ -463,6 +464,50 @@ class TestLocateLeavesItsInput:
         eval_1d(fit_1d(rng.normal(size=gx.n_nodes), gx), p.pos1, stage=op1)
         np.testing.assert_array_equal(p.pos1, kept[0])
         np.testing.assert_array_equal(p.pos2, kept[1])
+
+
+class TestShiftInvariance:
+    """``to_units`` is the one periodic wrap: the pushers and BSL's feet
+    leave x unwrapped, so every read and scatter takes x + kL as x, to
+    round-off, the seam points xmin, the last double below xmax and xmax
+    included.  Off the seam the stencils pick the same coefficients."""
+
+    @pytest.mark.parametrize("name", [k for k in sorted(GRID_PAIRS) if GRID_PAIRS[k][0].periodic])
+    def test_x_plus_periods_reads_and_scatters_as_x(self, name):
+        gx, gy = GRID_PAIRS[name]
+        rng = np.random.default_rng(61)
+        seam = [gx.xmin, np.nextafter(gx.xmax, -np.inf), gx.xmax]
+        x = np.concatenate([rng.uniform(gx.xmin, gx.xmax, 300), seam])
+        y = rng.uniform(gy.xmin, gy.xmax, x.size)
+        weights = rng.normal(size=x.size)
+        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
+
+        def kernels(xs):
+            p = ParticleSet(xs, y, weights)
+            op2, op1 = StageOperator(), StageOperator()
+            return {
+                "deposit_phase_space": deposit_phase_space(p, gx, gy),
+                "deposit_phase_space stage": deposit_phase_space(p, gx, gy, stage=op2),
+                "eval_2d": eval_2d(c2, xs, y),
+                "eval_2d stage": eval_2d(c2, xs, y, stage=op2),
+                "deposit_charge": deposit_charge(p, gx, 0.3),
+                "deposit_charge stage": deposit_charge(p, gx, 0.3, stage=op1),
+                "eval_1d stage": eval_1d(c1, xs, stage=op1),
+            }
+
+        at_x = kernels(x)
+        u = gx.to_units(x)
+        off_seam = (u > 1e-9) & (u < gx.n_cells - 1e-9)
+        assert off_seam[:-3].all() and not off_seam[-3:].any()
+        for k in (-3, -1, 1, 3):
+            xs = x + k * gx.length
+            for key, got in kernels(xs).items():
+                want = at_x[key]
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-14 * np.max(np.abs(want)), (k, key, err)
+            np.testing.assert_array_equal(splines.stencil(gx, xs[off_seam])[0],
+                                          splines.stencil(gx, x[off_seam])[0], err_msg=str(k))
 
 
 class TestBslSweeps:

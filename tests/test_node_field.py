@@ -27,7 +27,7 @@ from fslvlasov.field2d import solve_fields
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.pushers import SelfConsistentField1D, SelfConsistentField2D
 from fslvlasov.splines import eval_2d, fit_2d, solve_cyclic_banded
-from spline_oracles import plain_eval_1d
+from spline_oracles import plain_eval_1d, wrap
 
 # non-square: periodic x, natural y (GC) or v (VP)
 GX = UniformGrid1D(0.0, 7.0, 12)
@@ -129,7 +129,7 @@ class TestStageThroughKeptStencils:
     def test_gc_velocity_equals_plain_stage(self):
         p = _seeded(GX, GY, 6)
         rng = np.random.default_rng(6)
-        px = GX.wrap(p.pos1 + rng.uniform(-0.4, 0.4, p.pos1.size))
+        px = wrap(GX, p.pos1 + rng.uniform(-0.4, 0.4, p.pos1.size))
         py = p.pos2 + rng.uniform(-0.4, 0.4, p.pos2.size)
         fld = SelfConsistentField2D(GX, GY)
         u, v = fld.rhs(p.replace_positions(px, py), 0.0)
@@ -142,7 +142,7 @@ class TestStageThroughKeptStencils:
 
     def test_vp_field_equals_plain_stage(self):
         p = _seeded(GX, GV, 7)
-        x = GX.wrap(p.pos1 + np.random.default_rng(7).uniform(-2.0, 2.0, p.pos1.size))
+        x = wrap(GX, p.pos1 + np.random.default_rng(7).uniform(-2.0, 2.0, p.pos1.size))
         fld = SelfConsistentField1D(GX, GV.delta)
         _, got = fld.rhs(p.replace_positions(x, p.pos2), 0.0)
         q = ParticleSet(x.copy(), x.copy(), p.weights.copy())

@@ -27,31 +27,23 @@ def pushers_of(model, *rows):
 class FrozenField1D:
     """External field provider with a fixed spatial profile (test hook)."""
 
-    def __init__(self, fn, grid=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.grid = grid
         self.solves = 0
 
     def rhs(self, p, t):
         self.solves += 1
         return p.pos2, self.fn(p.pos1, t)
 
-    def wrap(self, pos1, pos2):
-        return (self.grid.wrap(pos1) if self.grid else pos1), pos2
-
 
 class FrozenField2D:
-    def __init__(self, fn, gx):
+    def __init__(self, fn):
         self.fn = fn
-        self.gx = gx
         self.solves = 0
 
     def rhs(self, p, t):
         self.solves += 1
         return self.fn(p.pos1, p.pos2, t)
-
-    def wrap(self, pos1, pos2):
-        return self.gx.wrap(pos1), pos2
 
 
 def landau_particles(nx=32, nv=32):
@@ -63,58 +55,58 @@ def landau_particles(nx=32, nv=32):
     return gx, gv, seed_particles(fit_2d(f, gx, gv))
 
 
-# Textbook single steps: E(x, t) is the field of the (x, v) models, U(x, y, t)
-# the guiding-center velocity and W the periodic x wrap
+# Textbook single steps: E(x, t) is the field of the (x, v) models and
+# U(x, y, t) the guiding-center velocity; x is never wrapped
 
 
-def _verlet(E, W, x, v, dt, t):
+def _verlet(E, x, v, dt, t):
     vh = v + 0.5 * dt * E(x, t)
-    x1 = W(x + dt * vh)
+    x1 = x + dt * vh
     return x1, vh + 0.5 * dt * E(x1, t + dt)
 
 
-def _midpoint(E, W, x, v, dt, t):
+def _midpoint(E, x, v, dt, t):
     k2v = v + 0.5 * dt * E(x, t)
-    k2a = E(W(x + 0.5 * dt * v), t + 0.5 * dt)
-    return W(x + dt * k2v), v + dt * k2a
+    k2a = E(x + 0.5 * dt * v, t + 0.5 * dt)
+    return x + dt * k2v, v + dt * k2a
 
 
-def _rk4_vp(E, W, x, v, dt, t):
+def _rk4_vp(E, x, v, dt, t):
     k1a = E(x, t)
-    xa, k2v = W(x + 0.5 * dt * v), v + 0.5 * dt * k1a
+    xa, k2v = x + 0.5 * dt * v, v + 0.5 * dt * k1a
     k2a = E(xa, t + 0.5 * dt)
-    xb, k3v = W(x + 0.5 * dt * k2v), v + 0.5 * dt * k2a
+    xb, k3v = x + 0.5 * dt * k2v, v + 0.5 * dt * k2a
     k3a = E(xb, t + 0.5 * dt)
-    xc, k4v = W(x + dt * k3v), v + dt * k3a
+    xc, k4v = x + dt * k3v, v + dt * k3a
     k4a = E(xc, t + dt)
-    return (W(x + dt / 6.0 * (v + 2.0 * k2v + 2.0 * k3v + k4v)),
+    return (x + dt / 6.0 * (v + 2.0 * k2v + 2.0 * k3v + k4v),
             v + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a))
 
 
-def _euler(U, W, x, y, dt, t):
+def _euler(U, x, y, dt, t):
     u, v = U(x, y, t)
-    return W(x + dt * u), y + dt * v
+    return x + dt * u, y + dt * v
 
 
-def _heun(U, W, x, y, dt, t):
+def _heun(U, x, y, dt, t):
     u0, v0 = U(x, y, t)
-    u1, v1 = U(W(x + dt * u0), y + dt * v0, t + dt)
-    return W(x + 0.5 * dt * (u0 + u1)), y + 0.5 * dt * (v0 + v1)
+    u1, v1 = U(x + dt * u0, y + dt * v0, t + dt)
+    return x + 0.5 * dt * (u0 + u1), y + 0.5 * dt * (v0 + v1)
 
 
-def _kutta3(U, W, x, y, dt, t):
+def _kutta3(U, x, y, dt, t):
     u1, v1 = U(x, y, t)
-    u2, v2 = U(W(x + 0.5 * dt * u1), y + 0.5 * dt * v1, t + 0.5 * dt)
-    u3, v3 = U(W(x + dt * (2.0 * u2 - u1)), y + dt * (2.0 * v2 - v1), t + dt)
-    return W(x + dt / 6.0 * (u1 + 4.0 * u2 + u3)), y + dt / 6.0 * (v1 + 4.0 * v2 + v3)
+    u2, v2 = U(x + 0.5 * dt * u1, y + 0.5 * dt * v1, t + 0.5 * dt)
+    u3, v3 = U(x + dt * (2.0 * u2 - u1), y + dt * (2.0 * v2 - v1), t + dt)
+    return x + dt / 6.0 * (u1 + 4.0 * u2 + u3), y + dt / 6.0 * (v1 + 4.0 * v2 + v3)
 
 
-def _rk4_gc(U, W, x, y, dt, t):
+def _rk4_gc(U, x, y, dt, t):
     u1, v1 = U(x, y, t)
-    u2, v2 = U(W(x + 0.5 * dt * u1), y + 0.5 * dt * v1, t + 0.5 * dt)
-    u3, v3 = U(W(x + 0.5 * dt * u2), y + 0.5 * dt * v2, t + 0.5 * dt)
-    u4, v4 = U(W(x + dt * u3), y + dt * v3, t + dt)
-    return (W(x + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)),
+    u2, v2 = U(x + 0.5 * dt * u1, y + 0.5 * dt * v1, t + 0.5 * dt)
+    u3, v3 = U(x + 0.5 * dt * u2, y + 0.5 * dt * v2, t + 0.5 * dt)
+    u4, v4 = U(x + dt * u3, y + dt * v3, t + dt)
+    return (x + dt / 6.0 * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
             y + dt / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
 
 
@@ -128,22 +120,20 @@ TEXTBOOK = {
 class TestFreeStreaming:
     @pytest.mark.parametrize("push", pushers_of("vp", ("verlet",), ("rk2",), ("rk4",)))
     def test_zero_field_is_exact_drift(self, push):
-        gx = UniformGrid1D(0.0, 8.0, 16)
-        fld = FrozenField1D(lambda x, t: np.zeros_like(x), gx)
+        # dt and v are dyadic, so every stage sum (rk4's (dt/6)(v + 2v + 2v + v)
+        # too) is exact and the only rounding left is that of x + dt v
+        fld = FrozenField1D(lambda x, t: np.zeros_like(x))
         rng = np.random.default_rng(0)
         p = ParticleSet(
-            rng.uniform(0, 8, 40), rng.uniform(-2, 2, 40), np.ones(40),
+            rng.uniform(0, 8, 40), rng.integers(-128, 129, 40) / 64.0, np.ones(40),
         )
-        dt = 0.37
+        dt = 0.375
         out = push(p, fld, dt, 0.0)
-        np.testing.assert_allclose(out.pos1, gx.wrap(p.pos1 + dt * p.pos2), atol=1e-14)
+        np.testing.assert_array_equal(out.pos1, p.pos1 + dt * p.pos2)
         np.testing.assert_array_equal(out.pos2, p.pos2)
 
     def test_gc_immobile_with_zero_field(self):
-        gx = UniformGrid1D(0.0, 8.0, 16)
-        fld = FrozenField2D(
-            lambda x, y, t: (np.zeros_like(x), np.zeros_like(y)), gx
-        )
+        fld = FrozenField2D(lambda x, y, t: (np.zeros_like(x), np.zeros_like(y)))
         rng = np.random.default_rng(1)
         p = ParticleSet(
             rng.uniform(0, 8, 30), rng.uniform(0, 6, 30), np.ones(30),
@@ -177,15 +167,14 @@ class TestHarmonicOscillator:
         rng = np.random.default_rng(3)
         x0, v0 = rng.choice([-1.0, 1.0], (2, 64)) * 10.0 ** rng.uniform(-4.0, 0.2, (2, 64))
         dt, t = 0.3, 0.7
-        gx = UniformGrid1D(-2.0, 2.0, 8)
         if model == "vp":
             field = lambda x, t: -a(t) * x
-            fld = FrozenField1D(field, gx)
+            fld = FrozenField1D(field)
         else:
             field = lambda x, y, t: (-a(t) * y, a(t) * x)
-            fld = FrozenField2D(field, gx)
+            fld = FrozenField2D(field)
         out = TABLES[model][name](ParticleSet(x0, v0, np.ones(64)), fld, dt, t)
-        x1, v1 = TEXTBOOK[model, name](field, gx.wrap, x0, v0, dt, t)
+        x1, v1 = TEXTBOOK[model, name](field, x0, v0, dt, t)
         np.testing.assert_array_equal(out.pos1, x1)
         np.testing.assert_array_equal(out.pos2, v1)
 
@@ -225,8 +214,7 @@ class TestSelfConsistentStages:
         m = 64
         for i in range(m):
             fine = VP_PUSHERS["rk4"](fine, SelfConsistentField1D(gx, gv.delta), dt / m, 0.0)
-        raw = np.abs(coarse.pos1 - fine.pos1)
-        dx = np.minimum(raw, gx.length - raw).max()  # distance modulo L
+        dx = np.abs(coarse.pos1 - fine.pos1).max()  # neither set is wrapped
         dv = np.abs(coarse.pos2 - fine.pos2).max()
         # local Verlet error is O(dt^3)
         assert max(dx, dv) < 5.0 * dt**3
@@ -241,13 +229,12 @@ class TestSelfConsistentStages:
 
 class TestGuidingCenterPushers:
     def frozen_rotation(self):
-        # U = (-y, x): rigid rotation about the domain center after shift
-        gx = UniformGrid1D(0.0, 20.0, 16)
+        # U = (-y, x): rigid rotation about (10, 10)
 
         def fn(px, py, t):
             return -(py - 10.0), (px - 10.0)
 
-        return FrozenField2D(fn, gx)
+        return FrozenField2D(fn)
 
     @pytest.mark.parametrize(
         "push,floor",
