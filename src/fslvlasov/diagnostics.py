@@ -54,8 +54,8 @@ def total_energy_vp(f_nodes, E, grids) -> float:
     )
 
 
-def fourier_mode_amps(values, grid: UniformGrid1D, modes=(1, 2, 3)):
-    """|FFT| amplitudes of the requested x harmonics, normalized by N.
+def fourier_mode_amps(values, grid: UniformGrid1D):
+    """|FFT| amplitudes of the x harmonics 1, 2 and 3, normalized by N.
 
     For values = A sin(2 pi m x / L) the mode-m amplitude is A/2.  A
     harmonic above the last rfft bin (N // 2) is not resolved and reads NaN.
@@ -64,7 +64,7 @@ def fourier_mode_amps(values, grid: UniformGrid1D, modes=(1, 2, 3)):
         raise ValueError("mode amplitudes need a periodic grid")
     v = np.asarray(values, dtype=float)
     spec = np.abs(np.fft.rfft(v)) / grid.n_nodes
-    return tuple(float(spec[m]) if m < spec.size else np.nan for m in modes)
+    return tuple(float(spec[m]) if m < spec.size else np.nan for m in (1, 2, 3))
 
 
 def xrms(f_nodes, grids) -> float:

@@ -26,11 +26,10 @@ from .splines import fit_2d  # noqa: F401  perfbench's fit_field span until ROAD
 
 @dataclass(frozen=True)
 class FieldState2D:
-    """x rfft spectra (nx // 2 + 1, ny) of phi, Ex and Ey, the field's spline,
+    """x rfft spectra (nx // 2 + 1, ny) of Ex and Ey, the field's spline,
     and node values ``Ex``, ``Ey``, each built by an irfft on first read."""
 
     gx: UniformGrid1D
-    phi_hat: np.ndarray
     Ex_hat: np.ndarray
     Ey_hat: np.ndarray
     E_spline: SplineCoeffs  # components (Ey, Ex) on the trailing axis
@@ -120,8 +119,7 @@ def compute_Ey(phi_hat, rho, gx: UniformGrid1D, gy: UniformGrid1D):
 
 
 def solve_fields(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
-    """Potential, field and its spline in x rfft space; node values when read."""
+    """Field and spline in x rfft space, via the potential; node values when read."""
     phi_hat = solve_potential(rho, gx, gy)
     ex_hat, ey_hat = compute_Ex(phi_hat, gx), compute_Ey(phi_hat, rho, gx, gy)
-    return FieldState2D(gx, phi_hat, ex_hat, ey_hat,
-                        fit_2d_rfft(np.stack([ey_hat, ex_hat]), gx, gy))
+    return FieldState2D(gx, ex_hat, ey_hat, fit_2d_rfft(np.stack([ey_hat, ex_hat]), gx, gy))

@@ -43,10 +43,6 @@ class UniformGrid1D:
         return self.bc == PERIODIC
 
     @property
-    def length(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
     def delta(self) -> float:
         return (self.xmax - self.xmin) / self.n_cells
 

@@ -1,13 +1,13 @@
 """Envelope reference for the externally driven oscillator x'' + a(t) x = 0.
 
-With a periodic coefficient a(t) in a stable zone, the amplitude
+With a 2 pi-periodic coefficient a(t) in a stable zone, the amplitude
 envelope w(t) obeys
 
-    w'' + a(t) w - 1/w^3 = 0,    psi' = 1/w^2,
+    w'' + a(t) w - 1/w^3 = 0,
 
-and u = w exp(i psi) solves the oscillator.  For the matched initial
-amplitude (the one whose phase-space ellipse is invariant under the
-one-period monodromy map), w is periodic with a's period, and the
+and is the modulus of a complex solution u of the oscillator.  For the
+matched initial amplitude (the one whose phase-space ellipse is invariant
+under the one-period monodromy map), w is periodic with a's period, and the
 Gaussian initial state exp(-x^2/(2 w0^2) - w0^2 v^2 / 2) keeps
 
     x_rms(t) = sqrt(2 pi) w(t)
@@ -17,25 +17,17 @@ exactly, which is the oracle the order sweeps compare against.
 The oscillator is linear, so each RK4 step of (x, x') is a 2x2 matrix,
 all built at once from a on the step times.  Their ordered product,
 reduced by pairs, is the monodromy matrix; their inclusive prefix product
-is the fundamental matrix S at every step, and from (w0, w' = 0, psi = 0)
-u = S_00 w0 + i S_01 / w0 (Courant and Snyder, Ann. Phys. 3 (1958) 1):
-w = |u| and psi = unwrap(arg u), as psi turns far less than pi a step.
+is the fundamental matrix S at every step, and from u(0) = w0,
+u'(0) = i / w0, u = S_00 w0 + i S_01 / w0 and w = |u| (Courant and
+Snyder, Ann. Phys. 3 (1958) 1).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _EYE = np.eye(2)
-
-
-@dataclass(frozen=True)
-class HillEnvelope:
-    omega: np.ndarray
-    psi: np.ndarray
 
 
 def _step_matrices(a, times, dt_ref):
@@ -61,14 +53,14 @@ def _step_matrices(a, times, dt_ref):
     return _EYE + (h / 6.0)[:, None, None] * p, ends
 
 
-def matched_omega0(a, period: float = TWO_PI, dt_ref: float = 1e-4 * TWO_PI) -> float:
+def matched_omega0(a, dt_ref: float = 1e-4 * TWO_PI) -> float:
     """Initial envelope amplitude whose ellipse the monodromy map preserves.
 
     For an even coefficient the invariant ellipse of the monodromy matrix
     [[A, B], [C, D]] is axis-aligned and w0 = sqrt(B / sin theta),
     cos theta = (A + D)/2.  Raises outside the stable zone.
     """
-    m, _ = _step_matrices(a, np.array([0.0, period]), dt_ref)
+    m, _ = _step_matrices(a, np.array([0.0, TWO_PI]), dt_ref)
     while len(m) > 1:
         if len(m) % 2:
             m = np.concatenate([m, _EYE[None]])
@@ -84,8 +76,8 @@ def matched_omega0(a, period: float = TWO_PI, dt_ref: float = 1e-4 * TWO_PI) -> 
 
 
 def hill_envelope(a, times, omega0: float | None = None,
-                  dt_ref: float = 1e-4 * TWO_PI) -> HillEnvelope:
-    """The envelope from (w0, w' = 0, psi = 0) at the output instants
+                  dt_ref: float = 1e-4 * TWO_PI) -> np.ndarray:
+    """The envelope w from (w0, w' = 0) at the output instants
     ``times`` (first entry is the start time); the prefix product is a
     Hillis-Steele scan of log2 n batched products.  When omega0 is None
     the matched amplitude is computed first."""
@@ -100,10 +92,10 @@ def hill_envelope(a, times, omega0: float | None = None,
         s[d:] = s[d:] @ s[:-d]
         d *= 2
     u = np.concatenate([[omega0], s[:, 0, 0] * omega0 + 1j * s[:, 0, 1] / omega0])
-    return HillEnvelope(np.abs(u)[ends], np.unwrap(np.angle(u))[ends])
+    return np.abs(u)[ends]
 
 
-def hill_reference_xrms(env: HillEnvelope, amplitude: float = np.sqrt(TWO_PI)):
-    """Reference x_rms series: amplitude * w(t) (amplitude = sqrt(2 pi)
-    for the unnormalized Gaussian initial state)."""
-    return amplitude * env.omega
+def hill_reference_xrms(w):
+    """Reference x_rms series sqrt(2 pi) w(t) of the unnormalized Gaussian
+    initial state."""
+    return np.sqrt(TWO_PI) * w

@@ -36,10 +36,6 @@ class DispersionRoot:
     r: float
     phi: float
 
-    @property
-    def omega(self) -> complex:
-        return complex(self.omega_r, self.omega_i)
-
 
 def plasma_Z(eta):
     """Plasma dispersion function Z(eta) = i sqrt(pi) w(eta).
@@ -88,12 +84,12 @@ def dispersion_D_omega(k: float, omega):
     return -_plasma_Z_second(omega / (SQRT2 * k)) / (2.0 * k**2 * SQRT2 * k)
 
 
-def _newton(k, w0, tol=1e-13, itmax=100):
+def _newton(k, w0):
     w = complex(w0)
-    for _ in range(itmax):
+    for _ in range(100):
         step = dispersion_D(k, w) / dispersion_D_omega(k, w)
         w -= step
-        if abs(step) < tol:
+        if abs(step) < 1e-13:
             return w
     raise RuntimeError(
         f"dispersion root search did not converge for k={k}: "
@@ -101,7 +97,7 @@ def _newton(k, w0, tol=1e-13, itmax=100):
     )
 
 
-def solve_dominant_root(k: float, tol_residual=1e-10) -> DispersionRoot:
+def solve_dominant_root(k: float) -> DispersionRoot:
     """Least-damped dispersion root (w_r > 0 member) and its residue.
 
     Newton iteration seeded by the Bohm-Gross estimate w^2 = 1 + 3 k^2;
@@ -122,7 +118,7 @@ def solve_dominant_root(k: float, tol_residual=1e-10) -> DispersionRoot:
         w = _newton(k, grid[np.unravel_index(np.argmin(vals), vals.shape)])
     if w.real < 0:
         w = complex(-w.real, w.imag)
-    if abs(dispersion_D(k, w)) > tol_residual:
+    if abs(dispersion_D(k, w)) > 1e-10:
         raise RuntimeError(f"root residual too large for k={k}")
     residue = 1j * dispersion_N(k, w) / dispersion_D_omega(k, w)
     return DispersionRoot(k, w.real, w.imag, abs(residue), float(np.angle(residue)))
@@ -146,11 +142,7 @@ def landau_reference_E(x, t, k: float, alpha: float, root: DispersionRoot | None
     )
 
 
-def dispersion_table(ks=(0.2, 0.3, 0.4, 0.5, 0.6)):
-    """Rows (k, w_r, w_i, r, phi) for documentation and the CLI table."""
-    return [
-        (
-            root.k, root.omega_r, root.omega_i, root.r, root.phi,
-        )
-        for root in (solve_dominant_root(float(k)) for k in ks)
-    ]
+def dispersion_table():
+    """Rows (k, w_r, w_i, r, phi) at k = 0.2, 0.3, ..., 0.6 for the demo table."""
+    roots = (solve_dominant_root(k) for k in (0.2, 0.3, 0.4, 0.5, 0.6))
+    return [(root.k, root.omega_r, root.omega_i, root.r, root.phi) for root in roots]

@@ -221,7 +221,6 @@ def diag_row(state: SimState) -> dict:
 
 @dataclass
 class RunResult:
-    config: CaseConfig
     times: np.ndarray
     channels: dict
     snapshots: list
@@ -307,7 +306,7 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
 
     def partial():
         channels = {n: np.array([r[n] for r in rows]) for n in names}
-        return RunResult(config, np.array(times), channels, snaps, state)
+        return RunResult(np.array(times), channels, snaps, state)
 
     where = "setup"
     with np.errstate(all="ignore"):  # every numeric check raises, none warns

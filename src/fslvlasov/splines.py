@@ -268,9 +268,9 @@ class StageOperator:
     def gather(self, c: SplineCoeffs, pts):
         """(n, m) values of M c at ``pts``, the operator's points; other
         points raise."""
-        x, d = pts[0], len(pts)
-        x0 = self.pts[0] if len(self.pts) == d else np.empty(0)
-        if x.size != x0.size or x is not x0 and not np.array_equal(x, x0):
+        d = len(pts)
+        if d != len(self.pts) or any(p is not q and not np.array_equal(p, q)
+                                     for p, q in zip(pts, self.pts)):
             raise ValueError("gather points differ from those of the stage operator")
         _tensor(self.w, self.data)
         rows = np.flatnonzero(np.logical_or.reduce([  # the deposit's cell off the grid

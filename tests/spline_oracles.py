@@ -11,7 +11,7 @@ from fslvlasov.splines import SplineCoeffs, blocks, stencil
 
 def wrap(grid: UniformGrid1D, x):
     """Wrap physical coordinates into [xmin, xmax) of a periodic grid."""
-    return grid.xmin + np.mod(np.asarray(x, dtype=float) - grid.xmin, grid.length)
+    return grid.xmin + np.mod(np.asarray(x, dtype=float) - grid.xmin, grid.xmax - grid.xmin)
 
 
 def basis_eval(u):

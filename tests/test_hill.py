@@ -22,29 +22,26 @@ a_case = cases.hill_coefficient(cases.case_defaults("hill"))
 
 class TestEnvelope:
     def test_constant_coefficient_fixed_point(self):
-        # a = 1, w0 = 1: w'' = -a w + 1/w^3 = 0 identically, psi = t
-        times = np.linspace(0.0, 5.0, 11)
-        env = hill_envelope(lambda t: 1.0, times, omega0=1.0)
-        np.testing.assert_allclose(env.omega, 1.0, atol=1e-12)
-        np.testing.assert_allclose(env.psi, times, atol=1e-10)
+        # a = 1, w0 = 1: w'' = -a w + 1/w^3 = 0 identically
+        w = hill_envelope(lambda t: 1.0, np.linspace(0.0, 5.0, 11), omega0=1.0)
+        np.testing.assert_allclose(w, 1.0, atol=1e-12)
 
     def test_matched_omega0_gives_periodic_envelope(self):
         w0 = matched_omega0(a_default)
         times = TWO_PI * np.arange(4)
-        env = hill_envelope(a_default, times, omega0=w0)
-        assert np.abs(env.omega - w0).max() < 1e-8
+        w = hill_envelope(a_default, times, omega0=w0)
+        assert np.abs(w - w0).max() < 1e-8
 
     def test_period_return_consistent_at_two_resolutions(self):
         w0 = matched_omega0(a_default)
         r1 = hill_envelope(a_default, [0.0, TWO_PI], omega0=w0, dt_ref=1e-3)
         r2 = hill_envelope(a_default, [0.0, TWO_PI], omega0=w0, dt_ref=5e-4)
-        assert abs(r1.omega[-1] - r2.omega[-1]) < 1e-10
-        assert abs(r1.omega[-1] - w0) < 1e-8
+        assert abs(r1[-1] - r2[-1]) < 1e-10
+        assert abs(r1[-1] - w0) < 1e-8
 
-    def test_psi_strictly_increasing_omega_positive(self):
-        env = hill_envelope(a_default, np.linspace(0, 3 * TWO_PI, 200))
-        assert np.all(env.omega > 0)
-        assert np.all(np.diff(env.psi) > 0)
+    def test_envelope_positive(self):
+        w = hill_envelope(a_default, np.linspace(0, 3 * TWO_PI, 200))
+        assert np.all(w > 0)
 
     def test_unstable_zone_rejected(self):
         # the 2:1 parametric resonance tongue at mean 1
@@ -60,14 +57,13 @@ class TestIndependentOracles:
     """Checks that share no code with the step-matrix products."""
 
     def test_constant_coefficient_closed_form(self):
-        # a = omega^2: the matched envelope is w = omega^-1/2, psi = omega t
+        # a = omega^2: the matched envelope is w = omega^-1/2
         omega = 0.9
         times = np.linspace(0.0, 3 * TWO_PI, 37)
         w0 = matched_omega0(lambda t: omega**2)
-        env = hill_envelope(lambda t: omega**2, times, omega0=w0)
+        w = hill_envelope(lambda t: omega**2, times, omega0=w0)
         assert abs(w0 - omega**-0.5) < 1e-10
-        np.testing.assert_allclose(env.omega, omega**-0.5, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(env.psi, omega * times, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w, omega**-0.5, rtol=0, atol=1e-10)
 
     def test_case_coefficient_against_solve_ivp(self):
         # the monodromy of x'' + a x = 0, then the nonlinear envelope
@@ -82,7 +78,7 @@ class TestIndependentOracles:
         times = np.linspace(0.0, 3 * TWO_PI, 61)
         w = solve_ivp(lambda t, y: [y[1], -a_case(t) * y[0] + y[0] ** -3],
                       (0.0, times[-1]), [w0, 0.0], t_eval=times, **tol).y[0]
-        np.testing.assert_allclose(hill_envelope(a_case, times, omega0=w0).omega, w,
+        np.testing.assert_allclose(hill_envelope(a_case, times, omega0=w0), w,
                                    rtol=0, atol=1e-9)
 
     def test_case_coefficient_pinned(self):
@@ -96,8 +92,7 @@ class TestReferenceXrms:
         # Gaussian, so x_rms(0) = w0 sqrt(2 pi); domain truncation at
         # [-12, 12] changes this below 1e-12 for w0 near 1
         w0 = matched_omega0(a_default)
-        env = hill_envelope(a_default, [0.0], omega0=w0)
-        ref = hill_reference_xrms(env)
+        ref = hill_reference_xrms(hill_envelope(a_default, [0.0], omega0=w0))
         assert ref[0] == pytest.approx(w0 * np.sqrt(TWO_PI), rel=1e-12)
 
         xs = np.linspace(-12, 12, 2001)
@@ -109,8 +104,7 @@ class TestReferenceXrms:
         assert np.sqrt(m2) == pytest.approx(ref[0], rel=1e-10)
 
     def test_reference_is_periodic(self):
-        env = hill_envelope(a_default, TWO_PI * np.arange(11))
-        ref = hill_reference_xrms(env)
+        ref = hill_reference_xrms(hill_envelope(a_default, TWO_PI * np.arange(11)))
         np.testing.assert_allclose(ref, ref[0], atol=1e-7)
 
 

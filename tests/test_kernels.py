@@ -62,7 +62,7 @@ def _edge_points(g: UniformGrid1D, rng, n):
     eps = 1e-15 * max(1.0, abs(g.xmax))
     edges = [g.xmin, g.xmax, g.xmax - eps, g.xmin + eps]
     if g.periodic:
-        edges += [g.xmin - eps, g.xmax + eps, g.xmin - 3.5 * g.length]
+        edges += [g.xmin - eps, g.xmax + eps, g.xmin - 3.5 * (g.xmax - g.xmin)]
     return np.concatenate([inner, edges])
 
 
@@ -208,10 +208,10 @@ def _loop_deposit_1d(p, gx, dv):
 def _particles(gx, gy, rng, n=400):
     """Interior particles, strays beyond u = -3 and n + 3, and seam points."""
     def coord(g):
-        span = 6.0 * g.delta
+        span, length = 6.0 * g.delta, g.xmax - g.xmin
         x = rng.uniform(g.xmin - span, g.xmax + span, n)
         far = [g.xmin - 3.0 * g.delta - 1e-9, g.xmax + 3.0 * g.delta + 1e-9,
-               g.xmin - 50.0 * g.length, g.xmax + 50.0 * g.length,
+               g.xmin - 50.0 * length, g.xmax + 50.0 * length,
                g.xmin - 2.5 * g.delta, g.xmax + 2.5 * g.delta]
         seam = [g.xmin, g.xmax, np.nextafter(g.xmax, -np.inf),
                 np.nextafter(g.xmin, -np.inf), g.xmin + g.delta]
@@ -382,9 +382,9 @@ class TestStageOperator:
 
     def test_strays_land_in_the_pad(self):
         gx, gy = GRID_PAIRS["natural-natural"]
-        n = gx.n_cells
-        far = [gx.xmin - 3.0 * gx.delta - 1e-9, gx.xmin - 50.0 * gx.length,   # u < -3
-               gx.xmax + 2.0 * gx.delta + 1e-9, gx.xmax + 50.0 * gx.length]  # u > n + 2
+        n, length = gx.n_cells, gx.xmax - gx.xmin
+        far = [gx.xmin - 3.0 * gx.delta - 1e-9, gx.xmin - 50.0 * length,   # u < -3
+               gx.xmax + 2.0 * gx.delta + 1e-9, gx.xmax + 50.0 * length]  # u > n + 2
         x = np.array(far + [0.1, -0.7])
         p = ParticleSet(x, x, np.random.default_rng(32).normal(size=x.size))
         op = StageOperator()
@@ -424,6 +424,8 @@ class TestStageOperator:
         with pytest.raises(ValueError, match="stage operator"):
             eval_2d(c2, p.pos1 + 0.01, y, stage=op)
         with pytest.raises(ValueError, match="stage operator"):
+            eval_2d(c2, p.pos1, y + 0.3, stage=op)  # only y moved
+        with pytest.raises(ValueError, match="stage operator"):
             eval_2d(c2, p.pos1[:-1], y[:-1], stage=op)
         with pytest.raises(ValueError, match="stage operator"):
             eval_1d(c1, wrap(gx, p.pos1 + 0.5), stage=op)
@@ -445,8 +447,9 @@ class TestLocateLeavesItsInput:
         kernels = {"to_units": g.to_units, "_locate": lambda x: splines._locate(g, x),
                    "stencil": lambda x: splines.stencil(g, x),
                    "stencil margin": lambda x: splines.stencil(g, x, margin=PAD - 1)}
+        length = g.xmax - g.xmin
         for name, kernel in kernels.items():
-            x = np.array(rng.uniform(g.xmin - g.length, g.xmax + g.length, shape))
+            x = np.array(rng.uniform(g.xmin - length, g.xmax + length, shape))
             kept = x.copy()
             kernel(x)
             np.testing.assert_array_equal(x, kept, err_msg=name)
@@ -501,7 +504,7 @@ class TestShiftInvariance:
         off_seam = (u > 1e-9) & (u < gx.n_cells - 1e-9)
         assert off_seam[:-3].all() and not off_seam[-3:].any()
         for k in (-3, -1, 1, 3):
-            xs = x + k * gx.length
+            xs = x + k * (gx.xmax - gx.xmin)
             for key, got in kernels(xs).items():
                 want = at_x[key]
                 err = np.max(np.abs(got - want))
@@ -519,8 +522,9 @@ class TestBslSweeps:
         gx = GRID_PAIRS["periodic-natural"][0]
         rng = np.random.default_rng(51)
         f = rng.normal(size=(gx.n_nodes, 9))
-        shift = np.concatenate([rng.uniform(-3.0, 3.0, 5) * gx.length,
-                                [0.0, gx.delta, -2.5 * gx.length, 1e-12]])
+        length = gx.xmax - gx.xmin
+        shift = np.concatenate([rng.uniform(-3.0, 3.0, 5) * length,
+                                [0.0, gx.delta, -2.5 * length, 1e-12]])
         got = bsl._advect_x_rows(f, gx, shift)
         for j, s in enumerate(shift):
             want = plain_eval_1d(fit_1d(f[:, j], gx), gx.nodes() - s)
@@ -532,8 +536,9 @@ class TestBslSweeps:
         rng = np.random.default_rng(52)
         f = rng.normal(size=(10, gv.n_nodes))
         # feet inside, on a wall and beyond +-v_max, near and far
-        shift = np.concatenate([rng.uniform(-0.6, 0.6, 4) * gv.length,
-                                [0.0, gv.delta, gv.length, -gv.length, 1e3, -1e3]])
+        length = gv.xmax - gv.xmin
+        shift = np.concatenate([rng.uniform(-0.6, 0.6, 4) * length,
+                                [0.0, gv.delta, length, -length, 1e3, -1e3]])
         got = bsl._advect_v_cols(f, gv, shift)
         for i, s in enumerate(shift):
             want = plain_eval_1d(fit_1d(f[i], gv), gv.nodes() - s)

@@ -52,7 +52,8 @@ class TestDispersion:
 
     def test_residue_modulus_at_k_half(self):
         root = solve_dominant_root(0.5)
-        res = dispersion_N(0.5, root.omega) / dispersion_D_omega(0.5, root.omega)
+        w = complex(root.omega_r, root.omega_i)
+        res = dispersion_N(0.5, w) / dispersion_D_omega(0.5, w)
         assert abs(res) == pytest.approx(0.3677, abs=1e-4)
 
     def test_k_must_be_positive(self):
@@ -77,7 +78,7 @@ class TestDominantRoot:
         assert root.omega_i == pytest.approx(wi, abs=1e-9)
         assert root.r == pytest.approx(r, abs=1e-9)
         assert root.phi == pytest.approx(phi, abs=1e-9)
-        assert abs(dispersion_D(0.4, root.omega)) < 1e-10
+        assert abs(dispersion_D(0.4, complex(root.omega_r, root.omega_i))) < 1e-10
 
     def test_weaker_damping_at_smaller_k(self):
         assert abs(solve_dominant_root(0.4).omega_i) < abs(
@@ -87,7 +88,7 @@ class TestDominantRoot:
     def test_root_residual_small(self):
         for k in (0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0):
             root = solve_dominant_root(k)
-            assert abs(dispersion_D(k, root.omega)) < 1e-10
+            assert abs(dispersion_D(k, complex(root.omega_r, root.omega_i))) < 1e-10
             assert root.omega_r > 0
             assert root.r > 0
 

@@ -39,7 +39,8 @@ def _seeded(gx, gy, seed):
     """A seeded set whose spline has a mean, noise and nonzero wall values."""
     rng = np.random.default_rng(seed)
     x, y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
-    f = 1.0 + np.sin(y) * np.cos(2.0 * np.pi * x / gx.length) + 0.3 * rng.random(x.shape)
+    length = gx.xmax - gx.xmin
+    f = 1.0 + np.sin(y) * np.cos(2.0 * np.pi * x / length) + 0.3 * rng.random(x.shape)
     return seed_particles(fit_2d(f, gx, gy))
 
 

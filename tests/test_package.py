@@ -1,6 +1,7 @@
 """Package surface: every module imports on its own, the root exports only
-``__version__``, and every fslvlasov name the demos, tools and benchmark
-import or read from an imported module exists."""
+``__version__``, every fslvlasov name the demos, tools and benchmark
+import or read from an imported module exists, and every call site of the
+traced benchmark's spans resolves."""
 
 import ast
 import importlib
@@ -115,3 +116,26 @@ def test_scripts_are_checked():
     assert any(p.name == "dispersion_table.py" for p in SCRIPTS)
     assert ("fslvlasov.landau", "dispersion_table") in {
         (m, n) for _, m, n in _script_names(REPO / "demos" / "dispersion_table.py")}
+
+
+def _span_call_sites():
+    """(span, module, candidate names) of each call site in the traced
+    benchmark's ``STEP_SPANS`` and ``SETUP_SPANS``, read by ``ast``."""
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text())
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name) and t.id in ("STEP_SPANS", "SETUP_SPANS")}
+    return [(span, module, names) for table in ("STEP_SPANS", "SETUP_SPANS")
+            for span, sites in tables[table].items() for module, names in sites]
+
+
+def test_span_call_sites_resolve():
+    """A span wraps one of its candidates where the calling module looks it
+    up, so each site needs at least one of them as a module attribute."""
+    sites = _span_call_sites()
+    assert ("hill.matched_omega0", "hill", ("matched_omega0",)) in sites
+    missing = [f"{span}: fslvlasov.{module} has none of {names}"
+               for span, module, names in sites
+               if not any(hasattr(importlib.import_module(f"fslvlasov.{module}"), n)
+                          for n in names)]
+    assert missing == []
