@@ -3,11 +3,11 @@
 -laplace(phi) = rho on a box periodic in x and Dirichlet (phi = 0) in y.
 x stays in rfft space from rho to the field's spline coefficients: the
 potential by a DST-I in y, Ex by the circulant Simpson relation, Ey by
-the Simpson rows in y closed by corrected-midpoint wall rows, then the
-stacked (Ey, Ex) fit and the one irfft (``splines.fit_2d_rfft``).  Node
-values of Ex and Ey are each built by an irfft when first read: by the
+the Simpson rows in y closed by corrected-midpoint wall rows.  Node
+values of Ex and Ey (an irfft each) and the stacked (Ey, Ex) spline (one
+fit and one irfft, ``splines.fit_2d_rfft``) are built on first read: the
 node-seeded set's field (diagnostics row and stage 1) and the other
-diagnostics rows; a push's other stage solves read none.
+diagnostics rows read node values only and fit no spline.
 """
 
 from __future__ import annotations
@@ -17,25 +17,26 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst, idst, irfft
-from scipy.linalg import solve_banded
 
 from .grids import UniformGrid1D
-from .splines import SplineCoeffs, cyclic_eigenvalues, fit_2d_rfft
+from .splines import cyclic_eigenvalues, fit_2d_rfft, solve_tridiagonal
 from .splines import fit_2d  # noqa: F401  perfbench's fit_field span until ROADMAP item 1
 
 
 @dataclass(frozen=True)
 class FieldState2D:
-    """x rfft spectra (nx // 2 + 1, ny) of Ex and Ey, the field's spline,
-    and node values ``Ex``, ``Ey``, each built by an irfft on first read."""
+    """x rfft spectra (nx // 2 + 1, ny) of Ex and Ey; node values ``Ex``, ``Ey``
+    and the spline ``E_spline`` of (Ey, Ex) are each built on first read."""
 
     gx: UniformGrid1D
+    gy: UniformGrid1D
     Ex_hat: np.ndarray
     Ey_hat: np.ndarray
-    E_spline: SplineCoeffs  # components (Ey, Ex) on the trailing axis
 
     Ex = cached_property(lambda self: irfft(self.Ex_hat, n=self.gx.n_nodes, axis=0))
     Ey = cached_property(lambda self: irfft(self.Ey_hat, n=self.gx.n_nodes, axis=0))
+    E_spline = cached_property(
+        lambda self: fit_2d_rfft(np.stack([self.Ey_hat, self.Ex_hat]), self.gx, self.gy))
 
 
 def _xi2(gx: UniformGrid1D):
@@ -106,20 +107,19 @@ def compute_Ey(phi_hat, rho, gx: UniformGrid1D, gy: UniformGrid1D):
     holds node values; only its wall rows are transformed.
     """
     ny, dy = gy.n_nodes, gy.delta
-    ab = np.full((3, ny), 1.0 / 6.0)
-    ab[1] = 2.0 / 3.0
-    ab[[0, 1, 1, 2], [1, 0, -1, -2]] = 0.5  # the wall rows
+    lower, upper = np.full(ny - 1, 1.0 / 6.0), np.full(ny - 1, 1.0 / 6.0)
+    diag = np.full(ny, 2.0 / 3.0)
+    diag[[0, -1]] = upper[0] = lower[-1] = 0.5  # the wall rows
     rho = np.asarray(rho, dtype=float)
     jump = np.fft.rfft(rho[:, [1, -2]] - rho[:, [0, -1]], axis=0)  # inner - wall
     step = phi_hat[:, [1, -2]] - phi_hat[:, [0, -1]]
     rhs = np.empty_like(phi_hat)
     rhs[:, 1:-1] = (phi_hat[:, :-2] - phi_hat[:, 2:]) / (2.0 * dy)
     rhs[:, [0, -1]] = ((dy / 12.0) * (jump - _xi2(gx)[:, None] * step) - step / dy) * [1, -1]
-    return solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T  # y on the leading axis
+    return solve_tridiagonal(lower, diag, upper, rhs.T).T  # y on the leading axis
 
 
 def solve_fields(rho, gx: UniformGrid1D, gy: UniformGrid1D) -> FieldState2D:
-    """Field and spline in x rfft space, via the potential; node values when read."""
+    """Field in x rfft space, via the potential; node values and spline when read."""
     phi_hat = solve_potential(rho, gx, gy)
-    ex_hat, ey_hat = compute_Ex(phi_hat, gx), compute_Ey(phi_hat, rho, gx, gy)
-    return FieldState2D(gx, ex_hat, ey_hat, fit_2d_rfft(np.stack([ey_hat, ex_hat]), gx, gy))
+    return FieldState2D(gx, gy, compute_Ex(phi_hat, gx), compute_Ey(phi_hat, rho, gx, gy))

@@ -28,14 +28,15 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _EYE = np.eye(2)
+DT_REF = 1e-4 * TWO_PI
 
 
-def _step_matrices(a, times, dt_ref):
+def _step_matrices(a, times):
     """The RK4 step matrices P = I + h/6 (A1 + 2 A2 + 2 A3 + A4) in time order,
     with A1 = K(t) and A_i+1 = K(t + c h)(I + c h A_i), and the step count up
-    to each of ``times``; an interval takes max(1, ceil(span / dt_ref)) steps."""
+    to each of ``times``; an interval takes max(1, ceil(span / DT_REF)) steps."""
     span = np.diff(times)
-    counts = np.maximum(1, np.ceil(span / dt_ref).astype(int))
+    counts = np.maximum(1, np.ceil(span / DT_REF).astype(int))
     ends = np.concatenate([[0], np.cumsum(counts)])
     h = np.repeat(span / counts, counts)
     t = np.repeat(times[:-1], counts) + (np.arange(ends[-1]) - np.repeat(ends[:-1], counts)) * h
@@ -53,14 +54,14 @@ def _step_matrices(a, times, dt_ref):
     return _EYE + (h / 6.0)[:, None, None] * p, ends
 
 
-def matched_omega0(a, dt_ref: float = 1e-4 * TWO_PI) -> float:
+def matched_omega0(a) -> float:
     """Initial envelope amplitude whose ellipse the monodromy map preserves.
 
     For an even coefficient the invariant ellipse of the monodromy matrix
     [[A, B], [C, D]] is axis-aligned and w0 = sqrt(B / sin theta),
     cos theta = (A + D)/2.  Raises outside the stable zone.
     """
-    m, _ = _step_matrices(a, np.array([0.0, TWO_PI]), dt_ref)
+    m, _ = _step_matrices(a, np.array([0.0, TWO_PI]))
     while len(m) > 1:
         if len(m) % 2:
             m = np.concatenate([m, _EYE[None]])
@@ -75,18 +76,17 @@ def matched_omega0(a, dt_ref: float = 1e-4 * TWO_PI) -> float:
     return float(np.sqrt(abs(B / sin_theta)))  # the sign of sin theta follows the rotation
 
 
-def hill_envelope(a, times, omega0: float | None = None,
-                  dt_ref: float = 1e-4 * TWO_PI) -> np.ndarray:
+def hill_envelope(a, times, omega0: float | None = None) -> np.ndarray:
     """The envelope w from (w0, w' = 0) at the output instants
     ``times`` (first entry is the start time); the prefix product is a
     Hillis-Steele scan of log2 n batched products.  When omega0 is None
     the matched amplitude is computed first."""
     times = np.asarray(times, dtype=float)
     if omega0 is None:
-        omega0 = matched_omega0(a, dt_ref=dt_ref)
+        omega0 = matched_omega0(a)
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
-    s, ends = _step_matrices(a, times, dt_ref)
+    s, ends = _step_matrices(a, times)
     d = 1
     while d < len(s):
         s[d:] = s[d:] @ s[:-d]

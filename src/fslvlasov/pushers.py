@@ -12,12 +12,12 @@ Poisson problem and gathers the field through one sparse B-spline matrix
 M of the stage's particles (``splines.StageOperator``: the deposit writes
 M's columns, the gather computes M c).  The node-seeded set is the exception:
 its field is solved on the grid once, on first use, and shared by the
-diagnostics row and stage 1, which reads the node values, since the
-particles sit where the field spline interpolates.  The integrators pass
-that set itself to stage 1, so the identity test of ``node_field`` is the
-only one.  The pushers never wrap x: a position may lie any number of
-periods away, and every read and scatter wraps it as it locates
-(``grids.UniformGrid1D.to_units``).
+diagnostics row and stage 1, which both read node values only, since the
+particles sit where the field spline interpolates (a 2D field then fits
+no spline).  The integrators pass that set itself to stage 1, so the
+identity test of ``node_field`` is the only one.  The pushers never wrap
+x: a position may lie any number of periods away, and every read and
+scatter wraps it as it locates (``grids.UniformGrid1D.to_units``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start

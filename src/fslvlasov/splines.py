@@ -10,7 +10,8 @@ A fitted spline interpolates its samples at every grid node.  Periodic
 grids lead to a cyclic tridiagonal system with stencil (1/6, 2/3, 1/6);
 natural grids append two end-derivative conditions, which fold into two
 ghost coefficients per side stored inline with the node coefficients.
-The periodic system is circulant and is solved by a real FFT division.
+The periodic system is circulant and is solved by a real FFT division;
+the natural one is tridiagonal, one LAPACK call (``solve_tridiagonal``).
 Every read beyond a natural wall reads the spline at the wall: ``_locate``
 clips the point in grid units, so callers pass their points unclipped.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 from scipy.sparse import csr_array
 
 from .grids import UniformGrid1D
@@ -120,19 +121,32 @@ def cyclic_eigenvalues(n: int):
     return 2.0 / 3.0 + np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n) / 3.0
 
 
+def solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve the tridiagonal system (sub-, main and super-diagonal) for
+    ``rhs`` of shape (n,) or (n, k), real or complex, by LAPACK ``?gtsv``.
+    ``rhs`` is solved in place when it is Fortran-ordered of the solve's dtype."""
+    dtype, gtsv = (complex, lapack.zgtsv) if np.iscomplexobj(rhs) else (float, lapack.dgtsv)
+    b = np.asarray(rhs, dtype=dtype, order="F")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = gtsv(lower, diag, upper, b, overwrite_b=True)
+    if info:
+        raise np.linalg.LinAlgError("singular tridiagonal matrix")
+    return x
+
+
 def _solve_natural(samples, grid: UniformGrid1D, ends=None):
     """Natural fit along axis 0: returns coefficients with ghosts, (n+2, ...).
     ``ends``: (lo, hi) end derivatives over the trailing axes; the grid's if None."""
     rhs = np.array(samples, dtype=complex if np.iscomplexobj(samples) else float)
     n, d = grid.n_nodes, grid.delta  # n = n_cells + 1
     lo, hi = (grid.deriv_lo, grid.deriv_hi) if ends is None else ends
-    ab = np.full((3, n), 1.0 / 6.0)
-    ab[1] = 2.0 / 3.0
+    lower, upper = np.full(n - 1, 1.0 / 6.0), np.full(n - 1, 1.0 / 6.0)
     # end rows after eliminating the ghosts through the derivative conditions
-    ab[[0, 2], [1, -2]] = 1.0 / 3.0
+    upper[0] = lower[-1] = 1.0 / 3.0
     rhs[0] += d * lo / 3.0
     rhs[-1] -= d * hi / 3.0
-    core = solve_banded((1, 1), ab, rhs, overwrite_b=True)
+    core = solve_tridiagonal(lower, np.full(n, 2.0 / 3.0), upper, rhs)
     out = np.empty_like(rhs, shape=(n + 2,) + rhs.shape[1:])
     out[1:-1] = core
     out[0] = core[1] - 2.0 * d * lo

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fslvlasov import cases, solver
+from fslvlasov import cases, hill, solver
 from fslvlasov.hill import (
     hill_envelope,
     hill_reference_xrms,
@@ -32,10 +32,12 @@ class TestEnvelope:
         w = hill_envelope(a_default, times, omega0=w0)
         assert np.abs(w - w0).max() < 1e-8
 
-    def test_period_return_consistent_at_two_resolutions(self):
+    def test_period_return_consistent_at_two_resolutions(self, monkeypatch):
         w0 = matched_omega0(a_default)
-        r1 = hill_envelope(a_default, [0.0, TWO_PI], omega0=w0, dt_ref=1e-3)
-        r2 = hill_envelope(a_default, [0.0, TWO_PI], omega0=w0, dt_ref=5e-4)
+        monkeypatch.setattr(hill, "DT_REF", 1e-3)
+        r1 = hill_envelope(a_default, [0.0, TWO_PI], omega0=w0)
+        monkeypatch.setattr(hill, "DT_REF", 5e-4)
+        r2 = hill_envelope(a_default, [0.0, TWO_PI], omega0=w0)
         assert abs(r1[-1] - r2[-1]) < 1e-10
         assert abs(r1[-1] - w0) < 1e-8
 
@@ -82,7 +84,7 @@ class TestIndependentOracles:
                                    rtol=0, atol=1e-9)
 
     def test_case_coefficient_pinned(self):
-        # the value of the RK4 reference at dt_ref = 2 pi 1e-4
+        # the value of the RK4 reference at DT_REF = 2 pi 1e-4
         assert matched_omega0(a_case) == pytest.approx(0.9684935648916215, rel=1e-12)
 
 

@@ -5,14 +5,14 @@ and, since the field spline interpolates at the nodes, sees the node
 values of its field.  The providers use both facts for the first stage
 after a remap, and the diagnostics row shares that one field.  Checked
 here: the stencil deposits against the particle deposits, the stage-1
-node velocities against the spline gather, the solve count of whole runs,
-and the circulant FFT solve against a dense solve.
+node velocities against the spline gather, the solve and 2D fit counts of
+whole runs, and the circulant FFT solve against a dense solve.
 """
 
 import numpy as np
 import pytest
 
-from fslvlasov import pushers, solver
+from fslvlasov import field2d, pushers, solver
 from fslvlasov.cases import apply_overrides, case_defaults
 from fslvlasov.deposition import (
     ParticleSet,
@@ -26,7 +26,7 @@ from fslvlasov.field1d import solve_poisson_1d
 from fslvlasov.field2d import solve_fields
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.pushers import SelfConsistentField1D, SelfConsistentField2D
-from fslvlasov.splines import eval_2d, fit_2d, solve_cyclic_banded
+from fslvlasov.splines import eval_2d, fit_2d, fit_2d_rfft, solve_cyclic_banded
 from spline_oracles import plain_eval_1d, wrap
 
 # non-square: periodic x, natural y (GC) or v (VP)
@@ -118,8 +118,19 @@ class TestLazyNodeValues:
         fld.reseed(p)
         fld.rhs(_copy(p), 0.0)  # a stage off the nodes: deposit, solve, gather
         assert len(solved) == 1 and not {"phi", "Ex", "Ey"} & set(vars(solved[0]))
+        assert "E_spline" in vars(solved[0])
         fld.rhs(p, 0.0)  # stage 1 of the seeded set reads the node values
         assert len(solved) == 2 and {"Ex", "Ey"} <= set(vars(solved[1]))
+        assert "E_spline" not in vars(solved[1])
+
+    def test_seeded_spline_read_late_equals_eager_fit(self):
+        p = _seeded(GX, GY, 9)
+        fld = SelfConsistentField2D(GX, GY)
+        fld.reseed(p)
+        fld.rhs(p, 0.0)
+        state = fld.node_field(p)
+        eager = fit_2d_rfft(np.stack([state.Ey_hat, state.Ex_hat]), GX, GY)
+        np.testing.assert_array_equal(state.E_spline.coeffs, eager.coeffs)
 
 
 class TestStageThroughKeptStencils:
@@ -196,22 +207,37 @@ class TestSolveCount:
         assert diag_solves == [] and diag_deposits == []
         assert len(stage_deposits) == 3 * n and len(gathers) == 3 * n
 
+    def test_kh_fsl_rk4_fits_only_the_stage_splines(self, monkeypatch):
+        # the node-seeded field (stage 1 and every row) reads node values only
+        n = 5
+        cfg = _small("kelvin_helmholtz", t_end=n * case_defaults("kelvin_helmholtz").dt,
+                     diag_every=1)
+        fits = _counting(monkeypatch, field2d, "fit_2d_rfft")
+        solver.run(cfg)
+        assert len(fits) == 3 * n
+
     def test_hybrid_solves_every_stage_between_remaps(self, monkeypatch):
         cfg = _small("kelvin_helmholtz", scheme="hybrid", T=3, t_end=3.0)
         diag_solves = _counting(monkeypatch, solver, "solve_fields")
+        fits = _counting(monkeypatch, field2d, "fit_2d_rfft")
         state = solver.init(cfg)
         solver.diag_row(state)
-        per_step, diag_per_step = [], []
+        assert fits == []  # no diagnostics solve fits a spline, here or below
+        per_step, diag_per_step, fits_per_step = [], [], []
         for _ in range(cfg.n_steps()):
             before, diag_before = state.provider.solves, len(diag_solves)
+            fits.clear()
             solver.step(state)
+            fits_per_step.append(len(fits))
             solver.diag_row(state)
+            assert len(fits) == fits_per_step[-1]
             per_step.append(state.provider.solves - before)
             diag_per_step.append(len(diag_solves) - diag_before)
         # after a remap stage 1 reads the node field; mid-cycle steps make
         # all four solves and the diagnostics solve on their own
         assert per_step == [3, 4, 5, 3, 4, 5]
         assert diag_per_step == [1, 1, 0, 1, 1, 0]
+        assert fits_per_step == [3, 4, 4, 3, 4, 4]
 
 
 def _dense_cyclic(n):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.splines import (
@@ -8,6 +9,7 @@ from fslvlasov.splines import (
     fit_1d,
     fit_2d,
     solve_cyclic_banded,
+    solve_tridiagonal,
     stencil_weights,
 )
 from spline_oracles import basis_eval, plain_eval_1d
@@ -253,3 +255,47 @@ class TestCyclicSolver:
         rhs = rng.normal(size=(n, 3))
         got = solve_cyclic_banded(rhs)
         np.testing.assert_allclose(got, np.linalg.solve(m, rhs), atol=1e-12)
+
+
+def _natural_rows(n):
+    """The natural fit's rows: (1/6, 2/3, 1/6), end off-diagonals 1/3."""
+    lower, diag, upper = np.full(n - 1, 1.0 / 6.0), np.full(n, 2.0 / 3.0), np.full(n - 1, 1.0 / 6.0)
+    upper[0] = lower[-1] = 1.0 / 3.0
+    return lower, diag, upper
+
+
+def _wall_rows(n):
+    """``compute_Ey``'s rows: Simpson inside, 0.5 wall rows."""
+    lower, diag, upper = np.full(n - 1, 1.0 / 6.0), np.full(n, 2.0 / 3.0), np.full(n - 1, 1.0 / 6.0)
+    diag[[0, -1]] = upper[0] = lower[-1] = 0.5
+    return lower, diag, upper
+
+
+class TestTridiagonalSolver:
+    @pytest.mark.parametrize("rows", [_natural_rows, _wall_rows])
+    @pytest.mark.parametrize("n", [5, 129])
+    @pytest.mark.parametrize("shape", [(), (7,)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_dense_and_solve_banded(self, rows, n, shape, dtype, order):
+        lower, diag, upper = rows(n)
+        rng = np.random.default_rng(n)
+        rhs = rng.normal(size=(n,) + shape)
+        if dtype is complex:
+            rhs = rhs + 1j * rng.normal(size=rhs.shape)
+        rhs = np.asarray(rhs, order=order)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        ref = np.linalg.solve(dense, rhs)
+        banded = solve_banded((1, 1), np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]]),
+                              rhs.copy())
+        got = solve_tridiagonal(lower, diag, upper, rhs.copy(order="K"))
+        assert got.shape == rhs.shape and got.dtype == rhs.dtype
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(got, banded)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        rhs = np.ones((5, 2), dtype=complex)
+        rhs[2, 1] = bad
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            solve_tridiagonal(*_natural_rows(5), rhs)
