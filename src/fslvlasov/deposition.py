@@ -9,17 +9,18 @@ Dropping particles at the domain line instead would make the wall
 remap iteration linearly unstable (measured growth 1.077 per remap),
 and clamping them would pile mass at the wall.
 
-Kernel layout: per dimension the stencil is a pair of (4, n) arrays
-(node indices, weights) from ``splines.stencil`` at margin PAD - 1: along
-a natural dimension its indices land in the accumulator's PAD extra cells
-at each end, which catch the stencil nodes off the grid and are sliced
-off, so no validity mask reaches the outer product.  Particles
-go through in blocks of ``splines.BLOCK``.  The 2D deposit adds a block's
-slot-major (4, 4, block) flat indices and weights (w wx) wy with one
-``np.add.at``: a node sums block by block, then slot (a, b) by slot, then
-particle by particle, so BLOCK also fixes its bits.  With a
-``splines.StageOperator`` it runs the same sum and keeps the stencils for
-the gather; the 1D deposit, 4 wide, sums M^T 1 in particle order instead.
+Kernel layout: per dimension the stencil is a pair of (4, n) arrays (node
+indices, weights) from ``splines.stencil`` at margin PAD - 1: along a
+natural dimension its indices land in the accumulator's PAD extra cells at
+each end, which catch the stencil nodes off the grid and are sliced off, so
+no validity mask reaches the outer product.  Particles go through in blocks
+of ``splines.BLOCK``.  The 2D deposit adds a block's slot-major (4, 4,
+block) flat indices and weights (w wx) wy with one ``np.add.at``: a node
+sums block by block, then slot (a, b) by slot, then particle by particle, so
+BLOCK also fixes its bits.  With a ``splines.StageOperator`` it runs the
+same sum and keeps the stencils for the gather, which reads every particle's
+row; without one it skips each |w| <= NEGLIGIBLE max |w|, half an ulp of the
+largest.  The 1D deposit, 4 wide, sums M^T 1 in particle order instead.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import numpy as np
 
 from .grids import UniformGrid1D
 from .splines import PAD, SplineCoeffs, StageOperator, blocks, stencil
+
+NEGLIGIBLE = 2.0 ** -53  # |w| / max |w| at or below which the 2D deposit skips w
 
 
 @dataclass
@@ -75,8 +78,11 @@ def _check_finite(*arrays):
 
 def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
                         stage: StageOperator = None):
-    """Deposit particle contributions onto the full 2D node grid."""
-    _check_finite(p.pos1, p.pos2, p.weights)
+    """Deposit onto the 2D node grid; without a ``stage``, skip |w| <= NEGLIGIBLE max |w|."""
+    _check_finite(p.pos1, p.pos2, p.weights)  # first: a NaN weight fails any filter
+    if not stage:
+        keep = (a := np.abs(p.weights)) > NEGLIGIBLE * a.max(initial=0.0)
+        p = p if keep.all() else ParticleSet(p.pos1[keep], p.pos2[keep], p.weights[keep])
     ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
     nya = gy.n_nodes + 2 * oy
     op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None

@@ -3,12 +3,13 @@
 The stacked spline gather is checked against per-component evaluation and
 a direct basis-function sum, the stacked fit against scalar fits, the
 deposits bitwise against a loop with explicit validity masks in their
-summation order, the blocked kernels bitwise against a single block (the
-2D deposit, which sums block by block, to round-off), the gathers
-through a deposit's kept stencils bitwise against the plain gathers, the
-BSL sweeps against the plain gather at their feet, every periodic read
-and scatter at x + kL against the same at x, and the DST-I Poisson solve
-against a dense per-mode solve.
+summation order (the stage-less 2D deposit's skip of negligible weights
+bitwise against removing those particles), the blocked kernels bitwise
+against a single block (the 2D deposit, which sums block by block, to
+round-off), the gathers through a deposit's kept stencils bitwise against
+the plain gathers, the BSL sweeps against the plain gather at their feet,
+every periodic read and scatter at x + kL against the same at x, and the
+DST-I Poisson solve against a dense per-mode solve.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from fslvlasov import bsl, splines
 from fslvlasov.deposition import (
+    NEGLIGIBLE,
     PAD,
     ParticleSet,
     basis_centers,
@@ -228,6 +230,8 @@ class TestDepositBitwise:
     def test_phase_space_equals_loop(self, grids):
         gx, gy = grids
         p = _particles(gx, gy, np.random.default_rng(14))
+        a = np.abs(p.weights)
+        assert (a > NEGLIGIBLE * a.max()).all()  # the stage-less deposit skips none
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy), _loop_deposit_2d(p, gx, gy))
 
     def test_charge_equals_loop(self):
@@ -246,6 +250,74 @@ class TestDepositBitwise:
             deposit_charge(ParticleSet(moved, moved, p.weights), gx, 0.5),
             _loop_deposit_1d(ParticleSet(moved, moved, p.weights), gx, 0.5),
         )
+
+
+def _with_negligible(p, rng):
+    """``p`` with a third of its weights at or below NEGLIGIBLE max |w|: zeros,
+    the threshold itself and values far below, spread over every block;
+    and the mask of the particles that carry mass."""
+    w = p.weights.copy()
+    top = np.abs(w).max()
+    tiny = rng.permutation(w.size)[: w.size // 3]
+    w[tiny] = rng.choice([0.0, NEGLIGIBLE, -NEGLIGIBLE, 1e-20, -3e-300], tiny.size) * top
+    w[tiny[:2]] = NEGLIGIBLE * top, -NEGLIGIBLE * top  # the bound is dropped too
+    kept = np.abs(w) > NEGLIGIBLE * top
+    assert np.abs(w).max() == top and 0 < kept.sum() < w.size
+    return ParticleSet(p.pos1, p.pos2, w), kept
+
+
+class TestNegligibleWeights:
+    """The stage-less 2D deposit skips every particle with |w| <= NEGLIGIBLE
+    max |w|; the stage deposit, whose gather reads every row, keeps all."""
+
+    @pytest.mark.parametrize("block", [None, 37])
+    def test_equals_the_deposit_without_them(self, grids, block, monkeypatch):
+        gx, gy = grids
+        rng = np.random.default_rng(41)
+        if block:  # the kept particles fill the blocks afresh
+            monkeypatch.setattr(splines, "BLOCK", block)
+        p, kept = _with_negligible(_particles(gx, gy, rng), rng)
+        alone = ParticleSet(p.pos1[kept], p.pos2[kept], p.weights[kept])
+        got = deposit_phase_space(p, gx, gy)
+        np.testing.assert_array_equal(got, deposit_phase_space(alone, gx, gy))
+        np.testing.assert_array_equal(got, _loop_deposit_2d(alone, gx, gy))
+
+    @pytest.mark.parametrize("field", ["pos1", "pos2", "weights"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_on_a_skipped_particle_raises(self, field, bad):
+        gx, gy = GRID_PAIRS["periodic-natural"]
+        rng = np.random.default_rng(42)
+        p, kept = _with_negligible(_particles(gx, gy, rng), rng)
+        arrays = {"pos1": p.pos1.copy(), "pos2": p.pos2.copy(), "weights": p.weights.copy()}
+        arrays[field][np.flatnonzero(~kept)[3]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            deposit_phase_space(ParticleSet(**arrays), gx, gy)
+
+    def test_all_zero_and_empty_sets_deposit_zeros(self, grids):
+        gx, gy = grids
+        p = _particles(gx, gy, np.random.default_rng(43))
+        empty = np.array([])
+        for q in (ParticleSet(p.pos1, p.pos2, np.zeros(p.pos1.size)),
+                  ParticleSet(empty, empty, empty)):
+            got = deposit_phase_space(q, gx, gy)
+            np.testing.assert_array_equal(got, np.zeros((gx.n_nodes, gy.n_nodes)))
+
+    def test_stage_deposit_keeps_every_particle(self, grids):
+        gx, gy = grids
+        rng = np.random.default_rng(44)
+        p, _ = _with_negligible(_particles(gx, gy, rng), rng)
+        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        op = StageOperator()
+        np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
+                                      _loop_deposit_2d(p, gx, gy))
+        assert op.indices.shape == (p.pos1.size, 4, 4) and op.w.shape == (2, 4, p.pos1.size)
+        fresh = StageOperator()  # every row, the skipped ones too, as a full deposit fills it
+        deposit_phase_space(ParticleSet(p.pos1, p.pos2, rng.normal(size=p.pos1.size)),
+                            gx, gy, stage=fresh)
+        np.testing.assert_array_equal(op.indices, fresh.indices)
+        np.testing.assert_array_equal(op.w, fresh.w)
+        x, y = p.pos1, p.pos2
+        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), eval_2d(c2, x, y))
 
 
 def _check_blocked_deposit(blocked, single, p, gx, gy):
