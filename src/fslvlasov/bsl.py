@@ -11,13 +11,15 @@ the forward scheme stays stable: the paper's comparison.  Feet beyond the
 natural walls read f at the wall, by the clip of ``splines._locate``, where
 every spline read locates; feet across the periodic x seam wrap there too.
 
-``BackwardFields``, the comparator's provider, counts the field solves
-and keeps the guiding-center fields the midpoint extrapolates from; the
-diagnostics row reads the current one (``node_field``, None for VP).
+The comparator runs on the forward scheme's providers (``pushers``).
 ``bsl_step`` returns the new node values and the mass that left through
 the walls; the solver remaps them as it does the forward scheme's (books
-the loss, refits, reseeds) and advances the clock.  Non-finite values fail
-the checks of the field solves or of the remap.
+the loss, refits, reseeds, hands f to the provider) and advances the
+clock.  The guiding-center step reads E^n as the provider's node field of
+the remap, solved from f on first use and shared with the diagnostics
+row, and keeps E^{n-1} in ``SimState.e_prev``; the Vlasov-Poisson rows
+read the provider's node field too.  Non-finite values fail the checks of
+the field solves or of the remap.
 """
 
 from __future__ import annotations
@@ -26,25 +28,9 @@ import numpy as np
 
 from .cases import GC, VP
 from .field1d import solve_poisson_1d
-from .field2d import solve_fields
 from .grids import UniformGrid1D
 from .splines import SplineCoeffs, eval_2d, solve_cyclic_banded, stencil, stencil_weights
 from .splines import _locate, _solve_natural  # the v sweeps' locate and multi-RHS fit
-
-
-class BackwardFields:
-    """Field history of the backward comparator, and its solve count."""
-
-    def __init__(self, model, f0, gx: UniformGrid1D, gy: UniformGrid1D):
-        self.solves = 0
-        self.field = solve_fields(f0, gx, gy) if model == GC else None
-        self.prev = self.field
-
-    def reseed(self, p):
-        pass  # the backward step samples the nodes itself
-
-    def node_field(self, p):
-        return self.field
 
 
 def _advect_x_rows(f, gx: UniformGrid1D, shift):
@@ -94,14 +80,16 @@ def _bsl_step_gc(state):
     The trajectory ending at a node satisfies node - M = (dt/2) U(M, t+dt/2)
     for its midpoint M, solved by the classical fixed-point sweep with the
     midpoint field linearly extrapolated from the two previous solves
-    (1.5 E^n - 0.5 E^{n-1}); the foot is 2M - node.  The iteration's
-    contraction degrades as dt grows, which is what makes this comparator
-    lose stability at large time steps.  The splines read points beyond
-    the y walls at the walls; returns the new node values and the mass lost.
+    (1.5 E^n - 0.5 E^{n-1}, with E^{n-1} = E^n at the first step); the
+    foot is 2M - node.  The iteration's contraction degrades as dt grows,
+    which is what makes this comparator lose stability at large time
+    steps.  The splines read points beyond the y walls at the walls;
+    returns the new node values and the mass lost.
     """
     cfg = state.config
     gx, gy = state.g1, state.g2
-    fn, prev = state.provider.field, state.provider.prev
+    fn = state.provider.node_field(state.particles)
+    prev, state.e_prev = state.e_prev or fn, fn
     # splines are linear in their coefficients: extrapolate those once
     e_mid = SplineCoeffs(
         fn.E_spline.grids, 1.5 * fn.E_spline.coeffs - 0.5 * prev.E_spline.coeffs
@@ -127,13 +115,7 @@ def _bsl_step_gc(state):
 def bsl_step(state):
     """One backward step from ``state``: (f at the nodes, mass lost).
 
-    The solver's remap takes both; here only the field history moves on.
-    ``cases`` rejects the scheme for the Hill model, as a config error.
+    The solver's remap takes both.  ``cases`` rejects the scheme for the
+    Hill model, as a config error.
     """
-    model = state.config.model
-    f, lost = {VP: _bsl_step_vp, GC: _bsl_step_gc}[model](state)
-    if model == GC:  # the two fields the next midpoint extrapolates from
-        fields = state.provider
-        fields.prev, fields.field = fields.field, solve_fields(f, state.g1, state.g2)
-        fields.solves += 1
-    return f, lost
+    return {VP: _bsl_step_vp, GC: _bsl_step_gc}[state.config.model](state)

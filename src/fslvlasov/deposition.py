@@ -21,6 +21,9 @@ BLOCK also fixes its bits.  With a ``splines.StageOperator`` it runs the
 same sum and keeps the stencils for the gather, which reads every particle's
 row; without one it skips each |w| <= NEGLIGIBLE max |w|, half an ulp of the
 largest.  The 1D deposit, 4 wide, sums M^T 1 in particle order instead.
+A node-seeded set's charge is a 3-point stencil of its weights
+(``deposit_seeded_charge``, the Vlasov-Poisson node field); the guiding
+center solves its node field from f itself and deposits no seeded set.
 """
 
 from __future__ import annotations
@@ -123,26 +126,12 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float,
     return dv * out[ox:ox + gx.n_nodes]
 
 
-# ---------------------------------------------------------------------------
-# deposits of a node-seeded set: every particle sits on a basis center, where
-# the basis is (1/6, 2/3, 1/6) at the nodes -1, 0, +1 away, so the deposit is
-# that 3-point stencil of the seeded weights and needs no particle loop
-
-
-def _periodic_node_stencil(a):
-    """(a[i-1] + 4 a[i] + a[i+1]) / 6 along a periodic axis 0."""
-    return (np.roll(a, 1, axis=0) + 4.0 * a + np.roll(a, -1, axis=0)) / 6.0
-
-
-def deposit_seeded_phase_space(weights, gx: UniformGrid1D, gy: UniformGrid1D):
-    """``deposit_phase_space`` of ``seed_particles`` output, periodic x and
-    natural y: the stencil runs over the y slots (ghosts included), then
-    periodically in x."""
-    w = weights.reshape(gx.n_nodes, gy.n_nodes + 2)
-    return _periodic_node_stencil((w[:, :-2] + 4.0 * w[:, 1:-1] + w[:, 2:]) / 6.0)
-
-
 def deposit_seeded_charge(weights, gx: UniformGrid1D, dv: float):
-    """``deposit_charge`` of ``seed_particles`` output on a periodic x grid."""
-    w = weights.reshape(gx.n_nodes, -1)
-    return dv * _periodic_node_stencil(w.sum(axis=1))
+    """``deposit_charge`` of ``seed_particles`` output on a periodic x grid.
+
+    Every particle sits on a basis center, where the basis is (1/6, 2/3,
+    1/6) at the nodes -1, 0, +1 away, so this is that stencil of the v sums
+    of the weights, ghost coefficients included, and needs no particle loop.
+    """
+    a = weights.reshape(gx.n_nodes, -1).sum(axis=1)
+    return dv * ((np.roll(a, 1) + 4.0 * a + np.roll(a, -1)) / 6.0)

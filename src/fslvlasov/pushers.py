@@ -3,21 +3,27 @@
 Every provider has one protocol: ``rhs(p, t) -> (d1, d2)`` at the
 positions of the ParticleSet ``p``, whose weights stay frozen between
 remaps: (v, E(x)) for Vlasov-Poisson, E_perp = (Ey, -Ex) for the guiding
-center, (v, -a(t) x) for the Hill harness; ``reseed(p)``, which takes the
-node-seeded set of each remap; ``node_field(p)``, the field of that set
-(None for any other set, and always None for the external force); and
-``solves``, the field solves so far, for tests that audit the stage
-structure.  A self-consistent rhs deposits the weights, solves the
-Poisson problem and gathers the field through one sparse B-spline matrix
-M of the stage's particles (``splines.StageOperator``: the deposit writes
-M's columns, the gather computes M c).  The node-seeded set is the exception:
-its field is solved on the grid once, on first use, and shared by the
+center, (v, -a(t) x) for the Hill harness; ``reseed(p, f)``, which takes
+the node-seeded set of each remap and the node values f it was fitted
+to; ``node_field(p)``, the field of that remap (None for any other set,
+and always None for the external force); and ``solves``, the field
+solves so far, for tests that audit the stage structure.  A
+self-consistent rhs deposits the weights, solves the Poisson problem and
+gathers the field through one sparse B-spline matrix M of the stage's
+particles (``splines.StageOperator``: the deposit writes M's columns,
+the gather computes M c).  The node-seeded set is the exception: its
+field is solved on the grid once, on first use, and shared by the
 diagnostics row and stage 1, which both read node values only, since the
 particles sit where the field spline interpolates (a 2D field then fits
-no spline).  The integrators pass that set itself to stage 1, so the
-identity test of ``node_field`` is the only one.  The pushers never wrap
-x: a position may lie any number of periods away, and every read and
-scatter wraps it as it locates (``grids.UniformGrid1D.to_units``).
+no spline).  The guiding center solves it from f itself, the density of
+the remap.  Vlasov-Poisson solves it from the stencil deposit of the
+weights (``deposit_seeded_charge``): that charge also holds the skirt of
+the ghost coefficients beyond the v walls, which dv sum_v f leaves out,
+and moving to the node sum would change bump_on_tail's E1 by 9.4e-6.
+The integrators pass the seeded set itself to stage 1, so the identity
+test of ``node_field`` is the only one.  The pushers never wrap x: a
+position may lie any number of periods away, and every read and scatter
+wraps it as it locates (``grids.UniformGrid1D.to_units``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start
@@ -42,7 +48,6 @@ from .deposition import (
     deposit_charge,
     deposit_phase_space,
     deposit_seeded_charge,
-    deposit_seeded_phase_space,
 )
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
@@ -51,20 +56,20 @@ from .splines import StageOperator, eval_1d, eval_2d
 
 
 class _NodeSeeded:
-    """The node-seeded set last handed over, its lazily solved field, and
-    the stage operator of the other stages; x is periodic on ``gx``."""
+    """The node-seeded set and node f last handed over, their lazily solved
+    field, and the stage operator of the other stages; x is periodic on ``gx``."""
 
     def __init__(self, gx: UniformGrid1D):
         self.gx = gx
         self.solves = 0
-        self.seeded = None
+        self.seeded = self.f = None
         self._node_field = None
         self.stage = StageOperator()
 
-    def reseed(self, p: ParticleSet):
-        """Take a set fresh from ``seed_particles``; its field is solved on
-        first use, so an in-place change of the weights before then counts."""
-        self.seeded = p
+    def reseed(self, p: ParticleSet, f):
+        """Take a set fresh from ``seed_particles`` and the node values it
+        was fitted to; their field is solved on first use."""
+        self.seeded, self.f = p, f
         self._node_field = None
 
     def node_field(self, p: ParticleSet):
@@ -72,7 +77,7 @@ class _NodeSeeded:
         if p is not self.seeded:
             return None
         if self._node_field is None:
-            self._node_field = self._solve_seeded(p.weights)
+            self._node_field = self._solve_seeded()
             self.solves += 1
         return self._node_field
 
@@ -84,8 +89,10 @@ class SelfConsistentField1D(_NodeSeeded):
         super().__init__(grid_x)
         self.dv = dv
 
-    def _solve_seeded(self, weights):
-        return solve_poisson_1d(deposit_seeded_charge(weights, self.gx, self.dv), self.gx)
+    def _solve_seeded(self):
+        """From the weights, read now: an in-place change before first use counts."""
+        rho = deposit_seeded_charge(self.seeded.weights, self.gx, self.dv)
+        return solve_poisson_1d(rho, self.gx)
 
     def rhs(self, p: ParticleSet, t):
         state = self.node_field(p)
@@ -110,9 +117,8 @@ class SelfConsistentField2D(_NodeSeeded):
         super().__init__(gx)
         self.gy = gy
 
-    def _solve_seeded(self, weights):
-        rho = deposit_seeded_phase_space(weights, self.gx, self.gy)
-        return solve_fields(rho, self.gx, self.gy)
+    def _solve_seeded(self):
+        return solve_fields(self.f, self.gx, self.gy)
 
     def rhs(self, p: ParticleSet, t):
         state = self.node_field(p)
@@ -134,7 +140,7 @@ class ExternalLinearForce:
         self.a = a
         self.solves = 0
 
-    def reseed(self, p: ParticleSet):
+    def reseed(self, p: ParticleSet, f):
         pass  # the force does not depend on f
 
     def node_field(self, p: ParticleSet):

@@ -7,13 +7,13 @@ file outputs.
 scatters their frozen weights back onto the phase-space grid every step
 (fsl) or every T steps (hybrid; in between the pushed particles keep their
 frozen weights and every stage solves its own field).  ``scheme = bsl``
-takes the new node values from the backward comparator of ``bsl``, whose
-provider keeps its field history.  Every scheme then has one remap: it
+takes the new node values from the backward comparator of ``bsl``.  The
+provider depends on the model alone, and every scheme has one remap: it
 books the mass lost, refits the spline coefficients, reseeds the particles
-at the nodes and hands the new set to the provider (``reseed``), which
-solves its field once, on the grid and on first use; the diagnostics row
-and the first stage of the next step share that field (``node_field``,
-see ``pushers``).
+at the nodes and hands the new set and f to the provider (``reseed``),
+which solves the remap's field once, on the grid and on first use; the
+diagnostics row and the first stage of the next step (bsl: the backward
+step) share that field (``node_field``, see ``pushers``).
 
 A diagnostics row and a snapshot read f at the nodes from one source: the
 last remap's f, or between hybrid remaps the pushed set's deposit, made
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import cases, diagnostics
-from .bsl import BackwardFields, bsl_step
+from .bsl import bsl_step
 from .cases import GC, HILL, VP, CaseConfig
 from .deposition import (
     ParticleSet,
@@ -85,6 +85,7 @@ class SimState:
     t: float = 0.0
     step_index: int = 0
     mass_lost: float = 0.0
+    e_prev: object = None           # bsl, guiding center: the last step's E^n
 
     @property
     def cell(self) -> float:
@@ -100,15 +101,13 @@ def init(config: CaseConfig) -> SimState:
         raise cases.ConfigError(f"non-finite initial f: check {keys[config.model]}")
     coeffs = fit_2d(f0, g1, g2)
     particles = seed_particles(coeffs)
-    if config.scheme == "bsl":
-        provider = BackwardFields(config.model, f0, g1, g2)
-    elif config.model == VP:
+    if config.model == VP:
         provider = SelfConsistentField1D(g1, g2.delta)
     elif config.model == GC:
         provider = SelfConsistentField2D(g1, g2)
     else:
         provider = ExternalLinearForce(cases.hill_coefficient(config))
-    provider.reseed(particles)
+    provider.reseed(particles, f0)
     return SimState(config, g1, g2, coeffs, particles, f0, provider)
 
 
@@ -125,7 +124,7 @@ def _remap(state: SimState, f_new: np.ndarray, lost: float):
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
     state.f_nodes = f_new
-    state.provider.reseed(state.particles)
+    state.provider.reseed(state.particles, f_new)
 
 
 def step(state: SimState) -> SimState:

@@ -21,7 +21,7 @@ class NaNField:
             return p.pos2, np.full(p.pos1.shape, np.nan)
         return self.inner.rhs(p, t)
 
-    def reseed(self, p):
+    def reseed(self, p, f):
         pass  # the inner provider keeps the set it was handed at init
 
     def node_field(self, p):

@@ -32,6 +32,7 @@ RUNS = {
                                     "scheme": "hybrid", "T": 3}),
     "kelvin_helmholtz_bsl": ("kelvin_helmholtz", {"nx": 16, "nv": 16, "t_end": 5.0,
                                                   "scheme": "bsl"}),
+    "landau_bsl": ("landau", {"nx": 32, "nv": 32, "t_end": 1.0, "scheme": "bsl"}),
 }
 
 RTOL = 1e-12

@@ -1,25 +1,27 @@
-"""The node field of a seeded set and the FFT periodic spline solve.
+"""The node field of a remap and the FFT periodic spline solve.
 
-A node-seeded particle set deposits as the 3-point stencil of its weights
-and, since the field spline interpolates at the nodes, sees the node
-values of its field.  The providers use both facts for the first stage
-after a remap, and the diagnostics row shares that one field.  Checked
-here: the stencil deposits against the particle deposits, the stage-1
-node velocities against the spline gather, the solve and 2D fit counts of
-whole runs, and the circulant FFT solve against a dense solve.
+Each remap hands the provider its node-seeded set and the node values f
+the set was fitted to.  Since the field spline interpolates at the nodes,
+the seeded particles see the node values of the remap's field: the
+guiding center solves it from f, Vlasov-Poisson from the 3-point stencil
+deposit of the weights.  The providers use that field for the first stage
+after a remap, and the diagnostics row shares it.  Checked here: the
+stencil deposit against the particle deposit, the guiding-center node
+field against the solve of f, the stage-1 node velocities against the
+spline gather, the solve and 2D fit counts of whole runs, and the
+circulant FFT solve against a dense solve.
 """
 
 import numpy as np
 import pytest
 
-from fslvlasov import field2d, pushers, solver
+from fslvlasov import diagnostics, field2d, pushers, solver
 from fslvlasov.cases import apply_overrides, case_defaults
 from fslvlasov.deposition import (
     ParticleSet,
     deposit_charge,
     deposit_phase_space,
     deposit_seeded_charge,
-    deposit_seeded_phase_space,
     seed_particles,
 )
 from fslvlasov.field1d import solve_poisson_1d
@@ -35,13 +37,25 @@ GY = UniformGrid1D(0.0, 2.0 * np.pi, 9, bc=NATURAL)
 GV = UniformGrid1D(-5.0, 5.0, 15, bc=NATURAL, deriv_lo=0.1, deriv_hi=-0.2)
 
 
-def _seeded(gx, gy, seed):
-    """A seeded set whose spline has a mean, noise and nonzero wall values."""
+def _node_f(gx, gy, seed):
+    """Node values with a mean, noise and nonzero wall values."""
     rng = np.random.default_rng(seed)
     x, y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
     length = gx.xmax - gx.xmin
-    f = 1.0 + np.sin(y) * np.cos(2.0 * np.pi * x / length) + 0.3 * rng.random(x.shape)
-    return seed_particles(fit_2d(f, gx, gy))
+    return 1.0 + np.sin(y) * np.cos(2.0 * np.pi * x / length) + 0.3 * rng.random(x.shape)
+
+
+def _seeded(gx, gy, seed):
+    """The set seeded from the spline of ``_node_f``."""
+    return seed_particles(fit_2d(_node_f(gx, gy, seed), gx, gy))
+
+
+def _handed(fld, gx, gy, seed):
+    """``_seeded``, handed to ``fld`` with its node values as a remap does."""
+    f = _node_f(gx, gy, seed)
+    p = seed_particles(fit_2d(f, gx, gy))
+    fld.reseed(p, f)
+    return p
 
 
 def _rel(got, ref):
@@ -54,11 +68,6 @@ def _copy(p):
 
 
 class TestSeededDeposit:
-    def test_phase_space_equals_particle_deposit(self):
-        p = _seeded(GX, GY, 1)
-        ref = deposit_phase_space(p, GX, GY)
-        assert _rel(deposit_seeded_phase_space(p.weights, GX, GY), ref) < 1e-13
-
     def test_charge_equals_particle_deposit(self):
         p = _seeded(GX, GV, 2)
         ref = deposit_charge(p, GX, GV.delta)
@@ -67,9 +76,8 @@ class TestSeededDeposit:
 
 class TestStageOneNodeVelocities:
     def test_gc_equals_wall_clipped_gather(self):
-        p = _seeded(GX, GY, 3)
         fld = SelfConsistentField2D(GX, GY)
-        fld.reseed(p)
+        p = _handed(fld, GX, GY, 3)
         u, v = fld.rhs(p, 0.0)
         e = eval_2d(fld.node_field(p).E_spline, p.pos1, np.clip(p.pos2, GY.xmin, GY.xmax))
         assert _rel(u, e[:, 0]) < 1e-13 and _rel(v, -e[:, 1]) < 1e-13
@@ -80,9 +88,8 @@ class TestStageOneNodeVelocities:
         assert fld.solves == 2
 
     def test_vp_equals_gather(self):
-        p = _seeded(GX, GV, 4)
         fld = SelfConsistentField1D(GX, GV.delta)
-        fld.reseed(p)
+        p = _handed(fld, GX, GV, 4)
         _, e = fld.rhs(p, 0.0)
         assert _rel(e, plain_eval_1d(fld.node_field(p).E_spline, p.pos1)) < 1e-13
         q = _copy(p)
@@ -90,15 +97,27 @@ class TestStageOneNodeVelocities:
         assert fld.solves == 2
 
     def test_node_field_is_lazy_and_solved_once(self):
-        p = _seeded(GX, GY, 5)
-        fld = SelfConsistentField2D(GX, GY)
-        fld.reseed(p)
+        fld = SelfConsistentField1D(GX, GV.delta)
+        p = _handed(fld, GX, GV, 5)
         assert fld.solves == 0
-        p.weights[:] *= 2.0  # an in-place change before first use counts
-        ref = SelfConsistentField2D(GX, GY)
+        p.weights[:] *= 2.0  # VP reads the weights at first use: an in-place change counts
+        ref = SelfConsistentField1D(GX, GV.delta)
         q = _copy(p)
-        ref.reseed(q)
-        np.testing.assert_array_equal(fld.node_field(p).Ex, ref.node_field(q).Ex)
+        ref.reseed(q, None)
+        np.testing.assert_array_equal(fld.node_field(p).E, ref.node_field(q).E)
+        fld.rhs(p, 0.0)
+        assert fld.solves == 1
+        assert fld.node_field(_copy(p)) is None
+
+    def test_gc_node_field_is_the_solve_of_f(self):
+        fld = SelfConsistentField2D(GX, GY)
+        p = _handed(fld, GX, GY, 10)
+        assert fld.solves == 0
+        p.weights[:] *= 2.0  # the guiding center reads f, not the weights
+        ref = solve_fields(_node_f(GX, GY, 10), GX, GY)
+        state = fld.node_field(p)
+        np.testing.assert_array_equal(state.Ex, ref.Ex)
+        np.testing.assert_array_equal(state.Ey, ref.Ey)
         fld.rhs(p, 0.0)
         assert fld.solves == 1
         assert fld.node_field(_copy(p)) is None
@@ -113,9 +132,8 @@ class TestLazyNodeValues:
             return solved[-1]
 
         monkeypatch.setattr(pushers, "solve_fields", recording)
-        p = _seeded(GX, GY, 8)
         fld = SelfConsistentField2D(GX, GY)
-        fld.reseed(p)
+        p = _handed(fld, GX, GY, 8)
         fld.rhs(_copy(p), 0.0)  # a stage off the nodes: deposit, solve, gather
         assert len(solved) == 1 and not {"phi", "Ex", "Ey"} & set(vars(solved[0]))
         assert "E_spline" in vars(solved[0])
@@ -124,9 +142,8 @@ class TestLazyNodeValues:
         assert "E_spline" not in vars(solved[1])
 
     def test_seeded_spline_read_late_equals_eager_fit(self):
-        p = _seeded(GX, GY, 9)
         fld = SelfConsistentField2D(GX, GY)
-        fld.reseed(p)
+        p = _handed(fld, GX, GY, 9)
         fld.rhs(p, 0.0)
         state = fld.node_field(p)
         eager = fit_2d_rfft(np.stack([state.Ey_hat, state.Ex_hat]), GX, GY)
@@ -238,6 +255,24 @@ class TestSolveCount:
         assert per_step == [3, 4, 5, 3, 4, 5]
         assert diag_per_step == [1, 1, 0, 1, 1, 0]
         assert fits_per_step == [3, 4, 4, 3, 4, 4]
+
+
+class TestRowReadsItsOwnF:
+    """A guiding-center row's field is the solve of the f it reports:
+    the remap's f on remap rows (the provider's node field), the pushed
+    set's deposit between hybrid remaps (the row's own solve)."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"scheme": "fsl"}, {"scheme": "hybrid", "T": 3}, {"scheme": "bsl"}],
+        ids=["fsl", "hybrid_T3", "bsl"])
+    def test_energy_is_the_solve_of_the_snapshot(self, overrides):
+        cfg = _small("kelvin_helmholtz", t_end=3.0, snapshot_every=1, **overrides)
+        res = solver.run(cfg)
+        gpair = (res.state.g1, res.state.g2)
+        assert len(res.snapshots) == res.times.size == 7
+        for (t, f), energy in zip(res.snapshots, res.channel("energy")):
+            flds = solve_fields(f, *gpair)
+            assert energy == diagnostics.energy_2d(flds.Ex, flds.Ey, gpair), t
 
 
 def _dense_cyclic(n):

@@ -255,7 +255,8 @@ class TestBsl:
         assert np.abs(e - e[0]).max() / e[0] < 1e-4
 
     def test_bsl_provider_keeps_the_field_history(self, monkeypatch):
-        # one field solve a step, all in bsl; the rows read the current field
+        # the forward provider solves each remap's field once, t = 0 included,
+        # as fsl's 4n + 1 counts it; the rows read it, the state keeps E^{n-1}
         n = 6
         calls = []
         real = solver.solve_fields
@@ -264,12 +265,34 @@ class TestBsl:
         cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {
             "nx": 16, "nv": 16, "t_end": n * 0.5, "scheme": "bsl"})
         res = solver.run(cfg)
-        fields = res.state.provider
-        assert fields.solves == n
+        st = res.state
+        assert st.provider.solves == n + 1
         assert calls == []
-        assert fields.node_field(res.state.particles) is fields.field
-        assert fields.prev is not fields.field
+        assert st.e_prev is not None
+        assert st.e_prev is not st.provider.node_field(st.particles)
         assert res.times.size == n + 1
+
+    @staticmethod
+    def _kh_bsl(diag_every):
+        cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {
+            "nx": 16, "nv": 16, "t_end": 3.0, "scheme": "bsl", "diag_every": diag_every})
+        return solver.run(cfg)
+
+    def test_bsl_rows_do_not_depend_on_diag_every(self):
+        # a step with no row before it solves the node field itself
+        every, sparse = self._kh_bsl(1), self._kh_bsl(3)
+        np.testing.assert_array_equal(sparse.times, every.times[::3])
+        for name, series in sparse.channels.items():
+            np.testing.assert_array_equal(series, every.channel(name)[::3], err_msg=name)
+        assert every.state.provider.solves == sparse.state.provider.solves == 7
+
+    def test_landau_bsl_deposits_no_particles(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("deposit_charge called")
+
+        monkeypatch.setattr(solver, "deposit_charge", refuse)
+        res = solver.run(landau_cfg(scheme="bsl", nx=16, nv=16, t_end=0.5))
+        assert res.times.size == 6
 
     def test_bsl_rejected_for_hill(self):
         with pytest.raises(cases.ConfigError):

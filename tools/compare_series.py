@@ -54,6 +54,9 @@ CONFIGS = [
      {"t_end": 4.5, "scheme": "hybrid", "T": 3, "snapshot_every": 1}),
     ("kelvin_helmholtz bsl", "kelvin_helmholtz",
      {"t_end": 3.0, "scheme": "bsl", "snapshot_every": 3}),
+    # rows on every other step: a step that first reads a lazily solved node field
+    ("kelvin_helmholtz bsl diag_every=2", "kelvin_helmholtz",
+     {"t_end": 3.0, "scheme": "bsl", "diag_every": 2, "snapshot_every": 3}),
     ("hill fsl rk2", "hill", {"t_end": HILL_T, "snapshot_every": 6}),
     # the remaining (model, pusher) pairs, so every tableau runs
     ("landau fsl rk2", "landau", {"t_end": 1.2, "pusher": "rk2", "snapshot_every": 6}),
@@ -120,7 +123,7 @@ def diff_and_scale(old, new) -> tuple[float, float]:
 
 
 def _row(label: str, cells: dict, echo: int) -> str:
-    return (f"{label:30s} " + "  ".join(f"{k} {r:.2g} ({d:.2g})" for k, (r, d) in cells.items())
+    return (f"{label:33s} " + "  ".join(f"{k} {r:.2g} ({d:.2g})" for k, (r, d) in cells.items())
             + f"  config {echo}")
 
 
