@@ -20,10 +20,11 @@ sums block by block, then slot (a, b) by slot, then particle by particle, so
 BLOCK also fixes its bits.  With a ``splines.StageOperator`` it runs the
 same sum and keeps the stencils for the gather, which reads every particle's
 row; without one it skips each |w| <= NEGLIGIBLE max |w|, half an ulp of the
-largest.  The 1D deposit, 4 wide, sums M^T 1 in particle order instead.
-A node-seeded set's charge is a 3-point stencil of its weights
-(``deposit_seeded_charge``, the Vlasov-Poisson node field); the guiding
-center solves its node field from f itself and deposits no seeded set.
+largest.  The seed leaves those out when they fill a BLOCK, so this skip
+serves the sets that keep their whole lattice.  The 1D deposit, 4 wide, sums
+M^T 1 in particle order instead.  A node-seeded set's charge is a 3-point
+stencil of its weights (``deposit_seeded_charge``, the Vlasov-Poisson node
+field); the guiding center solves its node field from f itself.
 """
 
 from __future__ import annotations
@@ -33,16 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import PAD, SplineCoeffs, StageOperator, blocks, stencil
+from .splines import BLOCK, PAD, SplineCoeffs, StageOperator, blocks, stencil
 
-NEGLIGIBLE = 2.0 ** -53  # |w| / max |w| at or below which the 2D deposit skips w
+NEGLIGIBLE = 2.0 ** -53  # |w| / max |w| at or below which the seed and the 2D deposit skip w
 
 
 @dataclass
 class ParticleSet:
-    """Lagrangian markers, one per spline coefficient of the last remap.
+    """Lagrangian markers, one per coefficient of the last remap that carries mass.
 
-    ``weights`` are the coefficients frozen at the last remap; positions
+    ``weights`` are the coefficients frozen at the last remap, ``nodes``
+    their flat lattice indices (None: the whole lattice, in order); positions
     start at the basis centers (the grid nodes, plus one ghost center per
     side of each natural dimension) and are advanced by the pushers.
     """
@@ -50,6 +52,7 @@ class ParticleSet:
     pos1: np.ndarray
     pos2: np.ndarray
     weights: np.ndarray
+    nodes: np.ndarray = None
 
     def __post_init__(self):
         n = self.pos1.size
@@ -57,7 +60,11 @@ class ParticleSet:
             raise ValueError("pos1, pos2 and weights must have equal length")
 
     def replace_positions(self, pos1, pos2) -> "ParticleSet":
-        return ParticleSet(pos1, pos2, self.weights)
+        return ParticleSet(pos1, pos2, self.weights, self.nodes)
+
+    def at_nodes(self, lattice_values: np.ndarray) -> np.ndarray:
+        """The flat lattice array ``lattice_values`` at this set's particles."""
+        return lattice_values if self.nodes is None else lattice_values[self.nodes]
 
 
 def basis_centers(grid: UniformGrid1D) -> np.ndarray:
@@ -68,10 +75,14 @@ def basis_centers(grid: UniformGrid1D) -> np.ndarray:
 
 
 def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
-    """Seed one particle per coefficient, positioned at its basis center."""
-    g1, g2 = coeffs.grids
-    x1, x2 = np.meshgrid(basis_centers(g1), basis_centers(g2), indexing="ij")
-    return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.flatten())
+    """One particle per coefficient, at its basis center, or per |c| > NEGLIGIBLE
+    max |c| if that skips a BLOCK or more and every c is finite."""
+    (c1, c2), c = map(basis_centers, coeffs.grids), coeffs.coeffs
+    keep = (a := np.abs(c)) > NEGLIGIBLE * (top := a.max(initial=0.0))
+    if c.size - np.count_nonzero(keep) < BLOCK or not np.isfinite(top):
+        return ParticleSet(np.repeat(c1, c2.size), np.tile(c2, c1.size), c.flatten())
+    return ParticleSet(np.repeat(c1, np.count_nonzero(keep, axis=1)),
+                       np.broadcast_to(c2, c.shape)[keep], c[keep], np.flatnonzero(keep))
 
 
 def _check_finite(*arrays):

@@ -15,15 +15,16 @@ the gather computes M c).  The node-seeded set is the exception: its
 field is solved on the grid once, on first use, and shared by the
 diagnostics row and stage 1, which both read node values only, since the
 particles sit where the field spline interpolates (a 2D field then fits
-no spline).  The guiding center solves it from f itself, the density of
-the remap.  Vlasov-Poisson solves it from the stencil deposit of the
-weights (``deposit_seeded_charge``): that charge also holds the skirt of
-the ghost coefficients beyond the v walls, which dv sum_v f leaves out,
-and moving to the node sum would change bump_on_tail's E1 by 9.4e-6.
-The integrators pass the seeded set itself to stage 1, so the identity
-test of ``node_field`` is the only one.  The pushers never wrap x: a
-position may lie any number of periods away, and every read and scatter
-wraps it as it locates (``grids.UniformGrid1D.to_units``).
+no spline), read at ``ParticleSet.nodes`` for a seed that skipped its
+negligible coefficients.  The guiding center solves it from the remap's
+f.  Vlasov-Poisson solves it from the stencil deposit of the weights,
+skipped ones 0 (``deposit_seeded_charge``), which also holds the ghost
+coefficients' skirt beyond the v walls that dv sum_v f leaves out (the
+node sum would move bump_on_tail's E1 by 9.4e-6).  The integrators pass
+the seeded set itself to stage 1, so the identity test of ``node_field``
+is the only one.  The pushers never wrap x: a position may lie any number
+of periods away, and every read and scatter wraps it as it locates
+(``grids.UniformGrid1D.to_units``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start
@@ -45,6 +46,7 @@ import numpy as np
 
 from .deposition import (
     ParticleSet,
+    basis_centers,
     deposit_charge,
     deposit_phase_space,
     deposit_seeded_charge,
@@ -85,20 +87,22 @@ class _NodeSeeded:
 class SelfConsistentField1D(_NodeSeeded):
     """(v, E(x)) from charge deposition and the periodic Poisson solve."""
 
-    def __init__(self, grid_x: UniformGrid1D, dv: float):
+    def __init__(self, grid_x: UniformGrid1D, grid_v: UniformGrid1D):
         super().__init__(grid_x)
-        self.dv = dv
+        self.dv = grid_v.delta
+        self.size = grid_x.n_nodes * basis_centers(grid_v).size  # of the coefficient lattice
 
     def _solve_seeded(self):
         """From the weights, read now: an in-place change before first use counts."""
-        rho = deposit_seeded_charge(self.seeded.weights, self.gx, self.dv)
-        return solve_poisson_1d(rho, self.gx)
+        p = self.seeded  # a compressed seed's skipped coefficients are 0 on the lattice
+        w = p.weights if p.nodes is None else np.bincount(p.nodes, p.weights, self.size)
+        return solve_poisson_1d(deposit_seeded_charge(w, self.gx, self.dv), self.gx)
 
     def rhs(self, p: ParticleSet, t):
         state = self.node_field(p)
         if state is not None:
             # every v slot of a column sits at the same node x
-            return p.pos2, np.repeat(state.E, p.pos1.size // self.gx.n_nodes)
+            return p.pos2, p.at_nodes(np.repeat(state.E, self.size // self.gx.n_nodes))
         state = solve_poisson_1d(deposit_charge(p, self.gx, self.dv, stage=self.stage), self.gx)
         self.solves += 1
         return p.pos2, eval_1d(state.E_spline, p.pos1, stage=self.stage)
@@ -125,7 +129,7 @@ class SelfConsistentField2D(_NodeSeeded):
         if state is not None:
             ny = self.gy.n_nodes
             cols = np.clip(np.arange(-1, ny + 1), 0, ny - 1)
-            return state.Ey[:, cols].ravel(), -state.Ex[:, cols].ravel()
+            return p.at_nodes(state.Ey[:, cols].ravel()), -p.at_nodes(state.Ex[:, cols].ravel())
         rho = deposit_phase_space(p, self.gx, self.gy, stage=self.stage)
         state = solve_fields(rho, self.gx, self.gy)
         self.solves += 1

@@ -102,7 +102,7 @@ def init(config: CaseConfig) -> SimState:
     coeffs = fit_2d(f0, g1, g2)
     particles = seed_particles(coeffs)
     if config.model == VP:
-        provider = SelfConsistentField1D(g1, g2.delta)
+        provider = SelfConsistentField1D(g1, g2)
     elif config.model == GC:
         provider = SelfConsistentField2D(g1, g2)
     else:

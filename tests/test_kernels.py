@@ -4,7 +4,8 @@ The stacked spline gather is checked against per-component evaluation and
 a direct basis-function sum, the stacked fit against scalar fits, the
 deposits bitwise against a loop with explicit validity masks in their
 summation order (the stage-less 2D deposit's skip of negligible weights
-bitwise against removing those particles), the blocked kernels bitwise
+bitwise against removing those particles, and the seed's skip bitwise
+against depositing the whole lattice), the blocked kernels bitwise
 against a single block (the 2D deposit, which sums block by block, to
 round-off), the gathers through a deposit's kept stencils bitwise against
 the plain gathers, the BSL sweeps against the plain gather at their feet,
@@ -15,7 +16,7 @@ DST-I Poisson solve against a dense per-mode solve.
 import numpy as np
 import pytest
 
-from fslvlasov import bsl, splines
+from fslvlasov import bsl, deposition, splines
 from fslvlasov.deposition import (
     NEGLIGIBLE,
     PAD,
@@ -23,6 +24,7 @@ from fslvlasov.deposition import (
     basis_centers,
     deposit_charge,
     deposit_phase_space,
+    seed_particles,
 )
 from fslvlasov.field2d import solve_fields, solve_potential
 from fslvlasov.grids import NATURAL, UniformGrid1D
@@ -318,6 +320,85 @@ class TestNegligibleWeights:
         np.testing.assert_array_equal(op.w, fresh.w)
         x, y = p.pos1, p.pos2
         np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), eval_2d(c2, x, y))
+
+
+def _lattice(coeffs):
+    """The whole-lattice seed: one particle per coefficient, in lattice order."""
+    x1, x2 = np.meshgrid(*map(basis_centers, coeffs.grids), indexing="ij")
+    return ParticleSet(x1.ravel(), x2.ravel(), coeffs.coeffs.ravel())
+
+
+def _coeffs_with_negligible(gx, gy, rng):
+    """Coefficients on the lattice of (gx, gy), a third of them negligible
+    (``_with_negligible``); the mask of those that carry mass."""
+    shape = (basis_centers(gx).size, basis_centers(gy).size)
+    p, kept = _with_negligible(_lattice(SplineCoeffs((gx, gy), rng.normal(size=shape))), rng)
+    return SplineCoeffs((gx, gy), p.weights.reshape(shape)), kept
+
+
+class TestCompressedSeed:
+    """The seed skips every |c| <= NEGLIGIBLE max |c| once that drops a
+    ``BLOCK`` or more; patching ``deposition.BLOCK`` makes the small grids
+    here compress.  Below a block it seeds the whole lattice."""
+
+    def test_keeps_what_carries_mass_in_lattice_order(self, grids, monkeypatch):
+        gx, gy = grids
+        coeffs, kept = _coeffs_with_negligible(gx, gy, np.random.default_rng(51))
+        monkeypatch.setattr(deposition, "BLOCK", np.count_nonzero(~kept))
+        p, full = seed_particles(coeffs), _lattice(coeffs)
+        np.testing.assert_array_equal(p.nodes, np.flatnonzero(kept))
+        for got, ref in ((p.pos1, full.pos1), (p.pos2, full.pos2), (p.weights, full.weights)):
+            np.testing.assert_array_equal(got, ref[kept])
+        q = p.replace_positions(p.pos1 + 1.0, p.pos2)
+        assert q.nodes is p.nodes
+        np.testing.assert_array_equal(q.at_nodes(full.weights), p.weights)
+
+    def test_below_a_block_seeds_the_lattice(self, grids, monkeypatch):
+        gx, gy = grids
+        coeffs, kept = _coeffs_with_negligible(gx, gy, np.random.default_rng(52))
+        full = _lattice(coeffs)
+        for block in (np.count_nonzero(~kept) + 1, splines.BLOCK):
+            monkeypatch.setattr(deposition, "BLOCK", block)
+            p = seed_particles(coeffs)
+            assert p.nodes is None
+            for name in ("pos1", "pos2", "weights"):
+                np.testing.assert_array_equal(getattr(p, name), getattr(full, name))
+            assert p.at_nodes(full.weights) is full.weights
+
+    @pytest.mark.parametrize("block", [None, 37])
+    def test_deposits_as_the_full_set(self, grids, block, monkeypatch):
+        gx, gy = grids
+        rng = np.random.default_rng(61)
+        coeffs, kept = _coeffs_with_negligible(gx, gy, rng)
+        monkeypatch.setattr(deposition, "BLOCK", 1)
+        if block:  # the kept particles fill the deposit's blocks afresh
+            monkeypatch.setattr(splines, "BLOCK", block)
+        p, full = seed_particles(coeffs), _lattice(coeffs)
+        d1, d2 = (rng.uniform(-2.0, 2.0, full.pos1.size) * g.delta for g in (gx, gy))
+        got = deposit_phase_space(p.replace_positions(p.pos1 + p.at_nodes(d1),
+                                                      p.pos2 + p.at_nodes(d2)), gx, gy)
+        ref = deposit_phase_space(full.replace_positions(full.pos1 + d1, full.pos2 + d2), gx, gy)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_all_zero_seeds_an_empty_set(self, grids, monkeypatch):
+        gx, gy = grids
+        monkeypatch.setattr(deposition, "BLOCK", 1)
+        zeros = np.zeros((basis_centers(gx).size, basis_centers(gy).size))
+        p = seed_particles(SplineCoeffs((gx, gy), zeros))
+        assert p.pos1.size == p.pos2.size == p.weights.size == p.nodes.size == 0
+        np.testing.assert_array_equal(deposit_phase_space(p, gx, gy),
+                                      np.zeros((gx.n_nodes, gy.n_nodes)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_keeps_the_lattice_for_the_deposit_to_report(self, bad, monkeypatch):
+        gx, gy = GRID_PAIRS["periodic-natural"]
+        coeffs, kept = _coeffs_with_negligible(gx, gy, np.random.default_rng(54))
+        coeffs.coeffs.reshape(-1)[np.flatnonzero(kept)[2]] = bad
+        monkeypatch.setattr(deposition, "BLOCK", 1)
+        p = seed_particles(coeffs)
+        assert p.nodes is None and p.weights.size == kept.size
+        with pytest.raises(ValueError, match="non-finite"):
+            deposit_phase_space(p, gx, gy)
 
 
 def _check_blocked_deposit(blocked, single, p, gx, gy):

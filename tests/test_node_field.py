@@ -8,16 +8,18 @@ deposit of the weights.  The providers use that field for the first stage
 after a remap, and the diagnostics row shares it.  Checked here: the
 stencil deposit against the particle deposit, the guiding-center node
 field against the solve of f, the stage-1 node velocities against the
-spline gather, the solve and 2D fit counts of whole runs, and the
+spline gather, a seed that skips its negligible coefficients against the
+whole-lattice seed, the solve and 2D fit counts of whole runs, and the
 circulant FFT solve against a dense solve.
 """
 
 import numpy as np
 import pytest
 
-from fslvlasov import diagnostics, field2d, pushers, solver
+from fslvlasov import deposition, diagnostics, field2d, pushers, solver
 from fslvlasov.cases import apply_overrides, case_defaults
 from fslvlasov.deposition import (
+    NEGLIGIBLE,
     ParticleSet,
     deposit_charge,
     deposit_phase_space,
@@ -88,7 +90,7 @@ class TestStageOneNodeVelocities:
         assert fld.solves == 2
 
     def test_vp_equals_gather(self):
-        fld = SelfConsistentField1D(GX, GV.delta)
+        fld = SelfConsistentField1D(GX, GV)
         p = _handed(fld, GX, GV, 4)
         _, e = fld.rhs(p, 0.0)
         assert _rel(e, plain_eval_1d(fld.node_field(p).E_spline, p.pos1)) < 1e-13
@@ -97,11 +99,11 @@ class TestStageOneNodeVelocities:
         assert fld.solves == 2
 
     def test_node_field_is_lazy_and_solved_once(self):
-        fld = SelfConsistentField1D(GX, GV.delta)
+        fld = SelfConsistentField1D(GX, GV)
         p = _handed(fld, GX, GV, 5)
         assert fld.solves == 0
         p.weights[:] *= 2.0  # VP reads the weights at first use: an in-place change counts
-        ref = SelfConsistentField1D(GX, GV.delta)
+        ref = SelfConsistentField1D(GX, GV)
         q = _copy(p)
         ref.reseed(q, None)
         np.testing.assert_array_equal(fld.node_field(p).E, ref.node_field(q).E)
@@ -121,6 +123,52 @@ class TestStageOneNodeVelocities:
         fld.rhs(p, 0.0)
         assert fld.solves == 1
         assert fld.node_field(_copy(p)) is None
+
+
+def _compressed(fld, gx, gy, seed, monkeypatch):
+    """``_node_f``'s spline with every third coefficient made negligible,
+    seeded whole and then compressed (``deposition.BLOCK`` patched to 1, so
+    the seed skips them); the compressed set is handed to ``fld``.  Returns
+    f, the whole-lattice set, the compressed set and the mask of the kept."""
+    f = _node_f(gx, gy, seed)
+    coeffs = fit_2d(f, gx, gy)
+    flat = coeffs.coeffs.reshape(-1)
+    flat[1::3] = 0.5 * NEGLIGIBLE * np.abs(flat).max()
+    kept = np.ones(flat.size, dtype=bool)
+    kept[1::3] = False
+    full = seed_particles(coeffs)
+    monkeypatch.setattr(deposition, "BLOCK", 1)
+    p = seed_particles(coeffs)
+    assert full.nodes is None
+    np.testing.assert_array_equal(p.nodes, np.flatnonzero(kept))
+    fld.reseed(p, f)
+    return f, full, p, kept
+
+
+class TestCompressedSeedNodeField:
+    """A seed that skips its negligible coefficients reads the node field at
+    its lattice indices: stage 1 gives the whole-lattice seed's velocities at
+    the kept particles, and the Vlasov-Poisson charge is the stencil of the
+    whole lattice's weights with the skipped ones zeroed."""
+
+    def test_gc_stage_one_is_the_full_seeds_at_the_kept(self, monkeypatch):
+        fld, ref = SelfConsistentField2D(GX, GY), SelfConsistentField2D(GX, GY)
+        f, full, p, kept = _compressed(fld, GX, GY, 11, monkeypatch)
+        ref.reseed(full, f)
+        for got, want in zip(fld.rhs(p, 0.0), ref.rhs(full, 0.0)):
+            np.testing.assert_array_equal(got, want[kept])
+        assert fld.solves == ref.solves == 1
+
+    def test_vp_charge_zeroes_the_skipped_weights(self, monkeypatch):
+        fld, ref = SelfConsistentField1D(GX, GV), SelfConsistentField1D(GX, GV)
+        _, full, p, kept = _compressed(fld, GX, GV, 12, monkeypatch)
+        zeroed = ParticleSet(full.pos1, full.pos2, np.where(kept, full.weights, 0.0))
+        ref.reseed(zeroed, None)
+        rho = deposit_seeded_charge(zeroed.weights, GX, GV.delta)
+        np.testing.assert_array_equal(fld.node_field(p).E, solve_poisson_1d(rho, GX).E)
+        for got, want in zip(fld.rhs(p, 0.0), ref.rhs(zeroed, 0.0)):
+            np.testing.assert_array_equal(got, want[kept])
+        assert fld.solves == ref.solves == 1
 
 
 class TestLazyNodeValues:
@@ -172,7 +220,7 @@ class TestStageThroughKeptStencils:
     def test_vp_field_equals_plain_stage(self):
         p = _seeded(GX, GV, 7)
         x = wrap(GX, p.pos1 + np.random.default_rng(7).uniform(-2.0, 2.0, p.pos1.size))
-        fld = SelfConsistentField1D(GX, GV.delta)
+        fld = SelfConsistentField1D(GX, GV)
         _, got = fld.rhs(p.replace_positions(x, p.pos2), 0.0)
         q = ParticleSet(x.copy(), x.copy(), p.weights.copy())
         state = solve_poisson_1d(deposit_charge(q, GX, GV.delta), GX)
@@ -262,12 +310,18 @@ class TestRowReadsItsOwnF:
     the remap's f on remap rows (the provider's node field), the pushed
     set's deposit between hybrid remaps (the row's own solve)."""
 
-    @pytest.mark.parametrize("overrides", [
-        {"scheme": "fsl"}, {"scheme": "hybrid", "T": 3}, {"scheme": "bsl"}],
-        ids=["fsl", "hybrid_T3", "bsl"])
-    def test_energy_is_the_solve_of_the_snapshot(self, overrides):
+    @pytest.mark.parametrize("overrides, compress", [
+        ({"scheme": "fsl"}, False), ({"scheme": "hybrid", "T": 3}, False),
+        ({"scheme": "bsl"}, False), ({"scheme": "fsl"}, True),
+        ({"scheme": "hybrid", "T": 3}, True)],
+        ids=["fsl", "hybrid_T3", "bsl", "fsl_compressed", "hybrid_T3_compressed"])
+    def test_energy_is_the_solve_of_the_snapshot(self, overrides, compress, monkeypatch):
+        if compress:  # every seed skips its |c| <= max |c| / 4 (KH's f changes sign)
+            monkeypatch.setattr(deposition, "NEGLIGIBLE", 0.25)
+            monkeypatch.setattr(deposition, "BLOCK", 1)
         cfg = _small("kelvin_helmholtz", t_end=3.0, snapshot_every=1, **overrides)
         res = solver.run(cfg)
+        assert (res.state.particles.nodes is not None) == compress
         gpair = (res.state.g1, res.state.g2)
         assert len(res.snapshots) == res.times.size == 7
         for (t, f), energy in zip(res.snapshots, res.channel("energy")):

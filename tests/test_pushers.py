@@ -192,7 +192,7 @@ class TestSelfConsistentStages:
     def test_rk4_field_solve_audit(self):
         # three intermediate-time solves plus the shared t^n solve
         gx, gv, p = landau_particles()
-        fld = SelfConsistentField1D(gx, gv.delta)
+        fld = SelfConsistentField1D(gx, gv)
         VP_PUSHERS["rk4"](p, fld, 0.1, 0.0)
         assert fld.solves == 4
         VP_PUSHERS["rk4"](p, fld, 0.1, 0.0)
@@ -200,20 +200,20 @@ class TestSelfConsistentStages:
 
     def test_verlet_two_solves(self):
         gx, gv, p = landau_particles()
-        fld = SelfConsistentField1D(gx, gv.delta)
+        fld = SelfConsistentField1D(gx, gv)
         VP_PUSHERS["verlet"](p, fld, 0.1, 0.0)
         assert fld.solves == 2
 
     def test_single_step_matches_tiny_dt_rk4_reference(self):
         # step-doubling oracle: one Verlet step vs many small RK4 steps
         gx, gv, p = landau_particles()
-        fld = SelfConsistentField1D(gx, gv.delta)
+        fld = SelfConsistentField1D(gx, gv)
         dt = 0.2
         coarse = VP_PUSHERS["verlet"](p, fld, dt, 0.0)
         fine = p
         m = 64
         for i in range(m):
-            fine = VP_PUSHERS["rk4"](fine, SelfConsistentField1D(gx, gv.delta), dt / m, 0.0)
+            fine = VP_PUSHERS["rk4"](fine, SelfConsistentField1D(gx, gv), dt / m, 0.0)
         dx = np.abs(coarse.pos1 - fine.pos1).max()  # neither set is wrapped
         dv = np.abs(coarse.pos2 - fine.pos2).max()
         # local Verlet error is O(dt^3)
@@ -221,8 +221,8 @@ class TestSelfConsistentStages:
 
     def test_purity_identical_inputs_identical_outputs(self):
         gx, gv, p = landau_particles()
-        out1 = VP_PUSHERS["rk2"](p, SelfConsistentField1D(gx, gv.delta), 0.1, 0.0)
-        out2 = VP_PUSHERS["rk2"](p, SelfConsistentField1D(gx, gv.delta), 0.1, 0.0)
+        out1 = VP_PUSHERS["rk2"](p, SelfConsistentField1D(gx, gv), 0.1, 0.0)
+        out2 = VP_PUSHERS["rk2"](p, SelfConsistentField1D(gx, gv), 0.1, 0.0)
         np.testing.assert_array_equal(out1.pos1, out2.pos1)
         np.testing.assert_array_equal(out1.pos2, out2.pos2)
 

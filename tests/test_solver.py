@@ -90,35 +90,44 @@ class TestFslStep:
 
 
 class TestRemapDepositReach:
-    """The remap deposit skips the particles of negligible weight
-    (``deposition.NEGLIGIBLE``).  Hill's matched beam fills a small part of
-    its box, so one default-grid hill step scatters under 45% of the set
-    (measured 39%); a refactor that loses the skip fails here, not only as
-    a slower benchmark.  Landau has no negligible weight: its remap deposit
-    still scatters every particle."""
+    """The seed skips the coefficients of negligible weight
+    (``deposition.NEGLIGIBLE``) once that drops a ``splines.BLOCK`` or more.
+    Hill's matched beam fills a small part of its box, so the default-grid
+    hill seed holds under 45% of the 259 x 259 lattice (measured 39%), and
+    one step pushes and scatters only that set; a refactor that loses the
+    skip fails here, not only as a slower benchmark.  Landau has no
+    negligible weight: it seeds, pushes and scatters the whole lattice."""
 
     @staticmethod
-    def scattered(case, monkeypatch):
-        """Particles of one step's phase-space deposits, and the set's size."""
+    def reach(case, monkeypatch):
+        """The seed's size, the positions of each stage handed to the
+        provider's rhs, and the particles of the step's 2D deposits."""
         state = solver.init(case_defaults(case))
-        counts = []
+        pushed, scattered, rhs = [], [], state.provider.rhs
 
         def counting(grid, x, *args):
             if grid is state.g2:  # the 2D deposit's second axis; deposit_charge has none
-                counts.append(np.size(x))
+                scattered.append(np.size(x))
             return stencil(grid, x, *args)
 
+        def counting_rhs(p, t):
+            pushed.append(p.pos1.size)
+            return rhs(p, t)
+
         monkeypatch.setattr(deposition, "stencil", counting)
+        monkeypatch.setattr(state.provider, "rhs", counting_rhs)
         size = state.particles.pos1.size
         solver.step(state)
-        return sum(counts), size
+        return size, pushed, sum(scattered)
 
     def test_hill_scatters_only_what_carries_mass(self, monkeypatch):
-        reached, size = self.scattered("hill", monkeypatch)
-        assert size == 259 ** 2 and 0 < reached < 0.45 * size
+        size, pushed, scattered = self.reach("hill", monkeypatch)
+        assert 0 < size < 0.45 * 259 ** 2
+        assert pushed == [size, size] and scattered == size  # rk2: two stages
 
     def test_landau_scatters_every_particle(self, monkeypatch):
-        assert self.scattered("landau", monkeypatch) == (64 * 67, 64 * 67)  # 64 periodic x nodes, 65 v nodes + 2 ghosts
+        size = 64 * 67  # 64 periodic x nodes, 65 v nodes + 2 ghosts
+        assert self.reach("landau", monkeypatch) == (size, [size, size], size)  # verlet
 
 
 class TestHybrid:

@@ -70,6 +70,13 @@ CONFIGS = [
      {"t_end": 5.0, "scheme": "hybrid", "T": 2, "pusher": "rk2", "snapshot_every": 5}),
     ("hill hybrid T=2", "hill",
      {"t_end": HILL_T, "scheme": "hybrid", "T": 2, "snapshot_every": 3}),
+    # a wide v box leaves negligible tail coefficients, so the seed drops
+    # them: the Vlasov-Poisson node field, stage deposits and gathers and
+    # the rows between remaps run on a set that is not the whole lattice
+    ("bump_on_tail fsl rk4 v_max=14", "bump_on_tail",
+     {"t_end": 5.0, "v_max": 14.0, "snapshot_every": 5}),
+    ("bump_on_tail hybrid T=2 v_max=14", "bump_on_tail",
+     {"t_end": 5.0, "scheme": "hybrid", "T": 2, "v_max": 14.0, "snapshot_every": 5}),
 ]
 
 
