@@ -21,10 +21,11 @@ BLOCK also fixes its bits.  With a ``splines.StageOperator`` it runs the
 same sum and keeps the stencils for the gather, which reads every particle's
 row; without one it skips each |w| <= NEGLIGIBLE max |w|, half an ulp of the
 largest.  The seed leaves those out when they fill a BLOCK, so this skip
-serves the sets that keep their whole lattice.  The 1D deposit, 4 wide, sums
-M^T 1 in particle order instead.  A node-seeded set's charge is a 3-point
-stencil of its weights (``deposit_seeded_charge``, the Vlasov-Poisson node
-field); the guiding center solves its node field from f itself.
+serves only the sets that keep their whole lattice (``nodes`` None).  The 1D
+deposit, 4 wide, always fills a stage operator and sums M^T 1 in particle
+order.  A node-seeded set's charge is a 3-point stencil of its weights
+(``deposit_seeded_charge``, the Vlasov-Poisson node field); the guiding
+center solves its node field from f itself.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class ParticleSet:
     """Lagrangian markers, one per coefficient of the last remap that carries mass.
 
     ``weights`` are the coefficients frozen at the last remap, ``nodes``
-    their flat lattice indices (None: the whole lattice, in order); positions
-    start at the basis centers (the grid nodes, plus one ghost center per
-    side of each natural dimension) and are advanced by the pushers.
+    their flat lattice indices (None: the whole lattice, in order; else only
+    what the seed kept, every |w| > NEGLIGIBLE max |w|); positions start at
+    the basis centers (the grid nodes, plus one ghost center per side of
+    each natural dimension) and are advanced by the pushers.
     """
 
     pos1: np.ndarray
@@ -94,7 +96,7 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
                         stage: StageOperator = None):
     """Deposit onto the 2D node grid; without a ``stage``, skip |w| <= NEGLIGIBLE max |w|."""
     _check_finite(p.pos1, p.pos2, p.weights)  # first: a NaN weight fails any filter
-    if not stage:
+    if not stage and p.nodes is None:
         keep = (a := np.abs(p.weights)) > NEGLIGIBLE * a.max(initial=0.0)
         p = p if keep.all() else ParticleSet(p.pos1[keep], p.pos2[keep], p.weights[keep])
     ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
@@ -112,9 +114,8 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
     return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 
 
-def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float,
-                   stage: StageOperator = None):
-    """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx).
+def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, stage: StageOperator):
+    """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx), dv M^T 1 of ``stage``.
 
     The dv factor makes the x-quadrature of rho equal the phase-space mass
     carried by the particles.
@@ -124,17 +125,12 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float,
     x = p.pos1
     _check_finite(x, p.weights)
     ox = 0 if gx.periodic else PAD
-    op = stage.reserve((x,), (gx,)) if stage else None
-    out = None if op else np.zeros(gx.n_nodes + 2 * ox)
-    for b in blocks(x.size):
-        ix, wx = stencil(gx, x[b], op.w[0, :, b] if op else None, PAD - 1)
-        if op:  # the operator's particle-major rows, for M^T 1 and the gather
-            np.copyto(op.indices[b].T, ix)
-            np.multiply(p.weights[b], wx, out=op.data[b].T)
-        else:  # particle by particle, then slot by slot, as M^T 1 sums
-            np.add.at(out, ix.T.ravel(), (p.weights[b] * wx).T.ravel())
-    out = op.matrix_t @ op.ones if op else out
-    return dv * out[ox:ox + gx.n_nodes]
+    op = stage.reserve((x,), (gx,))
+    for b in blocks(x.size):  # the operator's particle-major rows, for M^T 1 and the gather
+        ix, wx = stencil(gx, x[b], op.w[0, :, b], PAD - 1)
+        np.copyto(op.indices[b].T, ix)
+        np.multiply(p.weights[b], wx, out=op.data[b].T)
+    return dv * (op.matrix_t @ op.ones)[ox:ox + gx.n_nodes]
 
 
 def deposit_seeded_charge(weights, gx: UniformGrid1D, dv: float):

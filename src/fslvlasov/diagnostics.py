@@ -48,12 +48,6 @@ def electric_energy_1d(E, grid: UniformGrid1D) -> float:
     return 0.5 * grid.delta * float(np.sum(np.asarray(E) ** 2))
 
 
-def total_energy_vp(f_nodes, E, grids) -> float:
-    return kinetic_energy_vp(f_nodes, grids) + grids[0].delta * float(
-        np.sum(np.asarray(E) ** 2)
-    )
-
-
 def fourier_mode_amps(values, grid: UniformGrid1D):
     """|FFT| amplitudes of the x harmonics 1, 2 and 3, normalized by N.
 

@@ -5,26 +5,28 @@ positions of the ParticleSet ``p``, whose weights stay frozen between
 remaps: (v, E(x)) for Vlasov-Poisson, E_perp = (Ey, -Ex) for the guiding
 center, (v, -a(t) x) for the Hill harness; ``reseed(p, f)``, which takes
 the node-seeded set of each remap and the node values f it was fitted
-to; ``node_field(p)``, the field of that remap (None for any other set,
-and always None for the external force); and ``solves``, the field
-solves so far, for tests that audit the stage structure.  A
-self-consistent rhs deposits the weights, solves the Poisson problem and
-gathers the field through one sparse B-spline matrix M of the stage's
-particles (``splines.StageOperator``: the deposit writes M's columns,
-the gather computes M c).  The node-seeded set is the exception: its
-field is solved on the grid once, on first use, and shared by the
-diagnostics row and stage 1, which both read node values only, since the
-particles sit where the field spline interpolates (a 2D field then fits
-no spline), read at ``ParticleSet.nodes`` for a seed that skipped its
-negligible coefficients.  The guiding center solves it from the remap's
-f.  Vlasov-Poisson solves it from the stencil deposit of the weights,
+to; and ``solves``, the field solves so far, for tests that audit the
+stage structure.  The self-consistent providers, which the diagnostics
+rows and BSL read, add ``node_field(p)``, the field of the remap (None
+for any other set).  Their rhs deposits the weights, solves the Poisson
+problem and gathers the field through one sparse B-spline matrix M of
+the stage's particles (``stage``, a ``splines.StageOperator``: the
+deposit writes M's columns, the gather computes M c); a Vlasov-Poisson
+row between remaps deposits through it too, and the next stage refills
+it.  The node-seeded set is the exception: its field is solved on the
+grid once, on first use, and shared by the diagnostics row and stage 1,
+which both read node values only, since the particles sit where the
+field spline interpolates (a 2D field then fits no spline), read at
+``ParticleSet.nodes`` for a seed that skipped its negligible
+coefficients.  The guiding center solves it from the remap's f.
+Vlasov-Poisson solves it from the stencil deposit of the weights,
 skipped ones 0 (``deposit_seeded_charge``), which also holds the ghost
 coefficients' skirt beyond the v walls that dv sum_v f leaves out (the
 node sum would move bump_on_tail's E1 by 9.4e-6).  The integrators pass
 the seeded set itself to stage 1, so the identity test of ``node_field``
-is the only one.  The pushers never wrap x: a position may lie any number
-of periods away, and every read and scatter wraps it as it locates
-(``grids.UniformGrid1D.to_units``).
+is the only one.  The pushers never wrap x: a position may lie any
+number of periods away, and every read and scatter wraps it as it
+locates (``grids.UniformGrid1D.to_units``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start
@@ -103,7 +105,7 @@ class SelfConsistentField1D(_NodeSeeded):
         if state is not None:
             # every v slot of a column sits at the same node x
             return p.pos2, p.at_nodes(np.repeat(state.E, self.size // self.gx.n_nodes))
-        state = solve_poisson_1d(deposit_charge(p, self.gx, self.dv, stage=self.stage), self.gx)
+        state = solve_poisson_1d(deposit_charge(p, self.gx, self.dv, self.stage), self.gx)
         self.solves += 1
         return p.pos2, eval_1d(state.E_spline, p.pos1, stage=self.stage)
 
@@ -146,9 +148,6 @@ class ExternalLinearForce:
 
     def reseed(self, p: ParticleSet, f):
         pass  # the force does not depend on f
-
-    def node_field(self, p: ParticleSet):
-        return None
 
     def rhs(self, p: ParticleSet, t):
         return p.pos2, -self.a(t) * p.pos1

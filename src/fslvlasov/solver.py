@@ -17,7 +17,8 @@ step) share that field (``node_field``, see ``pushers``).
 
 A diagnostics row and a snapshot read f at the nodes from one source: the
 last remap's f, or between hybrid remaps the pushed set's deposit, made
-once a step.
+once a step.  A Vlasov-Poisson row there deposits its charge through the
+provider's ``stage`` operator, which the next stage refills.
 """
 
 from __future__ import annotations
@@ -166,16 +167,17 @@ def _checked_energy(energy: float) -> float:
 
 def _diag_vp(state: SimState, f, gpair) -> dict:
     gx, gv = gpair
-    fs = (state.provider.node_field(state.particles)
-          or solve_poisson_1d(deposit_charge(state.particles, gx, gv.delta), gx))
+    fs = state.provider.node_field(state.particles) or solve_poisson_1d(
+        deposit_charge(state.particles, gx, gv.delta, state.provider.stage), gx)
     ee = _checked_energy(diagnostics.electric_energy_1d(fs.E, gx))
+    ke = diagnostics.kinetic_energy_vp(f, gpair)
     a1, a2, a3 = diagnostics.fourier_mode_amps(fs.E, gx)
     return {
         "l1": diagnostics.lp_norm(f, gpair, 1),
         "momentum": diagnostics.momentum(f, gpair),
-        "kinetic_energy": diagnostics.kinetic_energy_vp(f, gpair),
+        "kinetic_energy": ke,
         "electric_energy": ee,
-        "total_energy": diagnostics.total_energy_vp(f, fs.E, gpair),
+        "total_energy": ke + 2.0 * ee,  # the conserved int v^2 f + int E^2
         "E1": a1, "E2": a2, "E3": a3,
     }
 

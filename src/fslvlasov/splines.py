@@ -20,20 +20,20 @@ and basis weights, with the stencil point on the leading axis so every
 arithmetic pass runs over n contiguous points.  ``_locate`` and
 ``stencil`` alone map points to cells and indices: every read (margin 0),
 deposit (margin PAD - 1) and BSL sweep locates there.  The weights are
-products written in place into their rows, without ``pow``, and the
-locate works in place on the fresh array of ``to_units``.  A 2D
-evaluation builds one (4, 4, n) flat index into the coefficient block and
-one (4, 4, n) tensor weight, then reads each component through a single
-``np.take``.  2D coefficients may carry a trailing component axis: the
-two field components share one fit and one stencil.  The gathers here and the
-deposits work through the points in blocks of BLOCK (see there).
-A field stage deposits and gathers at the same points through one
-``StageOperator`` M, particle-major CSR with int32 columns in the
-deposit's padded node layout.  The deposit writes the columns and the
-weights (1D: also w wx, to sum M^T 1); the gather refills wx (x) wy,
-locates again the wall rows (cell off a natural grid, where it clips) and
-computes M c per component, c padded alike: each row sums in the plain
-gather's order, bit for bit.
+products written in place into their rows, without ``pow``, and the locate
+works in place on the fresh array of ``to_units``.  A 2D evaluation builds
+one (4, 4, n) flat index into the coefficient block and one (4, 4, n)
+tensor weight, then reads each component through a single ``np.take``.  2D
+coefficients may carry a trailing component axis: the two field components
+share one fit (``fit_2d_rfft``; ``fit_2d`` fits one array) and one
+stencil.  The gathers here and the deposits work through the points in
+blocks of BLOCK (see there).  A field stage deposits and gathers at the
+same points through one ``StageOperator`` M, particle-major CSR with int32
+columns in the deposit's padded node layout.  The deposit writes the
+columns and the weights (1D: also w wx, to sum M^T 1); the gather refills
+wx (x) wy, locates again the wall rows (cell off a natural grid, where it
+clips) and computes M c per component, c padded alike: each row sums in
+the plain gather's order, bit for bit.
 """
 
 from __future__ import annotations
@@ -173,27 +173,17 @@ def fit_1d(samples, grid: UniformGrid1D) -> SplineCoeffs:
 
 
 def fit_2d(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
-    """Tensor-product fit: 1D systems along x for each row, then along y.
-
-    ``samples`` of shape (nx, ny, m) fit m components in the same two
-    banded solves; the coefficients keep the trailing component axis.
-    """
+    """Tensor-product fit of (nx, ny) samples: 1D systems along x, then along y."""
     f = np.asarray(samples, dtype=float)
-    nx, ny = gx.n_nodes, gy.n_nodes
-    if f.shape[:2] != (nx, ny) or f.ndim > 3:
-        raise ValueError(f"expected shape {(nx, ny)} or {(nx, ny)} + (m,), got {f.shape}")
+    if f.shape != (gx.n_nodes, gy.n_nodes):
+        raise ValueError(f"expected shape {(gx.n_nodes, gy.n_nodes)}, got {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("non-finite samples")
-    m = f.shape[2] if f.ndim == 3 else 1
-    cx = _fit_axis0(f.reshape(nx, ny * m), gx)                   # (ncx, ny*m)
-    ncx = cx.shape[0]
-    rows = cx.reshape(ncx, ny, m).transpose(1, 2, 0).reshape(ny, m * ncx)
-    c = _fit_axis0(rows, gy).reshape(-1, m, ncx).transpose(2, 0, 1)  # (ncx, ncy, m)
-    return SplineCoeffs((gx, gy), c if f.ndim == 3 else c[..., 0])
+    return SplineCoeffs((gx, gy), _fit_axis0(_fit_axis0(f, gx).T, gy).T)
 
 
 def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
-    """``fit_2d`` of m samples given as their rfft along a periodic x,
+    """``fit_2d`` of each of m samples given as their rfft along a periodic x,
     (m, nx // 2 + 1, ny): the x fit divides by the cyclic eigenvalues, the
     natural y fit solves with the x modes as columns (end derivatives in
     mode 0 alone), one irfft gives the (nx, ny + 2, m) coefficients."""

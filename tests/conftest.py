@@ -14,6 +14,7 @@ class NaNField:
         self.once = once
         self.calls = 0
         self.solves = 0
+        self.stage = inner.stage  # the rows between remaps deposit through it
 
     def rhs(self, p, t):
         self.calls += 1

@@ -1,12 +1,13 @@
 """Plain cubic B-spline reads, the oracles of the spline, deposit, gather
 and BSL tests: the basis by its piecewise formula, a 1D spline read
-through ``splines.stencil`` block by block, with no stage operator, and
-the periodic wrap of physical coordinates by ``np.mod``."""
+through ``splines.stencil`` block by block, with no stage operator, the
+periodic wrap of physical coordinates by ``np.mod``, and a stacked 2D
+spline fitted one component at a time."""
 
 import numpy as np
 
 from fslvlasov.grids import UniformGrid1D
-from fslvlasov.splines import SplineCoeffs, blocks, stencil
+from fslvlasov.splines import SplineCoeffs, blocks, fit_2d, stencil
 
 
 def wrap(grid: UniformGrid1D, x):
@@ -37,3 +38,10 @@ def plain_eval_1d(c: SplineCoeffs, x):
         idx, w = stencil(grid, xr[b])
         vals[b] = (c.coeffs[idx] * w).sum(axis=0)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+
+
+def fit_stacked(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
+    """The 2D spline of (nx, ny, m) samples with a trailing component axis,
+    as the field spline stacks (Ey, Ex): one ``fit_2d`` a component."""
+    return SplineCoeffs((gx, gy), np.stack(
+        [fit_2d(samples[..., k], gx, gy).coeffs for k in range(samples.shape[-1])], axis=-1))

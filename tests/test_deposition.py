@@ -10,7 +10,7 @@ from fslvlasov.deposition import (
     seed_particles,
 )
 from fslvlasov.grids import NATURAL, UniformGrid1D
-from fslvlasov.splines import fit_2d
+from fslvlasov.splines import StageOperator, fit_2d
 from spline_oracles import basis_eval
 
 
@@ -170,7 +170,8 @@ class TestDepositCharge:
     def test_zero_weights(self, grids_pn):
         gx, gy = grids_pn
         p = ParticleSet(np.zeros(5), np.zeros(5), np.zeros(5))
-        np.testing.assert_array_equal(deposit_charge(p, gx, 0.5), np.zeros(gx.n_nodes))
+        rho = deposit_charge(p, gx, 0.5, StageOperator())
+        np.testing.assert_array_equal(rho, np.zeros(gx.n_nodes))
 
     def test_landau_initial_density(self):
         # analytic oracle: the velocity integral of the Maxwellian is 1 and
@@ -181,7 +182,7 @@ class TestDepositCharge:
         v = gy.nodes()[None, :]
         f = maxwellian(v) * (1.0 + 0.001 * np.cos(0.5 * x))
         p = seed_particles(fit_2d(f, gx, gy))
-        rho = deposit_charge(p, gx, gy.delta)
+        rho = deposit_charge(p, gx, gy.delta, StageOperator())
         expected = 1.0 + 0.001 * np.cos(0.5 * gx.nodes())
         assert np.abs(rho - expected).max() < 1e-6
 
@@ -193,14 +194,14 @@ class TestDepositCharge:
             rng.uniform(-5, 25, n), np.zeros(n), rng.normal(size=n),
         )
         np.testing.assert_allclose(
-            deposit_charge(p, gx, 0.3), brute_force_charge(p, gx, 0.3), atol=1e-13
+            deposit_charge(p, gx, 0.3, StageOperator()), brute_force_charge(p, gx, 0.3), atol=1e-13
         )
 
     def test_dv_must_be_positive(self, grids_pn):
         gx, gy = grids_pn
         p = ParticleSet(np.zeros(1), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError):
-            deposit_charge(p, gx, -1.0)
+            deposit_charge(p, gx, -1.0, StageOperator())
 
     def test_discrete_mass_identity(self, grids_pn):
         gx, gy = grids_pn
@@ -210,7 +211,7 @@ class TestDepositCharge:
             rng.uniform(0, 12, n), np.zeros(n), rng.normal(size=n),
         )
         dv = 0.7
-        rho = deposit_charge(p, gx, dv)
+        rho = deposit_charge(p, gx, dv, StageOperator())
         assert gx.delta * rho.sum() == pytest.approx(
             gx.delta * dv * p.weights.sum(), rel=1e-13
         )

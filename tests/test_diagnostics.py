@@ -13,7 +13,6 @@ from fslvlasov.diagnostics import (
     mass,
     momentum,
     series_peaks,
-    total_energy_vp,
     xrms,
 )
 from fslvlasov.grids import NATURAL, UniformGrid1D
@@ -65,13 +64,19 @@ class TestEnergies:
         expected = 0.5 * 0.002**2 * 2.0 * np.pi
         assert electric_energy_1d(e, gx) == pytest.approx(expected, rel=1e-12)
 
-    def test_total_energy_reduces_to_kinetic_without_field(self, vp_grids):
-        gx, gv = vp_grids
-        f = cases.maxwellian(gv.nodes()[None, :]) * np.ones((64, 1))
-        e = np.zeros(64)
-        assert total_energy_vp(f, e, vp_grids) == pytest.approx(
-            kinetic_energy_vp(f, vp_grids)
-        )
+    def test_vp_row_total_energy_is_kinetic_plus_twice_electric(self):
+        # the row sums its own channels, int v^2 f + int E^2, on node-field
+        # rows and on the hybrid rows between remaps alike
+        cfg = cases.apply_overrides(cases.case_defaults("landau"), {
+            "nx": 16, "nv": 16, "t_end": 1.0, "scheme": "hybrid", "T": 3})
+        res = solver.run(cfg)
+        ke, ee = res.channel("kinetic_energy"), res.channel("electric_energy")
+        assert ke.size == 11 and (ee > 0).all()
+        np.testing.assert_array_equal(res.channel("total_energy"), ke + 2.0 * ee)
+        state = solver.init(cfg)  # and bit for bit the integrals themselves
+        gx, e = state.g1, state.provider.node_field(state.particles).E
+        assert solver.diag_row(state)["total_energy"] == (
+            kinetic_energy_vp(state.f_nodes, (gx, state.g2)) + gx.delta * float(np.sum(e**2)))
 
     def test_enstrophy_quadrature(self):
         gx = UniformGrid1D(0.0, 7.0, 32)

@@ -1,16 +1,18 @@
 """Equivalence of the vectorized hot-path kernels with plain references.
 
 The stacked spline gather is checked against per-component evaluation and
-a direct basis-function sum, the stacked fit against scalar fits, the
+a direct basis-function sum, ``fit_2d`` for rejecting a stacked array, the
 deposits bitwise against a loop with explicit validity masks in their
-summation order (the stage-less 2D deposit's skip of negligible weights
-bitwise against removing those particles, and the seed's skip bitwise
-against depositing the whole lattice), the blocked kernels bitwise
-against a single block (the 2D deposit, which sums block by block, to
-round-off), the gathers through a deposit's kept stencils bitwise against
-the plain gathers, the BSL sweeps against the plain gather at their feet,
-every periodic read and scatter at x + kL against the same at x, and the
-DST-I Poisson solve against a dense per-mode solve.
+summation order (the 1D deposit, always through a stage operator, in the
+operator's particle-major order; the stage-less 2D deposit's skip of
+negligible weights bitwise against removing those particles, and the
+seed's skip bitwise against depositing the whole lattice, whose kept set
+the deposit does not test again), the blocked kernels bitwise against a
+single block (the 2D deposit, which sums block by block, to round-off),
+the gathers through a deposit's kept stencils bitwise against the plain
+gathers, the BSL sweeps against the plain gather at their feet, every
+periodic read and scatter at x + kL against the same at x, and the DST-I
+Poisson solve against a dense per-mode solve.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ from fslvlasov.splines import (
     fit_2d,
     stencil_weights,
 )
-from spline_oracles import basis_eval, plain_eval_1d, wrap
+from spline_oracles import basis_eval, fit_stacked, plain_eval_1d, wrap
 
 GRID_PAIRS = {
     "periodic-natural": (
@@ -102,7 +104,7 @@ class TestStackedGather:
         gx, gy = grids
         rng = np.random.default_rng(11)
         f = rng.normal(size=(gx.n_nodes, gy.n_nodes, 2))
-        c = fit_2d(f, gx, gy)
+        c = fit_stacked(f, gx, gy)
         x, y = _points(gx, gy, rng)
         got = eval_2d(c, x, y)
         assert got.shape == x.shape + (2,)
@@ -116,7 +118,7 @@ class TestStackedGather:
         # a point beyond a natural wall reads what the clipped point reads
         gx, gy = GRID_PAIRS["natural-natural"]
         rng = np.random.default_rng(12)
-        c = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         x = np.concatenate([rng.uniform(gx.xmin - 2, gx.xmax + 2, 300), [gx.xmin - 1e-3]])
         y = np.concatenate([rng.uniform(gy.xmin - 2, gy.xmax + 2, 300), [gy.xmax + 1e-3]])
         got = eval_2d(c, x, y)
@@ -128,7 +130,7 @@ class TestStackedGather:
     def test_scalar_point_shapes(self, grids):
         gx, gy = grids
         f = np.ones((gx.n_nodes, gy.n_nodes, 2)) * np.array([2.0, -3.0])
-        c = fit_2d(f, gx, gy)
+        c = fit_stacked(f, gx, gy)
         np.testing.assert_allclose(eval_2d(c, gx.xmin, gy.xmin), [2.0, -3.0], atol=1e-14)
         scalar = fit_2d(f[..., 0], gx, gy)
         assert eval_2d(scalar, gx.xmin, gy.xmin) == pytest.approx(2.0, abs=1e-14)
@@ -144,22 +146,15 @@ class TestStackedGather:
 
 
 class TestStackedFit:
-    def test_stack_equals_scalar_fits(self, grids):
-        gx, gy = grids
-        rng = np.random.default_rng(13)
-        f = rng.normal(size=(gx.n_nodes, gy.n_nodes, 2))
-        stacked = fit_2d(f, gx, gy).coeffs
-        for k in range(2):
-            np.testing.assert_allclose(
-                stacked[..., k], fit_2d(f[..., k], gx, gy).coeffs, rtol=0, atol=1e-14
-            )
+    """``fit_2d`` fits one (nx, ny) array: a stacked one is an error (the
+    field spline stacks its components in ``fit_2d_rfft``)."""
 
     def test_rejects_wrong_shapes(self, grids):
         gx, gy = grids
-        with pytest.raises(ValueError):
-            fit_2d(np.zeros((gx.n_nodes, gy.n_nodes + 1, 2)), gx, gy)
-        with pytest.raises(ValueError):
-            fit_2d(np.zeros((gx.n_nodes, gy.n_nodes, 2, 1)), gx, gy)
+        nx, ny = gx.n_nodes, gy.n_nodes
+        for shape in ((nx, ny + 1), (nx, ny, 2), (nx, ny, 1), (nx, ny + 1, 2), (nx, ny, 2, 1)):
+            with pytest.raises(ValueError, match="expected shape"):
+                fit_2d(np.zeros(shape), gx, gy)
 
 
 def _reference_stencil(g: UniformGrid1D, pos):
@@ -200,6 +195,8 @@ def _loop_deposit_2d(p, gx, gy):
 
 
 def _loop_deposit_1d(p, gx, dv):
+    """The 1D deposit's summation order, that of M^T 1 for the particle-major
+    stage operator M: particle by particle, then stencil slot by slot."""
     ix, wx, vx = _reference_stencil(gx, p.pos1)
     out = np.zeros(gx.n_nodes)
     for k in range(p.pos1.size):
@@ -240,7 +237,7 @@ class TestDepositBitwise:
         # a periodic x, and a natural one whose strays leave the grid
         for gx in (GRID_PAIRS["periodic-natural"][0], GRID_PAIRS["natural-natural"][0]):
             p = _particles(gx, gx, np.random.default_rng(15))
-            np.testing.assert_array_equal(deposit_charge(p, gx, 0.37),
+            np.testing.assert_array_equal(deposit_charge(p, gx, 0.37, StageOperator()),
                                           _loop_deposit_1d(p, gx, 0.37))
 
     def test_charge_position_override(self):
@@ -249,7 +246,7 @@ class TestDepositBitwise:
         p = _particles(gx, gx, rng)
         moved = rng.uniform(gx.xmin - 9.0, gx.xmax + 9.0, p.pos1.size)
         np.testing.assert_array_equal(
-            deposit_charge(ParticleSet(moved, moved, p.weights), gx, 0.5),
+            deposit_charge(ParticleSet(moved, moved, p.weights), gx, 0.5, StageOperator()),
             _loop_deposit_1d(ParticleSet(moved, moved, p.weights), gx, 0.5),
         )
 
@@ -308,7 +305,7 @@ class TestNegligibleWeights:
         gx, gy = grids
         rng = np.random.default_rng(44)
         p, _ = _with_negligible(_particles(gx, gy, rng), rng)
-        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         op = StageOperator()
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
                                       _loop_deposit_2d(p, gx, gy))
@@ -389,6 +386,20 @@ class TestCompressedSeed:
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy),
                                       np.zeros((gx.n_nodes, gy.n_nodes)))
 
+    def test_deposit_scatters_a_compressed_set_whole(self, monkeypatch):
+        # a set carrying ``nodes`` holds only what its seed kept: the deposit
+        # does not test its weights again, whatever they are
+        gx, gy = GRID_PAIRS["periodic-natural"]
+        rng = np.random.default_rng(62)
+        p, kept = _with_negligible(_particles(gx, gy, rng), rng)
+        sizes, real = [], deposition.stencil
+        monkeypatch.setattr(deposition, "stencil",
+                            lambda g, x, *args: sizes.append(np.size(x)) or real(g, x, *args))
+        deposit_phase_space(p, gx, gy)
+        deposit_phase_space(ParticleSet(p.pos1, p.pos2, p.weights, np.arange(p.pos1.size)), gx, gy)
+        assert p.pos1.size < splines.BLOCK
+        assert sizes == [np.count_nonzero(kept)] * 2 + [p.pos1.size] * 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_keeps_the_lattice_for_the_deposit_to_report(self, bad, monkeypatch):
         gx, gy = GRID_PAIRS["periodic-natural"]
@@ -415,13 +426,13 @@ class TestBlocking:
         rng = np.random.default_rng(17)
         p = _particles(gx, gy, rng)
         assert p.pos1.size < splines.BLOCK
-        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
 
         def kernels():
             return (
                 deposit_phase_space(p, gx, gy),
-                deposit_charge(p, gx, 0.3),
+                deposit_charge(p, gx, 0.3, StageOperator()),
                 eval_2d(c2, p.pos1, p.pos2),
                 plain_eval_1d(c1, p.pos1),
             )
@@ -443,7 +454,7 @@ class TestKeptStencils:
         gx, gy = grids
         rng = np.random.default_rng(21)
         p = _particles(gx, gy, rng)
-        c = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         kept = StageOperator()
         deposit_phase_space(p, gx, gy, stage=kept)
         x, y = p.pos1, p.pos2
@@ -474,7 +485,7 @@ class TestKeptStencils:
         )
         for g in grids:
             np.testing.assert_array_equal(
-                deposit_charge(p, g, 0.3, stage=kept), deposit_charge(p, g, 0.3)
+                deposit_charge(p, g, 0.3, stage=kept), _loop_deposit_1d(p, g, 0.3)
             )
 
     def test_deposit_is_c_contiguous(self, grids):
@@ -486,14 +497,14 @@ class TestKeptStencils:
         gx, gy = GRID_PAIRS["periodic-natural"]
         rng = np.random.default_rng(26)
         p = _particles(gx, gy, rng)
-        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
 
         def kernels(kept2, kept1):
             return (
                 deposit_phase_space(p, gx, gy, stage=kept2),
                 eval_2d(c2, p.pos1, p.pos2, stage=kept2),
-                deposit_charge(p, gx, 0.3, stage=kept1),
+                deposit_charge(p, gx, 0.3, stage=kept1 or StageOperator()),
                 plain_eval_1d(c1, p.pos1) if kept1 is None else eval_1d(c1, p.pos1, stage=kept1),
             )
 
@@ -512,14 +523,15 @@ OPERATOR_GRIDS = {**GRID_PAIRS, "periodic4-natural": (
 
 class TestStageOperator:
     """The stage operator M: deposits (M^T 1) and gathers (M c) bitwise
-    equal to the plain kernels, its layout, and its guard."""
+    equal to the plain kernels (the 1D deposit: to its loop), its layout,
+    and its guard."""
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
     def test_equals_plain_kernels(self, name):
         gx, gy = OPERATOR_GRIDS[name]
         rng = np.random.default_rng(31)
         p = _particles(gx, gy, rng)
-        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         op = StageOperator()
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
                                       deposit_phase_space(p, gx, gy))
@@ -530,7 +542,7 @@ class TestStageOperator:
         for g in (gx, gy):
             c1 = fit_1d(rng.normal(size=g.n_nodes), g)
             np.testing.assert_array_equal(deposit_charge(p, g, 0.3, stage=op),
-                                          deposit_charge(p, g, 0.3))
+                                          _loop_deposit_1d(p, g, 0.3))
             np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
 
     def test_strays_land_in_the_pad(self):
@@ -542,7 +554,7 @@ class TestStageOperator:
         p = ParticleSet(x, x, np.random.default_rng(32).normal(size=x.size))
         op = StageOperator()
         np.testing.assert_array_equal(deposit_charge(p, gx, 0.5, stage=op),
-                                      deposit_charge(p, gx, 0.5))
+                                      _loop_deposit_1d(p, gx, 0.5))
         assert op.indices.dtype == np.int32 and op.indices.shape == (x.size, 4)
         assert op.dims == (n + 1 + 2 * PAD,)
         # u clipped to -3 puts nodes -4..-1 in pad columns 0..3; cell n + 2
@@ -567,7 +579,7 @@ class TestStageOperator:
         gx, gy = GRID_PAIRS["periodic-natural"]
         rng = np.random.default_rng(34)
         p = _particles(gx, gy, rng)
-        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
         y = p.pos2
         with pytest.raises(ValueError, match="stage operator"):
@@ -614,7 +626,7 @@ class TestLocateLeavesItsInput:
         kept = p.pos1.copy(), p.pos2.copy()
         op, op1 = StageOperator(), StageOperator()
         deposit_phase_space(p, gx, gy, stage=op)
-        eval_2d(fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy),
+        eval_2d(fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy),
                 p.pos1, p.pos2, stage=op)
         deposit_charge(p, gx, 0.3, stage=op1)
         eval_1d(fit_1d(rng.normal(size=gx.n_nodes), gx), p.pos1, stage=op1)
@@ -636,7 +648,7 @@ class TestShiftInvariance:
         x = np.concatenate([rng.uniform(gx.xmin, gx.xmax, 300), seam])
         y = rng.uniform(gy.xmin, gy.xmax, x.size)
         weights = rng.normal(size=x.size)
-        c2 = fit_2d(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
 
         def kernels(xs):
@@ -647,7 +659,7 @@ class TestShiftInvariance:
                 "deposit_phase_space stage": deposit_phase_space(p, gx, gy, stage=op2),
                 "eval_2d": eval_2d(c2, xs, y),
                 "eval_2d stage": eval_2d(c2, xs, y, stage=op2),
-                "deposit_charge": deposit_charge(p, gx, 0.3),
+                "deposit_charge": deposit_charge(p, gx, 0.3, StageOperator()),
                 "deposit_charge stage": deposit_charge(p, gx, 0.3, stage=op1),
                 "eval_1d stage": eval_1d(c1, xs, stage=op1),
             }

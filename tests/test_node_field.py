@@ -30,7 +30,13 @@ from fslvlasov.field1d import solve_poisson_1d
 from fslvlasov.field2d import solve_fields
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.pushers import SelfConsistentField1D, SelfConsistentField2D
-from fslvlasov.splines import eval_2d, fit_2d, fit_2d_rfft, solve_cyclic_banded
+from fslvlasov.splines import (
+    StageOperator,
+    eval_2d,
+    fit_2d,
+    fit_2d_rfft,
+    solve_cyclic_banded,
+)
 from spline_oracles import plain_eval_1d, wrap
 
 # non-square: periodic x, natural y (GC) or v (VP)
@@ -72,7 +78,7 @@ def _copy(p):
 class TestSeededDeposit:
     def test_charge_equals_particle_deposit(self):
         p = _seeded(GX, GV, 2)
-        ref = deposit_charge(p, GX, GV.delta)
+        ref = deposit_charge(p, GX, GV.delta, StageOperator())
         assert _rel(deposit_seeded_charge(p.weights, GX, GV.delta), ref) < 1e-13
 
 
@@ -223,7 +229,7 @@ class TestStageThroughKeptStencils:
         fld = SelfConsistentField1D(GX, GV)
         _, got = fld.rhs(p.replace_positions(x, p.pos2), 0.0)
         q = ParticleSet(x.copy(), x.copy(), p.weights.copy())
-        state = solve_poisson_1d(deposit_charge(q, GX, GV.delta), GX)
+        state = solve_poisson_1d(deposit_charge(q, GX, GV.delta, StageOperator()), GX)
         np.testing.assert_array_equal(got, plain_eval_1d(state.E_spline, q.pos1))
 
     def test_buffer_is_allocated_once(self):
