@@ -104,6 +104,9 @@ _POSITIVE = {"T", "nx", "nv", "diag_every", "snapshot_every",
 MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
           if hasattr(os, "sysconf") else float("inf"))
 
+#: peak bytes a run adds per cell of the (nx + 1) x (nv + 3) lattice, heaviest scheme (hybrid)
+BYTES_PER_CELL = {VP: 240, GC: 590, HILL: 100}
+
 
 def case_defaults(case: str) -> CaseConfig:
     if case not in _DEFAULTS:
@@ -133,7 +136,7 @@ def _validate(cfg: CaseConfig) -> CaseConfig:
             raise ConfigError(
                 f"key {key!r} must be at least {grids.MIN_CELLS}, got {getattr(cfg, key)}"
             )
-    need = 64 * (cfg.nx + 1) * (cfg.nv + 3)  # f, its coefficients, the particles: 8 doubles
+    need = BYTES_PER_CELL[cfg.model] * (cfg.nx + 1) * (cfg.nv + 3)
     if need > MEMORY:  # estimated before anything of the grid is allocated
         raise ConfigError(f"a {cfg.nx}x{cfg.nv} grid needs over {need / 2**30:.3g} GiB, "
                           f"more than the {MEMORY / 2**30:.3g} GiB of memory here")

@@ -18,12 +18,14 @@ of ``splines.BLOCK``.  The 2D deposit adds a block's slot-major (4, 4,
 block) flat indices and weights (w wx) wy with one ``np.add.at``: a node
 sums block by block, then slot (a, b) by slot, then particle by particle, so
 BLOCK also fixes its bits.  With a ``splines.StageOperator`` it runs the
-same sum and keeps the stencils for the gather, which reads every particle's
-row; without one it skips each |w| <= NEGLIGIBLE max |w|, half an ulp of the
-largest.  The seed leaves those out when they fill a BLOCK, so this skip
-serves only the sets that keep their whole lattice (``nodes`` None).  The 1D
-deposit, 4 wide, always fills a stage operator and sums M^T 1 in particle
-order.  A node-seeded set's charge is a 3-point stencil of its weights
+same sum: it writes the block's flat index and D = wx (x) wy into the
+operator and scatters from a contiguous copy of that index, and keeps every
+particle, whose row the gather reads.  Without one it skips each |w| <=
+NEGLIGIBLE max |w|, half an ulp of the largest.  The seed leaves those out
+when they fill a BLOCK, so this skip serves only the sets that keep their
+whole lattice (``nodes`` None).  The 1D deposit, 4 wide, always fills a
+stage operator and sums M^T w: slot by slot, then particle by particle.  A
+node-seeded set's charge is a 3-point stencil of its weights
 (``deposit_seeded_charge``, the Vlasov-Poisson node field); the guiding
 center solves its node field from f itself.
 """
@@ -104,18 +106,18 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
     op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None
     out = np.zeros((gx.n_nodes + 2 * ox) * nya)
     for b in blocks(p.pos1.size):
-        ix, wx = stencil(gx, p.pos1[b], op.w[0, :, b] if op else None, PAD - 1)
-        iy, wy = stencil(gy, p.pos2[b], op.w[1, :, b] if op else None, PAD - 1)
-        flat = (ix * nya)[:, None] + iy[None]  # slot-major (4, 4, block)
-        np.add.at(out, flat.ravel(), ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
-        if op:  # the gather's particle-major rows; it refills op.data itself
-            np.copyto(op.indices[b].transpose(1, 2, 0), flat)
+        st = [stencil(g, x[b], PAD - 1) for g, x in ((gx, p.pos1), (gy, p.pos2))]
+        (ix, wx), (iy, wy) = st
+        # slot-major (4, 4, block), scattered from a contiguous copy of the operator's
+        # index: np.add.at on its strided view is slower
+        flat = (op.put(b, st) if op else (ix * nya)[:, None] + iy[None]).ravel()
+        np.add.at(out, flat, ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
     # contiguous: a strided result changes the summation order of np.sum
     return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 
 
 def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, stage: StageOperator):
-    """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx), dv M^T 1 of ``stage``.
+    """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx), dv M^T w of ``stage``.
 
     The dv factor makes the x-quadrature of rho equal the phase-space mass
     carried by the particles.
@@ -126,11 +128,9 @@ def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, stage: StageOpe
     _check_finite(x, p.weights)
     ox = 0 if gx.periodic else PAD
     op = stage.reserve((x,), (gx,))
-    for b in blocks(x.size):  # the operator's particle-major rows, for M^T 1 and the gather
-        ix, wx = stencil(gx, x[b], op.w[0, :, b], PAD - 1)
-        np.copyto(op.indices[b].T, ix)
-        np.multiply(p.weights[b], wx, out=op.data[b].T)
-    return dv * (op.matrix_t @ op.ones)[ox:ox + gx.n_nodes]
+    for b in blocks(x.size):
+        op.put(b, [stencil(gx, x[b], PAD - 1)])
+    return dv * (op.matrix.T @ p.weights)[ox:ox + gx.n_nodes]
 
 
 def deposit_seeded_charge(weights, gx: UniformGrid1D, dv: float):

@@ -11,9 +11,10 @@ rows and BSL read, add ``node_field(p)``, the field of the remap (None
 for any other set).  Their rhs deposits the weights, solves the Poisson
 problem and gathers the field through one sparse B-spline matrix M of
 the stage's particles (``stage``, a ``splines.StageOperator``: the
-deposit writes M's columns, the gather computes M c); a Vlasov-Poisson
-row between remaps deposits through it too, and the next stage refills
-it.  The node-seeded set is the exception: its field is solved on the
+deposit writes M's indices and weights, the gather computes M c); a
+Vlasov-Poisson row between remaps deposits through it too, and the next
+stage refills it.  BSL, which never pushes, reads through it by its read
+fill.  The node-seeded set is the exception: its field is solved on the
 grid once, on first use, and shared by the diagnostics row and stage 1,
 which both read node values only, since the particles sit where the
 field spline interpolates (a 2D field then fits no spline), read at

@@ -21,19 +21,18 @@ arithmetic pass runs over n contiguous points.  ``_locate`` and
 ``stencil`` alone map points to cells and indices: every read (margin 0),
 deposit (margin PAD - 1) and BSL sweep locates there.  The weights are
 products written in place into their rows, without ``pow``, and the locate
-works in place on the fresh array of ``to_units``.  A 2D evaluation builds
-one (4, 4, n) flat index into the coefficient block and one (4, 4, n)
-tensor weight, then reads each component through a single ``np.take``.  2D
-coefficients may carry a trailing component axis: the two field components
-share one fit (``fit_2d_rfft``; ``fit_2d`` fits one array) and one
-stencil.  The gathers here and the deposits work through the points in
-blocks of BLOCK (see there).  A field stage deposits and gathers at the
-same points through one ``StageOperator`` M, particle-major CSR with int32
-columns in the deposit's padded node layout.  The deposit writes the
-columns and the weights (1D: also w wx, to sum M^T 1); the gather refills
-wx (x) wy, locates again the wall rows (cell off a natural grid, where it
-clips) and computes M c per component, c padded alike: each row sums in
-the plain gather's order, bit for bit.
+works in place on the fresh array of ``to_units``.  2D coefficients may
+carry a trailing component axis: the two field components share one fit
+(``fit_2d_rfft``; ``fit_2d`` fits one array) and one stencil.  Every read
+at a set of points goes through one ``StageOperator``, the B-spline matrix
+M of the points: COO over slot-major (4,) * d + (n,) int32 indices into the
+deposit's padded node layout and weights D = wx (x) wy, written in blocks
+of BLOCK (see there).  A stage deposit writes them as it scatters (the 1D
+charge is then M^T w); the gather relocates the rows whose deposit cell
+lies off a natural grid, where a read clips, and computes M c per
+component, c padded alike.  A read fill (``StageOperator.read``, BSL's
+reads) locates at margin 0 and writes M alone.  Each row sums slot by
+slot, x before y: the plain gather's order, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft
 from scipy.linalg import lapack
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array
 
 from .grids import UniformGrid1D
 
@@ -218,17 +217,17 @@ def _locate(grid: UniformGrid1D, x, margin=0):
     return i0.astype(np.int64), u
 
 
-def stencil(grid: UniformGrid1D, x, w=None, margin=0):
-    """Coefficient indices and weights of the 4-point stencils at x, (4, n),
-    the weights written to ``w`` if given.  Natural grids put node k at
-    index k + 1 + margin: the ghost at slot margin, the scatter pad before."""
+def stencil(grid: UniformGrid1D, x, margin=0):
+    """Coefficient indices and weights of the 4-point stencils at x, (4, n).
+    Natural grids put node k at index k + 1 + margin: the ghost at slot
+    margin, the scatter pad before."""
     i0, t = _locate(grid, x, margin)
     if grid.periodic:  # i0 lies in [0, n): the table wraps the offsets without a modulo
         idx = np.take(np.arange(-1, grid.n_cells + 2) % grid.n_cells,
                       i0 + (STENCIL_OFFSETS + 1), mode="clip")
     else:
         idx = i0 + (STENCIL_OFFSETS + 1 + margin)
-    return idx, stencil_weights(t, out=w)
+    return idx, stencil_weights(t)
 
 
 #: deposit cells beyond each natural end: the deposits locate with margin
@@ -236,37 +235,55 @@ def stencil(grid: UniformGrid1D, x, w=None, margin=0):
 PAD = 4
 
 
-def _tensor(ws, out):
-    """Particle-major tensor product of per-dimension (4, n) weights, into ``out``."""
-    if len(ws) == 1:
-        np.copyto(out.T, ws[0])
-        return out
-    return np.einsum("an,bn->nab", *ws, out=out)
-
-
 class StageOperator:
-    """The B-spline matrix M at a stage's points ``pts`` (see the module
-    notes): CSR ``matrix`` (transpose ``matrix_t``) on int32 ``indices`` into
-    the padded layout (``dims`` cells, coefficient 0 at ``starts``) and
-    ``data``, (n,) + (4,) * d each; ``w``: per-dimension weights to refill.
-    The gather writes ``data``; ``matrix_t @ ones`` is the 1D deposit's."""
+    """The B-spline matrix M at the points ``pts`` (see the module notes):
+    COO ``matrix`` over slot-major int32 ``index`` into the padded layout
+    (``dims`` cells, coefficient 0 at ``starts``) and weights ``data``,
+    (4,) * d + (n,) each, from stencils located at ``margin``: PAD - 1 for
+    a deposit, whose wall rows the gather relocates; 0 for ``read``."""
 
-    w = cpad = dims = None
+    index = dims = cpad = None
     pts = ()
 
-    def reserve(self, pts, grids) -> "StageOperator":
+    def reserve(self, pts, grids, margin=PAD - 1) -> "StageOperator":
         n, d = pts[0].size, len(grids)
         dims = tuple(g.n_nodes + (0 if g.periodic else 2 * PAD) for g in grids)
-        if self.w is None or self.w.shape != (d, 4, n) or dims != self.dims:
-            self.w, self.ones, self.dims = np.empty((d, 4, n)), np.ones(n), dims
-            self.indices = np.empty((n,) + (4,) * d, dtype=np.int32)
-            self.data = np.empty(self.indices.shape)
-            indptr = np.arange(0, 4**d * n + 1, 4**d, dtype=np.int32)
-            self.matrix = csr_array((self.data.ravel(), self.indices.ravel(), indptr),
+        if self.index is None or self.index.shape != (4,) * d + (n,) or dims != self.dims:
+            self.dims = dims
+            self.index = np.zeros((4,) * d + (n,), dtype=np.int32)  # coo_array checks it here
+            self.data = np.empty(self.index.shape)
+            rows = np.broadcast_to(np.arange(n, dtype=np.int32), self.index.shape).ravel()
+            self.matrix = coo_array((self.data.ravel(), (rows, self.index.ravel())),
                                     shape=(n, int(np.prod(dims))))  # views: filled in place
-            self.matrix_t = self.matrix.T
-        self.pts = pts
+        self.pts, self.margin = pts, margin
         self.starts = tuple(0 if g.periodic else PAD - 1 for g in grids)  # ghost slot 0
+        return self
+
+    def put(self, b, stencils):
+        """Write M at the points ``b``, a block or an index array, from their
+        stencils in the padded layout, with no (4, 4, block) temporary;
+        returns the index written."""
+        index, data = self.index[..., b], self.data[..., b]  # of an index array: copies
+        if len(stencils) == 1:
+            index[...], data[...] = stencils[0]
+        else:  # x slot before y slot
+            (ix, wx), (iy, wy) = stencils
+            ix, iy = (ix * self.dims[1]).astype(np.int32), iy.astype(np.int32)  # int32 adds
+            np.add(ix[:, None], iy[None], out=index)
+            np.multiply(wx[:, None], wy[None], out=data)
+        self.index[..., b], self.data[..., b] = index, data  # a block's views: no copy
+        return index
+
+    def _put_read(self, b, grids, pts):
+        """``put`` the points ``b`` of ``pts`` located as a read, at margin 0."""
+        self.put(b, [(i + s, w) for g, p, s in zip(grids, pts, self.starts)
+                     for i, w in (stencil(g, p[b]),)])
+
+    def read(self, pts, grids) -> "StageOperator":
+        """Fill M at ``pts`` for gathers alone: located at margin 0, no wall rows."""
+        self.reserve(pts, grids, margin=0)
+        for b in blocks(pts[0].size):
+            self._put_read(b, grids, pts)
         return self
 
     def gather(self, c: SplineCoeffs, pts):
@@ -276,16 +293,11 @@ class StageOperator:
         if d != len(self.pts) or any(p is not q and not np.array_equal(p, q)
                                      for p, q in zip(pts, self.pts)):
             raise ValueError("gather points differ from those of the stage operator")
-        _tensor(self.w, self.data)
-        rows = np.flatnonzero(np.logical_or.reduce([  # the deposit's cell off the grid
-            (u < 0) | (u >= g.n_cells) for g, p in zip(c.grids, self.pts)
-            if not g.periodic for u in (g.to_units(p),)]))
-        if rows.size:
-            st = [stencil(g, p.ravel()[rows]) for g, p in zip(c.grids, pts)]
-            cols = [(i + s).T for (i, _), s in zip(st, self.starts)]
-            self.indices[rows] = cols[0] if d == 1 else (
-                (cols[0] * self.dims[1])[:, :, None] + cols[1][:, None, :])
-            self.data[rows] = _tensor([w for _, w in st], np.empty(self.indices[rows].shape))
+        if self.margin:  # a deposit's fill: its cells off a natural grid read at the wall
+            rows = np.flatnonzero(np.logical_or.reduce([
+                (u < 0) | (u >= g.n_cells) for g, p in zip(c.grids, self.pts)
+                if not g.periodic for u in (g.to_units(p),)]))
+            self._put_read(rows, c.grids, [p.ravel() for p in pts])
         comps = np.moveaxis(c.coeffs.reshape(c.coeffs.shape[:d] + (-1,)), -1, 0)
         if self.cpad is None or self.cpad.shape != comps.shape[:1] + self.dims:
             self.cpad = np.zeros(comps.shape[:1] + self.dims)  # one layout a component
@@ -300,31 +312,9 @@ def eval_1d(c: SplineCoeffs, x, stage: StageOperator):
     return stage.gather(c, (xs,)).reshape(xs.shape)
 
 
-def eval_2d(c: SplineCoeffs, x, y, stage: StageOperator = None):
-    """Evaluate a 2D tensor-product spline at paired points (x, y).
-
-    Coefficients with a trailing component axis give values of shape
-    x.shape + (m,); all components share one stencil.  ``stage``: the
-    operator of a deposit at (x, y).
-    """
-    gx, gy = c.grids
+def eval_2d(c: SplineCoeffs, x, y, stage: StageOperator):
+    """Evaluate a 2D tensor-product spline at paired points (x, y), the points of
+    ``stage`` (see StageOperator); coefficients with a trailing component axis
+    give values of shape x.shape + (m,), all components from one stencil."""
     xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape:
-        raise ValueError("x and y must have matching shapes")
-    if stage is not None:
-        return stage.gather(c, (xs, ys)).reshape(xs.shape + c.coeffs.shape[2:])
-    xr, yr = xs.ravel(), ys.ravel()
-    ncx, ncy = c.coeffs.shape[:2]
-    comps = c.coeffs.reshape(ncx, ncy, -1)
-    flat_comps = [comps[..., k].ravel() for k in range(comps.shape[2])]
-    vals = np.empty((xr.size, len(flat_comps)))
-    for b in blocks(xr.size):
-        ix, wx = stencil(gx, xr[b])
-        iy, wy = stencil(gy, yr[b])
-        flat = (ix * ncy)[:, None, :] + iy[None, :, :]           # (4, 4, block)
-        w = wx[:, None, :] * wy[None, :, :]
-        for k, ck in enumerate(flat_comps):
-            vals[b, k] = np.einsum("ijn,ijn->n", np.take(ck, flat), w)
-    vals = vals.reshape(xs.shape + c.coeffs.shape[2:])
-    return float(vals) if vals.ndim == 0 else vals
+    return stage.gather(c, (xs, np.asarray(y, dtype=float))).reshape(xs.shape + c.coeffs.shape[2:])

@@ -1,5 +1,5 @@
 """Plain cubic B-spline reads, the oracles of the spline, deposit, gather
-and BSL tests: the basis by its piecewise formula, a 1D spline read
+and BSL tests: the basis by its piecewise formula, 1D and 2D splines read
 through ``splines.stencil`` block by block, with no stage operator, the
 periodic wrap of physical coordinates by ``np.mod``, and a stacked 2D
 spline fitted one component at a time."""
@@ -38,6 +38,33 @@ def plain_eval_1d(c: SplineCoeffs, x):
         idx, w = stencil(grid, xr[b])
         vals[b] = (c.coeffs[idx] * w).sum(axis=0)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+
+
+def plain_eval_2d(c: SplineCoeffs, x, y):
+    """Evaluate a 2D tensor-product spline at paired points (x, y).
+
+    Coefficients with a trailing component axis give values of shape
+    x.shape + (m,); all components share one stencil.
+    """
+    gx, gy = c.grids
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValueError("x and y must have matching shapes")
+    xr, yr = xs.ravel(), ys.ravel()
+    ncx, ncy = c.coeffs.shape[:2]
+    comps = c.coeffs.reshape(ncx, ncy, -1)
+    flat_comps = [comps[..., k].ravel() for k in range(comps.shape[2])]
+    vals = np.empty((xr.size, len(flat_comps)))
+    for b in blocks(xr.size):
+        ix, wx = stencil(gx, xr[b])
+        iy, wy = stencil(gy, yr[b])
+        flat = (ix * ncy)[:, None, :] + iy[None, :, :]           # (4, 4, block)
+        w = wx[:, None, :] * wy[None, :, :]
+        for k, ck in enumerate(flat_comps):
+            vals[b, k] = np.einsum("ijn,ijn->n", np.take(ck, flat), w)
+    vals = vals.reshape(xs.shape + c.coeffs.shape[2:])
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def fit_stacked(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fslvlasov import cases
+from fslvlasov import cases, solver
 from fslvlasov.cases import (CaseConfig, ConfigError, apply_overrides, case_defaults,
                              parse_config)
 from fslvlasov.cli import main
@@ -295,6 +295,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_grid_past_the_memory_is_config_error(self, monkeypatch, capsys):
+        # the estimate is per model: with 1 GiB a 1400x1400 guiding-center
+        # grid is rejected before anything runs, the Vlasov-Poisson one is not
+        monkeypatch.setattr(cases, "MEMORY", 2**30)
+        monkeypatch.setattr(solver, "run", lambda *args, **kw: pytest.fail("the grid ran"))
+        big = ["--set", "nx=1400", "--set", "nv=1400"]
+        assert main(["--case", "kelvin_helmholtz", *big]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a 1400x1400 grid needs over") and "GiB" in err
+        assert err.count("\n") == 1
+        cases.apply_overrides(cases.case_defaults("landau"), {"nx": 1400, "nv": 1400})
 
     def test_hill_outside_a_stable_zone_is_config_error(self, capsys):
         code = main(["--case", "hill", "--set", "a_mean=0.25",

@@ -4,15 +4,15 @@ The stacked spline gather is checked against per-component evaluation and
 a direct basis-function sum, ``fit_2d`` for rejecting a stacked array, the
 deposits bitwise against a loop with explicit validity masks in their
 summation order (the 1D deposit, always through a stage operator, in the
-operator's particle-major order; the stage-less 2D deposit's skip of
+operator's slot-major order; the stage-less 2D deposit's skip of
 negligible weights bitwise against removing those particles, and the
 seed's skip bitwise against depositing the whole lattice, whose kept set
 the deposit does not test again), the blocked kernels bitwise against a
 single block (the 2D deposit, which sums block by block, to round-off),
-the gathers through a deposit's kept stencils bitwise against the plain
-gathers, the BSL sweeps against the plain gather at their feet, every
-periodic read and scatter at x + kL against the same at x, and the DST-I
-Poisson solve against a dense per-mode solve.
+the gathers through a deposit's kept stencils or a read fill bitwise
+against the plain gathers, the BSL sweeps against the plain gather at
+their feet, every periodic read and scatter at x + kL against the same at
+x, and the DST-I Poisson solve against a dense per-mode solve.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ from fslvlasov.splines import (
     fit_2d,
     stencil_weights,
 )
-from spline_oracles import basis_eval, fit_stacked, plain_eval_1d, wrap
+from spline_oracles import basis_eval, fit_stacked, plain_eval_1d, plain_eval_2d, wrap
 
 GRID_PAIRS = {
     "periodic-natural": (
@@ -106,11 +106,11 @@ class TestStackedGather:
         f = rng.normal(size=(gx.n_nodes, gy.n_nodes, 2))
         c = fit_stacked(f, gx, gy)
         x, y = _points(gx, gy, rng)
-        got = eval_2d(c, x, y)
+        got = plain_eval_2d(c, x, y)
         assert got.shape == x.shape + (2,)
         direct = _direct_sum(c.coeffs, gx, gy, x, y)
         for k in range(2):
-            scalar = eval_2d(SplineCoeffs(c.grids, c.coeffs[..., k].copy()), x, y)
+            scalar = plain_eval_2d(SplineCoeffs(c.grids, c.coeffs[..., k].copy()), x, y)
             np.testing.assert_allclose(got[:, k], scalar, rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(got[:, k], direct[:, k], rtol=1e-14, atol=1e-14)
 
@@ -121,8 +121,8 @@ class TestStackedGather:
         c = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         x = np.concatenate([rng.uniform(gx.xmin - 2, gx.xmax + 2, 300), [gx.xmin - 1e-3]])
         y = np.concatenate([rng.uniform(gy.xmin - 2, gy.xmax + 2, 300), [gy.xmax + 1e-3]])
-        got = eval_2d(c, x, y)
-        inside = eval_2d(c, np.clip(x, gx.xmin, gx.xmax), np.clip(y, gy.xmin, gy.xmax))
+        got = plain_eval_2d(c, x, y)
+        inside = plain_eval_2d(c, np.clip(x, gx.xmin, gx.xmax), np.clip(y, gy.xmin, gy.xmax))
         np.testing.assert_array_equal(got, inside)
         direct = _direct_sum(c.coeffs, gx, gy, x, y)
         np.testing.assert_allclose(got, direct, rtol=1e-14, atol=1e-14)
@@ -131,16 +131,16 @@ class TestStackedGather:
         gx, gy = grids
         f = np.ones((gx.n_nodes, gy.n_nodes, 2)) * np.array([2.0, -3.0])
         c = fit_stacked(f, gx, gy)
-        np.testing.assert_allclose(eval_2d(c, gx.xmin, gy.xmin), [2.0, -3.0], atol=1e-14)
+        np.testing.assert_allclose(plain_eval_2d(c, gx.xmin, gy.xmin), [2.0, -3.0], atol=1e-14)
         scalar = fit_2d(f[..., 0], gx, gy)
-        assert eval_2d(scalar, gx.xmin, gy.xmin) == pytest.approx(2.0, abs=1e-14)
+        assert plain_eval_2d(scalar, gx.xmin, gy.xmin) == pytest.approx(2.0, abs=1e-14)
 
     def test_field_spline_holds_ey_then_ex(self):
         gx = UniformGrid1D(0.0, 7.0, 16)
         gy = UniformGrid1D(0.0, 2.0 * np.pi, 16, bc=NATURAL)
         x, y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
         fs = solve_fields(np.sin(y) * (1.0 + 0.1 * np.cos(2 * np.pi * x / 7.0)), gx, gy)
-        e = eval_2d(fs.E_spline, x, y)
+        e = plain_eval_2d(fs.E_spline, x, y)
         np.testing.assert_allclose(e[..., 0], fs.Ey, atol=1e-12)
         np.testing.assert_allclose(e[..., 1], fs.Ex, atol=1e-12)
 
@@ -195,14 +195,14 @@ def _loop_deposit_2d(p, gx, gy):
 
 
 def _loop_deposit_1d(p, gx, dv):
-    """The 1D deposit's summation order, that of M^T 1 for the particle-major
-    stage operator M: particle by particle, then stencil slot by slot."""
+    """The 1D deposit's summation order, that of M^T w for the slot-major
+    stage operator M: stencil slot by slot, then particle by particle."""
     ix, wx, vx = _reference_stencil(gx, p.pos1)
     out = np.zeros(gx.n_nodes)
-    for k in range(p.pos1.size):
-        for a in range(4):
+    for a in range(4):
+        for k in range(p.pos1.size):
             if vx[k, a]:
-                out[ix[k, a]] += p.weights[k] * wx[k, a]
+                out[ix[k, a]] += wx[k, a] * p.weights[k]
     return dv * out
 
 
@@ -309,14 +309,14 @@ class TestNegligibleWeights:
         op = StageOperator()
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
                                       _loop_deposit_2d(p, gx, gy))
-        assert op.indices.shape == (p.pos1.size, 4, 4) and op.w.shape == (2, 4, p.pos1.size)
+        assert op.index.shape == op.data.shape == (4, 4, p.pos1.size)
         fresh = StageOperator()  # every row, the skipped ones too, as a full deposit fills it
         deposit_phase_space(ParticleSet(p.pos1, p.pos2, rng.normal(size=p.pos1.size)),
                             gx, gy, stage=fresh)
-        np.testing.assert_array_equal(op.indices, fresh.indices)
-        np.testing.assert_array_equal(op.w, fresh.w)
+        np.testing.assert_array_equal(op.index, fresh.index)
+        np.testing.assert_array_equal(op.data, fresh.data)
         x, y = p.pos1, p.pos2
-        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), eval_2d(c2, x, y))
+        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
 
 
 def _lattice(coeffs):
@@ -433,7 +433,7 @@ class TestBlocking:
             return (
                 deposit_phase_space(p, gx, gy),
                 deposit_charge(p, gx, 0.3, StageOperator()),
-                eval_2d(c2, p.pos1, p.pos2),
+                plain_eval_2d(c2, p.pos1, p.pos2),
                 plain_eval_1d(c1, p.pos1),
             )
 
@@ -458,7 +458,7 @@ class TestKeptStencils:
         kept = StageOperator()
         deposit_phase_space(p, gx, gy, stage=kept)
         x, y = p.pos1, p.pos2
-        np.testing.assert_array_equal(eval_2d(c, x, y, stage=kept), eval_2d(c, x, y))
+        np.testing.assert_array_equal(eval_2d(c, x, y, stage=kept), plain_eval_2d(c, x, y))
         for g, pos in zip(grids, (p.pos1, p.pos2)):
             i0 = np.floor(np.clip(g.to_units(pos), -3.0, g.n_cells + 2.0))  # deposit cells
             if not g.periodic:  # every case below is exercised
@@ -503,7 +503,8 @@ class TestKeptStencils:
         def kernels(kept2, kept1):
             return (
                 deposit_phase_space(p, gx, gy, stage=kept2),
-                eval_2d(c2, p.pos1, p.pos2, stage=kept2),
+                plain_eval_2d(c2, p.pos1, p.pos2) if kept2 is None
+                else eval_2d(c2, p.pos1, p.pos2, stage=kept2),
                 deposit_charge(p, gx, 0.3, stage=kept1 or StageOperator()),
                 plain_eval_1d(c1, p.pos1) if kept1 is None else eval_1d(c1, p.pos1, stage=kept1),
             )
@@ -522,9 +523,9 @@ OPERATOR_GRIDS = {**GRID_PAIRS, "periodic4-natural": (
 
 
 class TestStageOperator:
-    """The stage operator M: deposits (M^T 1) and gathers (M c) bitwise
-    equal to the plain kernels (the 1D deposit: to its loop), its layout,
-    and its guard."""
+    """The stage operator M: deposits (M^T w) and gathers (M c) bitwise
+    equal to the plain kernels (the 1D deposit: to its loop), gathers after
+    a read fill too, its layout, and its guard."""
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
     def test_equals_plain_kernels(self, name):
@@ -536,13 +537,17 @@ class TestStageOperator:
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
                                       deposit_phase_space(p, gx, gy))
         x, y = p.pos1, p.pos2
-        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), eval_2d(c2, x, y))
+        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
         scalar = SplineCoeffs(c2.grids, c2.coeffs[..., 1].copy())
-        np.testing.assert_array_equal(eval_2d(scalar, x, y, stage=op), eval_2d(scalar, x, y))
+        np.testing.assert_array_equal(eval_2d(scalar, x, y, stage=op), plain_eval_2d(scalar, x, y))
+        op.read((x, y), (gx, gy))  # the deposit's operator, refilled for reads alone
+        np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
         for g in (gx, gy):
             c1 = fit_1d(rng.normal(size=g.n_nodes), g)
             np.testing.assert_array_equal(deposit_charge(p, g, 0.3, stage=op),
                                           _loop_deposit_1d(p, g, 0.3))
+            np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
+            op.read((p.pos1,), (g,))
             np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
 
     def test_strays_land_in_the_pad(self):
@@ -555,25 +560,26 @@ class TestStageOperator:
         op = StageOperator()
         np.testing.assert_array_equal(deposit_charge(p, gx, 0.5, stage=op),
                                       _loop_deposit_1d(p, gx, 0.5))
-        assert op.indices.dtype == np.int32 and op.indices.shape == (x.size, 4)
+        assert op.index.dtype == np.int32 and op.index.shape == (4, x.size)
         assert op.dims == (n + 1 + 2 * PAD,)
         # u clipped to -3 puts nodes -4..-1 in pad columns 0..3; cell n + 2
         # (u beyond n + 2) puts nodes n + 1..n + 4 past the last node column n + PAD
-        np.testing.assert_array_equal(op.indices[:2], [[0, 1, 2, 3]] * 2)
-        np.testing.assert_array_equal(op.indices[2:4], [np.arange(n + 1, n + 5) + PAD] * 2)
-        assert ((op.indices[4:] >= PAD - 1) & (op.indices[4:] <= n + 1 + PAD)).all()
+        rows = op.index.T  # particle by particle
+        np.testing.assert_array_equal(rows[:2], [[0, 1, 2, 3]] * 2)
+        np.testing.assert_array_equal(rows[2:4], [np.arange(n + 1, n + 5) + PAD] * 2)
+        assert ((rows[4:] >= PAD - 1) & (rows[4:] <= n + 1 + PAD)).all()
 
     def test_index_dtype_is_int32(self, grids):
         gx, gy = grids
         p = _particles(gx, gy, np.random.default_rng(33))
         op = StageOperator()
         deposit_phase_space(p, gx, gy, stage=op)
-        assert op.indices.dtype == np.int32 and op.indices.shape == (p.pos1.size, 4, 4)
-        assert op.data.shape == op.indices.shape
-        assert op.matrix.indices.dtype == np.int32 and op.matrix.indptr.dtype == np.int32
-        assert np.shares_memory(op.matrix.indices, op.indices)  # filled in place
-        assert np.shares_memory(op.matrix_t.data, op.data)
-        assert op.indices.min() >= 0 and op.indices.max() < np.prod(op.dims)
+        assert op.index.dtype == np.int32 and op.index.shape == (4, 4, p.pos1.size)
+        assert op.data.shape == op.index.shape
+        assert op.matrix.row.dtype == np.int32 and op.matrix.col.dtype == np.int32
+        assert np.shares_memory(op.matrix.col, op.index)  # filled in place
+        assert np.shares_memory(op.matrix.T.data, op.data)
+        assert op.index.min() >= 0 and op.index.max() < np.prod(op.dims)
 
     def test_gather_at_other_points_raises(self):
         gx, gy = GRID_PAIRS["periodic-natural"]
@@ -598,7 +604,7 @@ class TestStageOperator:
             eval_1d(c1, p.pos1, stage=op)  # the points of a 2D operator
         # equal values in another array are the same points
         np.testing.assert_array_equal(eval_2d(c2, p.pos1.copy(), y, stage=op),
-                                      eval_2d(c2, p.pos1, y))
+                                      plain_eval_2d(c2, p.pos1, y))
 
 
 class TestLocateLeavesItsInput:
@@ -657,7 +663,7 @@ class TestShiftInvariance:
             return {
                 "deposit_phase_space": deposit_phase_space(p, gx, gy),
                 "deposit_phase_space stage": deposit_phase_space(p, gx, gy, stage=op2),
-                "eval_2d": eval_2d(c2, xs, y),
+                "eval_2d": plain_eval_2d(c2, xs, y),
                 "eval_2d stage": eval_2d(c2, xs, y, stage=op2),
                 "deposit_charge": deposit_charge(p, gx, 0.3, StageOperator()),
                 "deposit_charge stage": deposit_charge(p, gx, 0.3, stage=op1),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fslvlasov import cases, deposition, landau, pushers, solver
+from fslvlasov import bsl, cases, deposition, landau, pushers, solver
 from fslvlasov.cases import apply_overrides, case_defaults, maxwellian
 from fslvlasov.deposition import deposit_phase_space
 from fslvlasov.diagnostics import fit_damping
 from fslvlasov.splines import stencil
+from spline_oracles import plain_eval_2d
 
 
 def landau_cfg(**kw):
@@ -294,6 +295,33 @@ class TestBsl:
         for name, series in sparse.channels.items():
             np.testing.assert_array_equal(series, every.channel(name)[::3], err_msg=name)
         assert every.state.provider.solves == sparse.state.provider.solves == 7
+
+    def test_gc_step_reads_equal_the_plain_read_at_the_feet(self, monkeypatch):
+        # every midpoint and foot read, bit for bit, through the provider's
+        # one operator; feet past the y walls and across the x seam included
+        cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {
+            "nx": 16, "nv": 16, "dt": 2.0, "t_end": 4.0, "scheme": "bsl", "eps": 3.0})
+        reads, real = [], bsl.eval_2d
+
+        def recorded(c, x, y, stage):
+            reads.append((c, x, y, stage, real(c, x, y, stage)))
+            return reads[-1][-1]
+
+        monkeypatch.setattr(bsl, "eval_2d", recorded)
+        st, names = solver.init(cfg), ("index", "data", "matrix")
+        for step in range(2):
+            solver.step(st)
+            assert len(reads) == 5 * (step + 1)  # four midpoint reads, then the foot's
+            op = st.provider.stage
+            if step == 0:
+                kept = [getattr(op, k) for k in names]
+        assert all(getattr(op, k) is a for k, a in zip(names, kept))
+        for c, x, y, stage, got in reads:
+            assert stage is op
+            np.testing.assert_array_equal(got, plain_eval_2d(c, x, y))
+        (_, foot_x, foot_y, *_), g = reads[-1], st.g2
+        assert (foot_y < g.xmin).any() and (foot_y > g.xmax).any()
+        assert (foot_x < st.g1.xmin).any() and (foot_x > st.g1.xmax).any()
 
     def test_landau_bsl_deposits_no_particles(self, monkeypatch):
         def refuse(*args, **kwargs):
