@@ -14,18 +14,18 @@ indices, weights) from ``splines.stencil`` at margin PAD - 1: along a
 natural dimension its indices land in the accumulator's PAD extra cells at
 each end, which catch the stencil nodes off the grid and are sliced off, so
 no validity mask reaches the outer product.  Particles go through in blocks
-of ``splines.BLOCK``.  The 2D deposit adds a block's slot-major (4, 4,
-block) flat indices and weights (w wx) wy with one ``np.add.at``: a node
-sums block by block, then slot (a, b) by slot, then particle by particle, so
-BLOCK also fixes its bits.  With a ``splines.StageOperator`` it runs the
-same sum: it writes the block's flat index and D = wx (x) wy into the
-operator and scatters from a contiguous copy of that index, and keeps every
-particle, whose row the gather reads.  Without one it skips each |w| <=
-NEGLIGIBLE max |w|, half an ulp of the largest.  The seed leaves those out
-when they fill a BLOCK, so this skip serves only the sets that keep their
-whole lattice (``nodes`` None).  The 1D deposit, 4 wide, always fills a
-stage operator and sums M^T w: slot by slot, then particle by particle.  A
-node-seeded set's charge is a 3-point stencil of its weights
+of ``splines.BLOCK``.  The stage deposit (``deposit_charge``, 1D or 2D)
+writes them into a ``splines.StageOperator`` M at the stage's positions and
+sums M^T w: a node sums slot by slot, x slot before y slot, then particle
+by particle, each entry (wx wy) w, whatever BLOCK is.  It keeps every
+particle, whose row the gather reads.  The remap deposit
+(``deposit_phase_space``) adds a block's slot-major (4, 4, block) flat
+indices and weights (w wx) wy with one ``np.add.at``: a node sums block by
+block, then slot (a, b) by slot, then particle by particle, so BLOCK also
+fixes its bits.  It skips each |w| <= NEGLIGIBLE max |w|, half an ulp of
+the largest.  The seed leaves those out when they fill a BLOCK, so this
+skip serves only the sets that keep their whole lattice (``nodes`` None).
+A node-seeded set's charge is a 3-point stencil of its weights
 (``deposit_seeded_charge``, the Vlasov-Poisson node field); the guiding
 center solves its node field from f itself.
 """
@@ -94,47 +94,42 @@ def _check_finite(*arrays):
         raise ValueError("non-finite particle data")
 
 
-def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D,
-                        stage: StageOperator = None):
-    """Deposit onto the 2D node grid; without a ``stage``, skip |w| <= NEGLIGIBLE max |w|."""
+def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
+    """Deposit onto the 2D node grid, skipping |w| <= NEGLIGIBLE max |w|."""
     _check_finite(p.pos1, p.pos2, p.weights)  # first: a NaN weight fails any filter
-    if not stage and p.nodes is None:
+    if p.nodes is None:
         keep = (a := np.abs(p.weights)) > NEGLIGIBLE * a.max(initial=0.0)
         p = p if keep.all() else ParticleSet(p.pos1[keep], p.pos2[keep], p.weights[keep])
     ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
     nya = gy.n_nodes + 2 * oy
-    op = stage.reserve((p.pos1, p.pos2), (gx, gy)) if stage else None
     out = np.zeros((gx.n_nodes + 2 * ox) * nya)
     for b in blocks(p.pos1.size):
-        st = [stencil(g, x[b], PAD - 1) for g, x in ((gx, p.pos1), (gy, p.pos2))]
-        (ix, wx), (iy, wy) = st
-        # slot-major (4, 4, block), scattered from a contiguous copy of the operator's
-        # index: np.add.at on its strided view is slower
-        flat = (op.put(b, st) if op else (ix * nya)[:, None] + iy[None]).ravel()
+        (ix, wx), (iy, wy) = (stencil(g, x[b], PAD - 1) for g, x in ((gx, p.pos1), (gy, p.pos2)))
+        # slot-major (4, 4, block); named, it lives into the next block, so the heap is
+        # not trimmed and regrown each block (712 against 1216 minor faults a KH call)
+        flat = ((ix * nya)[:, None] + iy[None]).ravel()
         np.add.at(out, flat, ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
     # contiguous: a strided result changes the summation order of np.sum
     return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
 
 
-def deposit_charge(p: ParticleSet, gx: UniformGrid1D, dv: float, stage: StageOperator):
-    """Spatial charge density rho(x_i) = dv * sum_k w_k S((x_i - X_k)/dx), dv M^T w of ``stage``.
-
-    The dv factor makes the x-quadrature of rho equal the phase-space mass
-    carried by the particles.
-    """
-    if dv <= 0:
-        raise ValueError("dv must be positive")
-    x = p.pos1
-    _check_finite(x, p.weights)
-    ox = 0 if gx.periodic else PAD
-    op = stage.reserve((x,), (gx,))
-    for b in blocks(x.size):
-        op.put(b, [stencil(gx, x[b], PAD - 1)])
-    return dv * (op.matrix.T @ p.weights)[ox:ox + gx.n_nodes]
+def deposit_charge(p: ParticleSet, grids: tuple[UniformGrid1D, ...], stage: StageOperator):
+    """M^T w on the nodes of ``grids``, (gx,) or (gx, gy), for the stage operator
+    M this fills at the positions of ``p``, every particle kept: the gather reads
+    its row.  Over (gx,) it is the charge sum_k w_k S((x_i - X_k)/dx); times dv,
+    as the Vlasov-Poisson callers take it, its x-quadrature is the particles' mass."""
+    pts = (p.pos1, p.pos2)[:len(grids)]
+    _check_finite(*pts, p.weights)
+    op = stage.reserve(pts, grids)
+    for b in blocks(p.pos1.size):
+        op.put(b, [stencil(g, x[b], PAD - 1) for g, x in zip(grids, pts)])
+    nodes = tuple(slice(o, o + g.n_nodes) for g in grids for o in (0 if g.periodic else PAD,))
+    # contiguous: a strided result changes the summation order of np.sum
+    return np.ascontiguousarray((op.matrix_t @ p.weights).reshape(op.dims)[nodes])
 
 
 def deposit_seeded_charge(weights, gx: UniformGrid1D, dv: float):
-    """``deposit_charge`` of ``seed_particles`` output on a periodic x grid.
+    """dv times ``deposit_charge`` of ``seed_particles`` output on a periodic x grid.
 
     Every particle sits on a basis center, where the basis is (1/6, 2/3,
     1/6) at the nodes -1, 0, +1 away, so this is that stencil of the v sums

@@ -10,8 +10,8 @@ stage structure.  The self-consistent providers, which the diagnostics
 rows and BSL read, add ``node_field(p)``, the field of the remap (None
 for any other set).  Their rhs deposits the weights, solves the Poisson
 problem and gathers the field through one sparse B-spline matrix M of
-the stage's particles (``stage``, a ``splines.StageOperator``: the
-deposit writes M's indices and weights, the gather computes M c); a
+the stage's particles (``stage``, a ``splines.StageOperator``:
+``deposit_charge`` writes M and sums M^T w, the gather computes M c); a
 Vlasov-Poisson row between remaps deposits through it too, and the next
 stage refills it.  BSL, which never pushes, reads through it by its read
 fill.  The node-seeded set is the exception: its field is solved on the
@@ -51,7 +51,6 @@ from .deposition import (
     ParticleSet,
     basis_centers,
     deposit_charge,
-    deposit_phase_space,
     deposit_seeded_charge,
 )
 from .field1d import solve_poisson_1d
@@ -106,7 +105,7 @@ class SelfConsistentField1D(_NodeSeeded):
         if state is not None:
             # every v slot of a column sits at the same node x
             return p.pos2, p.at_nodes(np.repeat(state.E, self.size // self.gx.n_nodes))
-        state = solve_poisson_1d(deposit_charge(p, self.gx, self.dv, self.stage), self.gx)
+        state = solve_poisson_1d(self.dv * deposit_charge(p, (self.gx,), self.stage), self.gx)
         self.solves += 1
         return p.pos2, eval_1d(state.E_spline, p.pos1, stage=self.stage)
 
@@ -133,7 +132,7 @@ class SelfConsistentField2D(_NodeSeeded):
             ny = self.gy.n_nodes
             cols = np.clip(np.arange(-1, ny + 1), 0, ny - 1)
             return p.at_nodes(state.Ey[:, cols].ravel()), -p.at_nodes(state.Ex[:, cols].ravel())
-        rho = deposit_phase_space(p, self.gx, self.gy, stage=self.stage)
+        rho = deposit_charge(p, (self.gx, self.gy), self.stage)
         state = solve_fields(rho, self.gx, self.gy)
         self.solves += 1
         e = eval_2d(state.E_spline, p.pos1, p.pos2, stage=self.stage)

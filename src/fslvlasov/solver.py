@@ -17,8 +17,9 @@ step) share that field (``node_field``, see ``pushers``).
 
 A diagnostics row and a snapshot read f at the nodes from one source: the
 last remap's f, or between hybrid remaps the pushed set's deposit, made
-once a step.  A Vlasov-Poisson row there deposits its charge through the
-provider's ``stage`` operator, which the next stage refills.
+once a step (``deposit_phase_space``, the remap's scatter).  A
+Vlasov-Poisson row there takes its charge as dv M^T w of the provider's
+``stage`` operator M (``deposit_charge``), which the next stage refills.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _checked_energy(energy: float) -> float:
 def _diag_vp(state: SimState, f, gpair) -> dict:
     gx, gv = gpair
     fs = state.provider.node_field(state.particles) or solve_poisson_1d(
-        deposit_charge(state.particles, gx, gv.delta, state.provider.stage), gx)
+        gv.delta * deposit_charge(state.particles, (gx,), state.provider.stage), gx)
     ee = _checked_energy(diagnostics.electric_energy_1d(fs.E, gx))
     ke = diagnostics.kinetic_energy_vp(f, gpair)
     a1, a2, a3 = diagnostics.fourier_mode_amps(fs.E, gx)

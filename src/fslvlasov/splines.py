@@ -27,12 +27,13 @@ carry a trailing component axis: the two field components share one fit
 at a set of points goes through one ``StageOperator``, the B-spline matrix
 M of the points: COO over slot-major (4,) * d + (n,) int32 indices into the
 deposit's padded node layout and weights D = wx (x) wy, written in blocks
-of BLOCK (see there).  A stage deposit writes them as it scatters (the 1D
-charge is then M^T w); the gather relocates the rows whose deposit cell
-lies off a natural grid, where a read clips, and computes M c per
-component, c padded alike.  A read fill (``StageOperator.read``, BSL's
-reads) locates at margin 0 and writes M alone.  Each row sums slot by
-slot, x before y: the plain gather's order, bit for bit.
+of BLOCK (see there), and M^T over the same arrays.  A stage deposit
+(``deposition.deposit_charge``) writes them and sums M^T w; the gather
+relocates the rows whose deposit cell lies off a natural grid, where a
+read clips, and computes M c per component, c padded alike.  A read fill
+(``StageOperator.read``, BSL's reads) locates at margin 0 and writes M
+alone.  Each row sums slot by slot, x before y: the plain gather's order,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from .grids import UniformGrid1D
 #: as a column: stencil arrays hold the four points on their leading axis
 STENCIL_OFFSETS = np.array([-1, 0, 1, 2])[:, None]
 
-#: points per block in the gathers and deposits.  A block's (4, 4, BLOCK)
-#: temporaries take 0.5 MB, which the allocator recycles; whole-set
-#: temporaries (2 MB for 16.8k particles) were unmapped and faulted in
-#: afresh on almost every call, 18k minor faults per 128x128 GC step.
+#: points per block in the stage operator's fills and the remap deposit.  A
+#: stage deposit writes a block's (4, 4, BLOCK) index and weights in place
+#: and makes no temporary of that shape: 0 minor faults a call on the KH
+#: set of 16,768 particles.  The remap deposit makes two a block, 0.5 MB
+#: each: 712 minor faults a call on that set (``resource.getrusage``, 20 calls).
 BLOCK = 4096
 
 
@@ -239,8 +241,9 @@ class StageOperator:
     """The B-spline matrix M at the points ``pts`` (see the module notes):
     COO ``matrix`` over slot-major int32 ``index`` into the padded layout
     (``dims`` cells, coefficient 0 at ``starts``) and weights ``data``,
-    (4,) * d + (n,) each, from stencils located at ``margin``: PAD - 1 for
-    a deposit, whose wall rows the gather relocates; 0 for ``read``."""
+    (4,) * d + (n,) each, and its transpose ``matrix_t`` over the same
+    arrays, from stencils located at ``margin``: PAD - 1 for a deposit,
+    whose wall rows the gather relocates; 0 for ``read``."""
 
     index = dims = cpad = None
     pts = ()
@@ -255,14 +258,14 @@ class StageOperator:
             rows = np.broadcast_to(np.arange(n, dtype=np.int32), self.index.shape).ravel()
             self.matrix = coo_array((self.data.ravel(), (rows, self.index.ravel())),
                                     shape=(n, int(np.prod(dims))))  # views: filled in place
+            self.matrix_t = self.matrix.T  # over the same views, formed once
         self.pts, self.margin = pts, margin
         self.starts = tuple(0 if g.periodic else PAD - 1 for g in grids)  # ghost slot 0
         return self
 
     def put(self, b, stencils):
         """Write M at the points ``b``, a block or an index array, from their
-        stencils in the padded layout, with no (4, 4, block) temporary;
-        returns the index written."""
+        stencils in the padded layout, with no (4, 4, block) temporary."""
         index, data = self.index[..., b], self.data[..., b]  # of an index array: copies
         if len(stencils) == 1:
             index[...], data[...] = stencils[0]
@@ -272,7 +275,6 @@ class StageOperator:
             np.add(ix[:, None], iy[None], out=index)
             np.multiply(wx[:, None], wy[None], out=data)
         self.index[..., b], self.data[..., b] = index, data  # a block's views: no copy
-        return index
 
     def _put_read(self, b, grids, pts):
         """``put`` the points ``b`` of ``pts`` located as a read, at margin 0."""

@@ -3,17 +3,20 @@
 The stacked spline gather is checked against per-component evaluation and
 a direct basis-function sum, ``fit_2d`` for rejecting a stacked array, the
 deposits bitwise against a loop with explicit validity masks in their
-summation order (the 1D deposit, always through a stage operator, in the
-operator's slot-major order; the stage-less 2D deposit's skip of
-negligible weights bitwise against removing those particles, and the
-seed's skip bitwise against depositing the whole lattice, whose kept set
-the deposit does not test again), the blocked kernels bitwise against a
-single block (the 2D deposit, which sums block by block, to round-off),
+summation order (the stage deposit, 1D or 2D, in the stage operator's
+slot-major order of M^T w; the remap deposit's skip of negligible weights
+bitwise against removing those particles, and the seed's skip bitwise
+against depositing the whole lattice, whose kept set the deposit does not
+test again), the blocked kernels bitwise against a single block (the
+remap deposit, which sums block by block, to round-off),
 the gathers through a deposit's kept stencils or a read fill bitwise
 against the plain gathers, the BSL sweeps against the plain gather at
 their feet, every periodic read and scatter at x + kL against the same at
 x, and the DST-I Poisson solve against a dense per-mode solve.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -179,7 +182,7 @@ def _reference_stencil(g: UniformGrid1D, pos):
 
 
 def _loop_deposit_2d(p, gx, gy):
-    """The 2D deposit's summation order: block by block of ``splines.BLOCK``
+    """The remap deposit's summation order: block by block of ``splines.BLOCK``
     particles, then stencil slot (a, b) by slot, then particle by particle."""
     ix, wx, vx = _reference_stencil(gx, p.pos1)
     iy, wy, vy = _reference_stencil(gy, p.pos2)
@@ -194,16 +197,18 @@ def _loop_deposit_2d(p, gx, gy):
     return out
 
 
-def _loop_deposit_1d(p, gx, dv):
-    """The 1D deposit's summation order, that of M^T w for the slot-major
-    stage operator M: stencil slot by slot, then particle by particle."""
-    ix, wx, vx = _reference_stencil(gx, p.pos1)
-    out = np.zeros(gx.n_nodes)
-    for a in range(4):
+def _loop_stage_deposit(p, grids):
+    """The stage deposit's summation order, that of M^T w for the slot-major
+    stage operator M over (gx,) or (gx, gy): stencil slot by slot (x slot
+    before y slot), then particle by particle, each entry (wx wy) w."""
+    st = [_reference_stencil(g, x) for g, x in zip(grids, (p.pos1, p.pos2))]
+    out = np.zeros(tuple(g.n_nodes for g in grids))
+    for slots in itertools.product(range(4), repeat=len(grids)):
         for k in range(p.pos1.size):
-            if vx[k, a]:
-                out[ix[k, a]] += wx[k, a] * p.weights[k]
-    return dv * out
+            if all(v[k, a] for (_, _, v), a in zip(st, slots)):
+                node = tuple(i[k, a] for (i, _, _), a in zip(st, slots))
+                out[node] += math.prod(w[k, a] for (_, w, _), a in zip(st, slots)) * p.weights[k]
+    return out
 
 
 def _particles(gx, gy, rng, n=400):
@@ -230,15 +235,15 @@ class TestDepositBitwise:
         gx, gy = grids
         p = _particles(gx, gy, np.random.default_rng(14))
         a = np.abs(p.weights)
-        assert (a > NEGLIGIBLE * a.max()).all()  # the stage-less deposit skips none
+        assert (a > NEGLIGIBLE * a.max()).all()  # the remap deposit skips none
         np.testing.assert_array_equal(deposit_phase_space(p, gx, gy), _loop_deposit_2d(p, gx, gy))
 
     def test_charge_equals_loop(self):
         # a periodic x, and a natural one whose strays leave the grid
         for gx in (GRID_PAIRS["periodic-natural"][0], GRID_PAIRS["natural-natural"][0]):
             p = _particles(gx, gx, np.random.default_rng(15))
-            np.testing.assert_array_equal(deposit_charge(p, gx, 0.37, StageOperator()),
-                                          _loop_deposit_1d(p, gx, 0.37))
+            np.testing.assert_array_equal(deposit_charge(p, (gx,), StageOperator()),
+                                          _loop_stage_deposit(p, (gx,)))
 
     def test_charge_position_override(self):
         gx = GRID_PAIRS["periodic-natural"][0]
@@ -246,8 +251,8 @@ class TestDepositBitwise:
         p = _particles(gx, gx, rng)
         moved = rng.uniform(gx.xmin - 9.0, gx.xmax + 9.0, p.pos1.size)
         np.testing.assert_array_equal(
-            deposit_charge(ParticleSet(moved, moved, p.weights), gx, 0.5, StageOperator()),
-            _loop_deposit_1d(ParticleSet(moved, moved, p.weights), gx, 0.5),
+            deposit_charge(ParticleSet(moved, moved, p.weights), (gx,), StageOperator()),
+            _loop_stage_deposit(ParticleSet(moved, moved, p.weights), (gx,)),
         )
 
 
@@ -266,7 +271,7 @@ def _with_negligible(p, rng):
 
 
 class TestNegligibleWeights:
-    """The stage-less 2D deposit skips every particle with |w| <= NEGLIGIBLE
+    """The remap deposit skips every particle with |w| <= NEGLIGIBLE
     max |w|; the stage deposit, whose gather reads every row, keeps all."""
 
     @pytest.mark.parametrize("block", [None, 37])
@@ -307,12 +312,10 @@ class TestNegligibleWeights:
         p, _ = _with_negligible(_particles(gx, gy, rng), rng)
         c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         op = StageOperator()
-        np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
-                                      _loop_deposit_2d(p, gx, gy))
+        np.testing.assert_array_equal(deposit_charge(p, grids, op), _loop_stage_deposit(p, grids))
         assert op.index.shape == op.data.shape == (4, 4, p.pos1.size)
         fresh = StageOperator()  # every row, the skipped ones too, as a full deposit fills it
-        deposit_phase_space(ParticleSet(p.pos1, p.pos2, rng.normal(size=p.pos1.size)),
-                            gx, gy, stage=fresh)
+        deposit_charge(ParticleSet(p.pos1, p.pos2, rng.normal(size=p.pos1.size)), grids, fresh)
         np.testing.assert_array_equal(op.index, fresh.index)
         np.testing.assert_array_equal(op.data, fresh.data)
         x, y = p.pos1, p.pos2
@@ -413,7 +416,7 @@ class TestCompressedSeed:
 
 
 def _check_blocked_deposit(blocked, single, p, gx, gy):
-    """The 2D deposit sums block by block, so its bits follow ``splines.BLOCK``:
+    """The remap deposit sums block by block, so its bits follow ``splines.BLOCK``:
     at the patched size they are the oracle's at that size, and they agree
     with the single-block deposit to round-off."""
     np.testing.assert_array_equal(blocked, _loop_deposit_2d(p, gx, gy))
@@ -432,7 +435,7 @@ class TestBlocking:
         def kernels():
             return (
                 deposit_phase_space(p, gx, gy),
-                deposit_charge(p, gx, 0.3, StageOperator()),
+                deposit_charge(p, (gx,), StageOperator()),
                 plain_eval_2d(c2, p.pos1, p.pos2),
                 plain_eval_1d(c1, p.pos1),
             )
@@ -456,7 +459,7 @@ class TestKeptStencils:
         p = _particles(gx, gy, rng)
         c = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         kept = StageOperator()
-        deposit_phase_space(p, gx, gy, stage=kept)
+        deposit_charge(p, grids, kept)
         x, y = p.pos1, p.pos2
         np.testing.assert_array_equal(eval_2d(c, x, y, stage=kept), plain_eval_2d(c, x, y))
         for g, pos in zip(grids, (p.pos1, p.pos2)):
@@ -472,21 +475,22 @@ class TestKeptStencils:
         p = _particles(g, g, rng)
         c = fit_1d(rng.normal(size=g.n_nodes), g)
         kept = StageOperator()
-        deposit_charge(p, g, 0.4, stage=kept)
+        deposit_charge(p, (g,), kept)
         x = p.pos1
         np.testing.assert_array_equal(eval_1d(c, x, stage=kept), plain_eval_1d(c, x))
 
     def test_deposits_equal_plain(self, grids):
+        # the stage deposit sums in M^T w's order, the remap deposit block by block
         gx, gy = grids
         p = _particles(gx, gy, np.random.default_rng(23))
         kept = StageOperator()
-        np.testing.assert_array_equal(
-            deposit_phase_space(p, gx, gy, stage=kept), deposit_phase_space(p, gx, gy)
-        )
+        got = deposit_charge(p, grids, kept)
+        np.testing.assert_array_equal(got, _loop_stage_deposit(p, grids))
+        plain = deposit_phase_space(p, gx, gy)
+        assert np.max(np.abs(got - plain)) <= 1e-14 * np.max(np.abs(plain))
         for g in grids:
-            np.testing.assert_array_equal(
-                deposit_charge(p, g, 0.3, stage=kept), _loop_deposit_1d(p, g, 0.3)
-            )
+            np.testing.assert_array_equal(deposit_charge(p, (g,), kept),
+                                          _loop_stage_deposit(p, (g,)))
 
     def test_deposit_is_c_contiguous(self, grids):
         gx, gy = grids
@@ -500,21 +504,22 @@ class TestKeptStencils:
         c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         c1 = fit_1d(rng.normal(size=gx.n_nodes), gx)
 
-        def kernels(kept2, kept1):
+        def kernels():
+            kept2, kept1 = StageOperator(), StageOperator()
             return (
-                deposit_phase_space(p, gx, gy, stage=kept2),
-                plain_eval_2d(c2, p.pos1, p.pos2) if kept2 is None
-                else eval_2d(c2, p.pos1, p.pos2, stage=kept2),
-                deposit_charge(p, gx, 0.3, stage=kept1 or StageOperator()),
-                plain_eval_1d(c1, p.pos1) if kept1 is None else eval_1d(c1, p.pos1, stage=kept1),
+                deposit_charge(p, (gx, gy), kept2),
+                eval_2d(c2, p.pos1, p.pos2, stage=kept2),
+                deposit_charge(p, (gx,), kept1),
+                eval_1d(c1, p.pos1, stage=kept1),
             )
 
-        whole = kernels(None, None)
+        whole = kernels()
         monkeypatch.setattr(splines, "BLOCK", 37)  # many blocks, ragged last one
-        blocked = kernels(StageOperator(), StageOperator())
-        for single, again in zip(whole[1:], blocked[1:]):
+        blocked = kernels()
+        for single, again in zip(whole, blocked):  # the stage deposits too: M^T w has no blocks
             np.testing.assert_array_equal(again, single)
-        _check_blocked_deposit(blocked[0], whole[0], p, gx, gy)
+        np.testing.assert_array_equal(whole[1], plain_eval_2d(c2, p.pos1, p.pos2))
+        np.testing.assert_array_equal(whole[3], plain_eval_1d(c1, p.pos1))
 
 
 #: GRID_PAIRS plus the smallest periodic x the config allows (4 cells)
@@ -534,8 +539,8 @@ class TestStageOperator:
         p = _particles(gx, gy, rng)
         c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
         op = StageOperator()
-        np.testing.assert_array_equal(deposit_phase_space(p, gx, gy, stage=op),
-                                      deposit_phase_space(p, gx, gy))
+        np.testing.assert_array_equal(deposit_charge(p, (gx, gy), op),
+                                      _loop_stage_deposit(p, (gx, gy)))
         x, y = p.pos1, p.pos2
         np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
         scalar = SplineCoeffs(c2.grids, c2.coeffs[..., 1].copy())
@@ -544,8 +549,8 @@ class TestStageOperator:
         np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
         for g in (gx, gy):
             c1 = fit_1d(rng.normal(size=g.n_nodes), g)
-            np.testing.assert_array_equal(deposit_charge(p, g, 0.3, stage=op),
-                                          _loop_deposit_1d(p, g, 0.3))
+            np.testing.assert_array_equal(deposit_charge(p, (g,), op),
+                                          _loop_stage_deposit(p, (g,)))
             np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
             op.read((p.pos1,), (g,))
             np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
@@ -558,8 +563,8 @@ class TestStageOperator:
         x = np.array(far + [0.1, -0.7])
         p = ParticleSet(x, x, np.random.default_rng(32).normal(size=x.size))
         op = StageOperator()
-        np.testing.assert_array_equal(deposit_charge(p, gx, 0.5, stage=op),
-                                      _loop_deposit_1d(p, gx, 0.5))
+        np.testing.assert_array_equal(deposit_charge(p, (gx,), op),
+                                      _loop_stage_deposit(p, (gx,)))
         assert op.index.dtype == np.int32 and op.index.shape == (4, x.size)
         assert op.dims == (n + 1 + 2 * PAD,)
         # u clipped to -3 puts nodes -4..-1 in pad columns 0..3; cell n + 2
@@ -573,12 +578,14 @@ class TestStageOperator:
         gx, gy = grids
         p = _particles(gx, gy, np.random.default_rng(33))
         op = StageOperator()
-        deposit_phase_space(p, gx, gy, stage=op)
+        deposit_charge(p, grids, op)
         assert op.index.dtype == np.int32 and op.index.shape == (4, 4, p.pos1.size)
         assert op.data.shape == op.index.shape
         assert op.matrix.row.dtype == np.int32 and op.matrix.col.dtype == np.int32
         assert np.shares_memory(op.matrix.col, op.index)  # filled in place
-        assert np.shares_memory(op.matrix.T.data, op.data)
+        assert np.shares_memory(op.matrix_t.row, op.index)  # M^T over the same arrays
+        assert np.shares_memory(op.matrix.data, op.data)
+        assert np.shares_memory(op.matrix_t.data, op.data)
         assert op.index.min() >= 0 and op.index.max() < np.prod(op.dims)
 
     def test_gather_at_other_points_raises(self):
@@ -591,7 +598,7 @@ class TestStageOperator:
         with pytest.raises(ValueError, match="stage operator"):
             eval_2d(c2, p.pos1, y, stage=StageOperator())  # never built
         op = StageOperator()
-        deposit_phase_space(p, gx, gy, stage=op)
+        deposit_charge(p, (gx, gy), op)
         with pytest.raises(ValueError, match="stage operator"):
             eval_2d(c2, p.pos1 + 0.01, y, stage=op)
         with pytest.raises(ValueError, match="stage operator"):
@@ -631,10 +638,10 @@ class TestLocateLeavesItsInput:
         p = _particles(gx, gy, rng)
         kept = p.pos1.copy(), p.pos2.copy()
         op, op1 = StageOperator(), StageOperator()
-        deposit_phase_space(p, gx, gy, stage=op)
+        deposit_charge(p, grids, op)
         eval_2d(fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy),
                 p.pos1, p.pos2, stage=op)
-        deposit_charge(p, gx, 0.3, stage=op1)
+        deposit_charge(p, (gx,), op1)
         eval_1d(fit_1d(rng.normal(size=gx.n_nodes), gx), p.pos1, stage=op1)
         np.testing.assert_array_equal(p.pos1, kept[0])
         np.testing.assert_array_equal(p.pos2, kept[1])
@@ -662,11 +669,10 @@ class TestShiftInvariance:
             op2, op1 = StageOperator(), StageOperator()
             return {
                 "deposit_phase_space": deposit_phase_space(p, gx, gy),
-                "deposit_phase_space stage": deposit_phase_space(p, gx, gy, stage=op2),
+                "deposit_charge 2d": deposit_charge(p, (gx, gy), op2),
                 "eval_2d": plain_eval_2d(c2, xs, y),
                 "eval_2d stage": eval_2d(c2, xs, y, stage=op2),
-                "deposit_charge": deposit_charge(p, gx, 0.3, StageOperator()),
-                "deposit_charge stage": deposit_charge(p, gx, 0.3, stage=op1),
+                "deposit_charge": deposit_charge(p, (gx,), op1),
                 "eval_1d stage": eval_1d(c1, xs, stage=op1),
             }
 

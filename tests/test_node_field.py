@@ -22,7 +22,6 @@ from fslvlasov.deposition import (
     NEGLIGIBLE,
     ParticleSet,
     deposit_charge,
-    deposit_phase_space,
     deposit_seeded_charge,
     seed_particles,
 )
@@ -77,7 +76,7 @@ def _copy(p):
 class TestSeededDeposit:
     def test_charge_equals_particle_deposit(self):
         p = _seeded(GX, GV, 2)
-        ref = deposit_charge(p, GX, GV.delta, StageOperator())
+        ref = GV.delta * deposit_charge(p, (GX,), StageOperator())
         assert _rel(deposit_seeded_charge(p.weights, GX, GV.delta), ref) < 1e-13
 
 
@@ -216,8 +215,9 @@ class TestStageThroughKeptStencils:
         fld = SelfConsistentField2D(GX, GY)
         u, v = fld.rhs(p.replace_positions(px, py), 0.0)
         q = ParticleSet(px.copy(), py.copy(), p.weights.copy())
-        e = plain_eval_2d(solve_fields(deposit_phase_space(q, GX, GY), GX, GY).E_spline,
-                    q.pos1, np.clip(q.pos2, GY.xmin, GY.xmax))
+        rho = deposit_charge(q, (GX, GY), StageOperator())
+        e = plain_eval_2d(solve_fields(rho, GX, GY).E_spline,
+                          q.pos1, np.clip(q.pos2, GY.xmin, GY.xmax))
         assert (py < GY.xmin).any() and (py > GY.xmax).any()
         np.testing.assert_array_equal(u, e[:, 0])
         np.testing.assert_array_equal(v, -e[:, 1])
@@ -228,14 +228,14 @@ class TestStageThroughKeptStencils:
         fld = SelfConsistentField1D(GX, GV)
         _, got = fld.rhs(p.replace_positions(x, p.pos2), 0.0)
         q = ParticleSet(x.copy(), x.copy(), p.weights.copy())
-        state = solve_poisson_1d(deposit_charge(q, GX, GV.delta, StageOperator()), GX)
+        state = solve_poisson_1d(GV.delta * deposit_charge(q, (GX,), StageOperator()), GX)
         np.testing.assert_array_equal(got, plain_eval_1d(state.E_spline, q.pos1))
 
     def test_buffer_is_allocated_once(self):
         p = _seeded(GX, GY, 8)
         fld = SelfConsistentField2D(GX, GY)
         fld.rhs(p.replace_positions(p.pos1 + 0.1, p.pos2), 0.0)
-        names = ("index", "data", "cpad", "matrix")
+        names = ("index", "data", "cpad", "matrix", "matrix_t")
         kept = [getattr(fld.stage, k) for k in names]
         fld.rhs(p.replace_positions(p.pos1 - 0.1, p.pos2 + 0.05), 0.0)
         for k, a in zip(names, kept):
@@ -260,7 +260,7 @@ def _small(case, **kw):
 
 class TestSolveCount:
     @pytest.mark.parametrize("case, solve, deposit, gather", [
-        ("kelvin_helmholtz", "solve_fields", "deposit_phase_space", "eval_2d"),
+        ("kelvin_helmholtz", "solve_fields", "deposit_charge", "eval_2d"),
         ("bump_on_tail", "solve_poisson_1d", "deposit_charge", "eval_1d"),
     ])
     def test_fsl_rk4_makes_four_solves_a_step_plus_one(

@@ -308,7 +308,7 @@ class TestBsl:
             return reads[-1][-1]
 
         monkeypatch.setattr(bsl, "eval_2d", recorded)
-        st, names = solver.init(cfg), ("index", "data", "matrix")
+        st, names = solver.init(cfg), ("index", "data", "matrix", "matrix_t")
         for step in range(2):
             solver.step(st)
             assert len(reads) == 5 * (step + 1)  # four midpoint reads, then the foot's
