@@ -13,7 +13,7 @@ every spline read locates; feet across the periodic x seam wrap there too.
 
 The comparator runs on the forward scheme's providers (``pushers``).
 The guiding-center reads (four midpoint sweeps, the foot read of f) go
-through the provider's one stage operator, by its read fill.
+through the provider's one stage operator, filled at margin 0.
 ``bsl_step`` returns the new node values and the mass that left through
 the walls; the solver remaps them as it does the forward scheme's (books
 the loss, refits, reseeds, hands f to the provider) and advances the
@@ -100,7 +100,7 @@ def _bsl_step_gc(state):
     op = state.provider.stage  # no stage pushes in a backward run: reads reuse it
 
     def u_mid(px, py):
-        e = eval_2d(e_mid, px, py, op.read((px, py), (gx, gy)))
+        e = eval_2d(e_mid, px, py, op.fill((px, py), (gx, gy), 0))
         return e[:, 0], -e[:, 1]
 
     mx, my = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
@@ -112,7 +112,7 @@ def _bsl_step_gc(state):
         midy = py - 0.5 * cfg.dt * uy
     foot_x = px - cfg.dt * ux
     foot_y = py - cfg.dt * uy
-    f_new = eval_2d(state.f_coeffs, foot_x, foot_y, op.read((foot_x, foot_y), (gx, gy)))
+    f_new = eval_2d(state.f_coeffs, foot_x, foot_y, op.fill((foot_x, foot_y), (gx, gy), 0))
     f_new = f_new.reshape(gx.n_nodes, gy.n_nodes)
     return f_new, float(np.sum(state.f_nodes)) - float(np.sum(f_new))
 

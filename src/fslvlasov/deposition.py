@@ -11,15 +11,15 @@ and clamping them would pile mass at the wall.
 
 Kernel layout: per dimension the stencil is a pair of (4, n) arrays (node
 indices, weights) from ``splines.stencil`` at margin PAD - 1: along a
-natural dimension its indices land in the accumulator's PAD extra cells at
-each end, which catch the stencil nodes off the grid and are sliced off, so
-no validity mask reaches the outer product.  Particles go through in blocks
-of ``splines.BLOCK``.  The stage deposit (``deposit_charge``, 1D or 2D)
-writes them into a ``splines.StageOperator`` M at the stage's positions and
-sums M^T w: a node sums slot by slot, x slot before y slot, then particle
-by particle, each entry (wx wy) w, whatever BLOCK is.  It keeps every
-particle, whose row the gather reads.  The remap deposit
-(``deposit_phase_space``) adds a block's slot-major (4, 4, block) flat
+natural dimension its indices land in the PAD extra cells at each end of
+``splines.padded``, which catch the stencil nodes off the grid and are
+sliced off, so no validity mask reaches the outer product.  Particles go
+through in blocks of ``splines.BLOCK``.  The stage deposit
+(``deposit_charge``, 1D or 2D) fills a ``splines.StageOperator`` M at the
+stage's positions and sums M^T w: a node sums slot by slot, x slot before
+y slot, then particle by particle, each entry (wx wy) w, whatever BLOCK
+is.  It keeps every particle, whose row the gather reads.  The remap
+deposit (``deposit_phase_space``) adds a block's slot-major (4, 4, block) flat
 indices and weights (w wx) wy with one ``np.add.at``: a node sums block by
 block, then slot (a, b) by slot, then particle by particle, so BLOCK also
 fixes its bits.  It skips each |w| <= NEGLIGIBLE max |w|, half an ulp of
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import BLOCK, PAD, SplineCoeffs, StageOperator, blocks, stencil
+from .splines import BLOCK, PAD, SplineCoeffs, StageOperator, blocks, padded, stencil
 
 NEGLIGIBLE = 2.0 ** -53  # |w| / max |w| at or below which the seed and the 2D deposit skip w
 
@@ -100,9 +100,8 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
     if p.nodes is None:
         keep = (a := np.abs(p.weights)) > NEGLIGIBLE * a.max(initial=0.0)
         p = p if keep.all() else ParticleSet(p.pos1[keep], p.pos2[keep], p.weights[keep])
-    ox, oy = (0 if g.periodic else PAD for g in (gx, gy))
-    nya = gy.n_nodes + 2 * oy
-    out = np.zeros((gx.n_nodes + 2 * ox) * nya)
+    (nxa, nya), nodes = padded((gx, gy))
+    out = np.zeros(nxa * nya)
     for b in blocks(p.pos1.size):
         (ix, wx), (iy, wy) = (stencil(g, x[b], PAD - 1) for g, x in ((gx, p.pos1), (gy, p.pos2)))
         # slot-major (4, 4, block); named, it lives into the next block, so the heap is
@@ -110,7 +109,7 @@ def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
         flat = ((ix * nya)[:, None] + iy[None]).ravel()
         np.add.at(out, flat, ((p.weights[b] * wx)[:, None] * wy[None]).ravel())
     # contiguous: a strided result changes the summation order of np.sum
-    return np.ascontiguousarray(out.reshape(-1, nya)[ox:ox + gx.n_nodes, oy:oy + gy.n_nodes])
+    return np.ascontiguousarray(out.reshape(nxa, nya)[nodes])
 
 
 def deposit_charge(p: ParticleSet, grids: tuple[UniformGrid1D, ...], stage: StageOperator):
@@ -120,12 +119,9 @@ def deposit_charge(p: ParticleSet, grids: tuple[UniformGrid1D, ...], stage: Stag
     as the Vlasov-Poisson callers take it, its x-quadrature is the particles' mass."""
     pts = (p.pos1, p.pos2)[:len(grids)]
     _check_finite(*pts, p.weights)
-    op = stage.reserve(pts, grids)
-    for b in blocks(p.pos1.size):
-        op.put(b, [stencil(g, x[b], PAD - 1) for g, x in zip(grids, pts)])
-    nodes = tuple(slice(o, o + g.n_nodes) for g in grids for o in (0 if g.periodic else PAD,))
+    op = stage.fill(pts, grids)
     # contiguous: a strided result changes the summation order of np.sum
-    return np.ascontiguousarray((op.matrix_t @ p.weights).reshape(op.dims)[nodes])
+    return np.ascontiguousarray((op.matrix_t @ p.weights).reshape(op.dims)[op.nodes])
 
 
 def deposit_seeded_charge(weights, gx: UniformGrid1D, dv: float):

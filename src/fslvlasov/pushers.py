@@ -11,23 +11,23 @@ rows and BSL read, add ``node_field(p)``, the field of the remap (None
 for any other set).  Their rhs deposits the weights, solves the Poisson
 problem and gathers the field through one sparse B-spline matrix M of
 the stage's particles (``stage``, a ``splines.StageOperator``:
-``deposit_charge`` writes M and sums M^T w, the gather computes M c); a
-Vlasov-Poisson row between remaps deposits through it too, and the next
-stage refills it.  BSL, which never pushes, reads through it by its read
-fill.  The node-seeded set is the exception: its field is solved on the
-grid once, on first use, and shared by the diagnostics row and stage 1,
-which both read node values only, since the particles sit where the
-field spline interpolates (a 2D field then fits no spline), read at
-``ParticleSet.nodes`` for a seed that skipped its negligible
-coefficients.  The guiding center solves it from the remap's f.
-Vlasov-Poisson solves it from the stencil deposit of the weights,
-skipped ones 0 (``deposit_seeded_charge``), which also holds the ghost
-coefficients' skirt beyond the v walls that dv sum_v f leaves out (the
-node sum would move bump_on_tail's E1 by 9.4e-6).  The integrators pass
-the seeded set itself to stage 1, so the identity test of ``node_field``
-is the only one.  The pushers never wrap x: a position may lie any
-number of periods away, and every read and scatter wraps it as it
-locates (``grids.UniformGrid1D.to_units``).
+``deposit_charge`` has ``fill`` write M and sums M^T w, the gather
+computes M c); a Vlasov-Poisson row between remaps deposits through it
+too, and the next stage refills it.  BSL, which never pushes, reads
+through it after a ``fill`` at margin 0.  The node-seeded set is the
+exception: its field is solved on the grid once, on first use, and
+shared by the diagnostics row and stage 1, which both read node values
+only, since the particles sit where the field spline interpolates (a 2D
+field then fits no spline), read at ``ParticleSet.nodes`` for a seed
+that skipped its negligible coefficients.  The guiding center solves it
+from the remap's f.  Vlasov-Poisson solves it from the stencil deposit
+of the weights, skipped ones 0 (``deposit_seeded_charge``), which also
+holds the ghost coefficients' skirt beyond the v walls that dv sum_v f
+leaves out (the node sum would move bump_on_tail's E1 by 9.4e-6).  The
+integrators pass the seeded set itself to stage 1, so the identity test
+of ``node_field`` is the only one.  The pushers never wrap x: a position
+may lie any number of periods away, and every read and scatter wraps it
+as it locates (``grids.UniformGrid1D.to_units``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start

@@ -26,14 +26,15 @@ carry a trailing component axis: the two field components share one fit
 (``fit_2d_rfft``; ``fit_2d`` fits one array) and one stencil.  Every read
 at a set of points goes through one ``StageOperator``, the B-spline matrix
 M of the points: COO over slot-major (4,) * d + (n,) int32 indices into the
-deposit's padded node layout and weights D = wx (x) wy, written in blocks
-of BLOCK (see there), and M^T over the same arrays.  A stage deposit
-(``deposition.deposit_charge``) writes them and sums M^T w; the gather
-relocates the rows whose deposit cell lies off a natural grid, where a
-read clips, and computes M c per component, c padded alike.  A read fill
-(``StageOperator.read``, BSL's reads) locates at margin 0 and writes M
-alone.  Each row sums slot by slot, x before y: the plain gather's order,
-bit for bit.
+one padded node layout (``padded``, which the deposits share) and weights
+D = wx (x) wy, and M^T over the same arrays.  ``StageOperator.fill`` alone
+writes them, in blocks of BLOCK (see there), from stencils located at its
+margin and shifted into that layout.  A stage deposit
+(``deposition.deposit_charge``) fills at PAD - 1 and sums M^T w; the gather
+refills, at margin 0, the rows whose deposit cell lies off a natural grid,
+where a read clips, and computes M c per component, c padded alike.  BSL's
+reads fill at margin 0.  Each row sums slot by slot, x before y: the plain
+gather's order, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,16 +65,16 @@ def blocks(n: int):
     return [slice(s, s + BLOCK) for s in range(0, n, BLOCK)]
 
 
-def stencil_weights(t, out=None):
+def stencil_weights(t):
     """Basis values S(t+1), S(t), S(t-1), S(t-2) for fractional t in [0, 1].
 
     These weight the four coefficients at offsets (-1, 0, 1, 2) from the
-    cell index.  The stencil point is the leading axis: shape (4,) + t.shape,
-    written to ``out`` if given.  With s = 1 - t the rows are s^3/6,
-    2/3 - t^2 + t^3/2, 2/3 - s^2 + s^3/2 and t^3/6, by products in place.
+    cell index.  The stencil point is the leading axis: shape (4,) + t.shape.
+    With s = 1 - t the rows are s^3/6, 2/3 - t^2 + t^3/2, 2/3 - s^2 + s^3/2
+    and t^3/6, by products in place.
     """
     t = np.asarray(t, dtype=float)
-    w = np.empty((4,) + t.shape) if out is None else out
+    w = np.empty((4,) + t.shape)
     s3, t2, s2, t3 = (w[k, ...] for k in range(4))  # the rows, as views
     s = np.subtract(1.0, t, out=np.empty(t.shape))
     np.multiply(np.multiply(t, t, out=t2), t, out=t3)
@@ -237,20 +238,28 @@ def stencil(grid: UniformGrid1D, x, margin=0):
 PAD = 4
 
 
+def padded(grids):
+    """The padded node layout of ``grids``: its dims, PAD extra cells at each
+    end of a natural axis, and the slices of the nodes in it."""
+    pads = [(g.n_nodes, 0 if g.periodic else PAD) for g in grids]
+    return tuple(n + 2 * o for n, o in pads), tuple(slice(o, o + n) for n, o in pads)
+
+
 class StageOperator:
     """The B-spline matrix M at the points ``pts`` (see the module notes):
     COO ``matrix`` over slot-major int32 ``index`` into the padded layout
-    (``dims`` cells, coefficient 0 at ``starts``) and weights ``data``,
-    (4,) * d + (n,) each, and its transpose ``matrix_t`` over the same
-    arrays, from stencils located at ``margin``: PAD - 1 for a deposit,
-    whose wall rows the gather relocates; 0 for ``read``."""
+    (``padded``: ``dims`` cells, the nodes at ``nodes``) and weights
+    ``data``, (4,) * d + (n,) each, and its transpose ``matrix_t`` over the
+    same arrays, from stencils located at ``margin``: PAD - 1 for a deposit,
+    whose wall rows the gather refills at margin 0; 0 for a read alone."""
 
     index = dims = cpad = None
     pts = ()
 
-    def reserve(self, pts, grids, margin=PAD - 1) -> "StageOperator":
+    def fill(self, pts, grids, margin=PAD - 1) -> "StageOperator":
+        """Write M at ``pts``; the arrays are made afresh only when n or the layout changes."""
         n, d = pts[0].size, len(grids)
-        dims = tuple(g.n_nodes + (0 if g.periodic else 2 * PAD) for g in grids)
+        dims, self.nodes = padded(grids)
         if self.index is None or self.index.shape != (4,) * d + (n,) or dims != self.dims:
             self.dims = dims
             self.index = np.zeros((4,) * d + (n,), dtype=np.int32)  # coo_array checks it here
@@ -260,13 +269,17 @@ class StageOperator:
                                     shape=(n, int(np.prod(dims))))  # views: filled in place
             self.matrix_t = self.matrix.T  # over the same views, formed once
         self.pts, self.margin = pts, margin
-        self.starts = tuple(0 if g.periodic else PAD - 1 for g in grids)  # ghost slot 0
+        for b in blocks(n):
+            self._write(b, grids, [p[b] for p in pts], margin)
         return self
 
-    def put(self, b, stencils):
-        """Write M at the points ``b``, a block or an index array, from their
-        stencils in the padded layout, with no (4, 4, block) temporary."""
+    def _write(self, b, grids, pts, margin):
+        """Write M's rows ``b``, a block or an index array, at their points
+        ``pts`` located at ``margin``, with no (4, 4, block) temporary."""
         index, data = self.index[..., b], self.data[..., b]  # of an index array: copies
+        stencils = [stencil(g, p, margin) for g, p in zip(grids, pts)]
+        for i, _ in [s for g, s in zip(grids, stencils) if not g.periodic and margin < PAD - 1]:
+            i += PAD - 1 - margin  # node k at k + PAD, whatever the margin
         if len(stencils) == 1:
             index[...], data[...] = stencils[0]
         else:  # x slot before y slot
@@ -275,18 +288,6 @@ class StageOperator:
             np.add(ix[:, None], iy[None], out=index)
             np.multiply(wx[:, None], wy[None], out=data)
         self.index[..., b], self.data[..., b] = index, data  # a block's views: no copy
-
-    def _put_read(self, b, grids, pts):
-        """``put`` the points ``b`` of ``pts`` located as a read, at margin 0."""
-        self.put(b, [(i + s, w) for g, p, s in zip(grids, pts, self.starts)
-                     for i, w in (stencil(g, p[b]),)])
-
-    def read(self, pts, grids) -> "StageOperator":
-        """Fill M at ``pts`` for gathers alone: located at margin 0, no wall rows."""
-        self.reserve(pts, grids, margin=0)
-        for b in blocks(pts[0].size):
-            self._put_read(b, grids, pts)
-        return self
 
     def gather(self, c: SplineCoeffs, pts):
         """(n, m) values of M c at ``pts``, the operator's points; other
@@ -299,12 +300,13 @@ class StageOperator:
             rows = np.flatnonzero(np.logical_or.reduce([
                 (u < 0) | (u >= g.n_cells) for g, p in zip(c.grids, self.pts)
                 if not g.periodic for u in (g.to_units(p),)]))
-            self._put_read(rows, c.grids, [p.ravel() for p in pts])
+            self._write(rows, c.grids, [p.ravel()[rows] for p in pts], 0)
         comps = np.moveaxis(c.coeffs.reshape(c.coeffs.shape[:d] + (-1,)), -1, 0)
         if self.cpad is None or self.cpad.shape != comps.shape[:1] + self.dims:
             self.cpad = np.zeros(comps.shape[:1] + self.dims)  # one layout a component
-        ends = np.add(self.starts, comps.shape[1:])
-        self.cpad[(slice(None), *map(slice, self.starts, ends))] = comps
+        coeffs = (s if g.periodic else slice(s.start - 1, s.stop + 1)  # a ghost each side
+                  for g, s in zip(c.grids, self.nodes))
+        self.cpad[(slice(None), *coeffs)] = comps
         return np.stack([self.matrix @ ck.ravel() for ck in self.cpad], axis=-1)
 
 

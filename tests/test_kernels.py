@@ -545,15 +545,39 @@ class TestStageOperator:
         np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
         scalar = SplineCoeffs(c2.grids, c2.coeffs[..., 1].copy())
         np.testing.assert_array_equal(eval_2d(scalar, x, y, stage=op), plain_eval_2d(scalar, x, y))
-        op.read((x, y), (gx, gy))  # the deposit's operator, refilled for reads alone
+        op.fill((x, y), (gx, gy), 0)  # the deposit's operator, refilled for reads alone
         np.testing.assert_array_equal(eval_2d(c2, x, y, stage=op), plain_eval_2d(c2, x, y))
         for g in (gx, gy):
             c1 = fit_1d(rng.normal(size=g.n_nodes), g)
             np.testing.assert_array_equal(deposit_charge(p, (g,), op),
                                           _loop_stage_deposit(p, (g,)))
             np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
-            op.read((p.pos1,), (g,))
+            op.fill((p.pos1,), (g,), 0)
             np.testing.assert_array_equal(eval_1d(c1, p.pos1, stage=op), plain_eval_1d(c1, p.pos1))
+
+    @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
+    def test_gather_leaves_the_read_fill(self, name):
+        # the gather's wall rows and a read fill are one writer: same index, same D
+        gx, gy = OPERATOR_GRIDS[name]
+        rng = np.random.default_rng(35)
+        p = _particles(gx, gy, rng)
+        for g, pos in zip((gx, gy), (p.pos1, p.pos2)):
+            u = g.to_units(pos)
+            if not g.periodic:  # strays past both pads, points exactly on both walls
+                assert (u < -3).any() and (u > g.n_cells + 3).any()
+                assert (u == 0).any() and (u == g.n_cells).any()
+        c2 = fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy)
+        for grids in ((gx, gy), (gx,), (gy,)):
+            pts = (p.pos1, p.pos2)[:len(grids)]
+            c = c2 if len(grids) == 2 else fit_1d(rng.normal(size=grids[0].n_nodes), grids[0])
+            op, read = StageOperator(), StageOperator()
+            deposit_charge(p, grids, op)
+            read.fill(pts, grids, 0)
+            if not all(g.periodic for g in grids):  # the deposit's wall rows differ
+                assert not np.array_equal(op.index, read.index)
+            op.gather(c, pts)
+            np.testing.assert_array_equal(op.index, read.index)
+            np.testing.assert_array_equal(op.data, read.data)
 
     def test_strays_land_in_the_pad(self):
         gx, gy = GRID_PAIRS["natural-natural"]

@@ -1,7 +1,8 @@
 """Package surface: every module imports on its own, the root exports only
 ``__version__``, every fslvlasov name the demos, tools and benchmark
-import or read from an imported module exists, and every call site of the
-traced benchmark's spans resolves."""
+import or read from an imported module exists, every call site of the
+traced benchmark's spans resolves, and every default-valued parameter of
+the package is passed by some call outside the tests."""
 
 import ast
 import importlib
@@ -139,3 +140,59 @@ def test_span_call_sites_resolve():
                if not any(hasattr(importlib.import_module(f"fslvlasov.{module}"), n)
                           for n in names)]
     assert missing == []
+
+
+#: default-valued parameters that no call in the scanned trees passes, and why
+#: each stays: ``cli.main``'s ``argv`` is None from the console entry, which
+#: passes none, and the tests drive the CLI through it
+UNSET_ALLOWED = {("cli", "main", "argv")}
+CALLER_DIRS = ("src", "demos", "tools", "perfbench")
+
+
+def _defaulted_parameters():
+    """(module, def, parameter, position or None) of each default-valued
+    parameter of a ``def`` in the package; a method's positions skip self."""
+    found = []
+    for path in sorted((SRC / "fslvlasov").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+            a, skip = fn.args, int(id(fn) in methods)
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            found += [(path.stem, fn.name, arg.arg, k - skip)
+                      for k, arg in enumerate(positional) if k >= first]
+            found += [(path.stem, fn.name, arg.arg, None)
+                      for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def _calls():
+    """(callee name, positional count, keywords, unpacks) of each call in the
+    scanned trees; a class's name stands for its ``__init__``."""
+    classes, calls = set(), []
+    for d in CALLER_DIRS:
+        for path in sorted((REPO / d).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            classes |= {c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+            for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                f = call.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                unpacks = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords)
+                calls.append((name, len(call.args), {k.arg for k in call.keywords}, unpacks))
+    return [("__init__" if name in classes else name, *rest) for name, *rest in calls]
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A parameter stays only if a non-test caller sets it: each default-valued
+    parameter of the package is passed, by keyword or by position, by some
+    call in ``src``, ``demos``, ``tools`` or ``perfbench`` (a call with
+    ``*args`` or ``**kwargs`` passes them all)."""
+    params = _defaulted_parameters()
+    assert ("cli", "main", "argv", 0) in params and ("splines", "stencil", "margin", 2) in params
+    calls = _calls()
+    unset = {(module, fn, name) for module, fn, name, k in params
+             if not any(callee == fn and (unpacks or name in keys or (k is not None and n > k))
+                        for callee, n, keys, unpacks in calls)}
+    assert unset - UNSET_ALLOWED == set()
