@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,10 +66,6 @@ CHANNELS = {
 
 class NumericsAbort(RuntimeError):
     """Non-finite or runaway values were detected mid-run."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class OutputError(RuntimeError):
@@ -253,68 +250,48 @@ def read_snapshot(path: str) -> np.ndarray:
         return np.fromfile(fh, dtype="<f8").reshape(int(shape[0]), int(shape[1]))
 
 
-class _Writer:
-    def __init__(self, outdir: str, cfg: CaseConfig, channel_names):
-        self.outdir, self.cfg = outdir, cfg
-        os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
-        with open(os.path.join(outdir, "config.echo"), "w") as fh:
-            fh.write(cases.format_config(cfg))
-        self.names = ["t"] + list(channel_names)
-        self.fh = open(os.path.join(outdir, "series.csv"), "w", newline="")
-        self.csv = csv.writer(self.fh)
-        self.csv.writerow(self.names)
-
-    def row(self, t: float, row: dict):
-        self.csv.writerow([f"{t:.17g}"] + [f"{row[name]:.17g}" for name in self.names[1:]])
-
-    def snapshot(self, state: SimState, f: np.ndarray):
-        base = os.path.join(self.outdir, "snapshots", f"snap_{state.step_index:06d}")
-        write_snapshot(base, f, state.t, self.cfg.snapshot_format)
-
-    def close(self):
-        self.fh.flush()
-        self.fh.close()
-
-
 def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
     """March the configured scheme to t_end, collecting diagnostics.
 
     Returns the in-memory series and snapshots; when ``outdir`` is given,
-    also writes config.echo, series.csv and snapshots/ (flushed even if
-    the run aborts on non-finite values), and any OSError there is an
-    OutputError.  The setup raises ConfigError (non-finite f0, Hill outside
-    a stable zone).  Every numeric check raises (FloatingPointError from
-    the pushers, the remap and the rows, ValueError from deposition,
-    fitting or the field solves), so numpy's float warnings are off; this
-    is the one place that ends the run as a NumericsAbort, naming the
-    setup, the t = 0 row or step n (with its row and snapshot) and
-    carrying the rows recorded so far.
+    also writes config.echo, series.csv and snapshots/, and any OSError
+    there is an OutputError.  The setup raises ConfigError (non-finite f0,
+    Hill outside a stable zone).  Every numeric check raises
+    (FloatingPointError from the pushers, the remap and the rows,
+    ValueError from deposition, fitting or the field solves), so numpy's
+    float warnings are off; this is the one place that ends the run as a
+    NumericsAbort, naming the setup, the t = 0 row or step n (with its row
+    and snapshot).  The rows and snapshots written before an abort stay
+    under ``outdir``: series.csv is closed, and so flushed, either way.
     """
     names = CHANNELS[config.model]
-    writer, times, rows, snaps, state = None, [], [], [], None
+    rows_out, times, rows, snaps, state = None, [], [], [], None
 
     def record():
         row = diag_row(state)
         times.append(state.t)
         rows.append(row)
-        if writer:
-            writer.row(state.t, row)
+        if rows_out:
+            rows_out.writerow([f"{state.t:.17g}"] + [f"{row[n]:.17g}" for n in names])
 
     def snapshot():
         f = _node_f(state)
         snaps.append((state.t, f.copy()))
-        if writer:
-            writer.snapshot(state, f)
-
-    def partial():
-        channels = {n: np.array([r[n] for r in rows]) for n in names}
-        return RunResult(np.array(times), channels, snaps, state)
+        if outdir:
+            base = os.path.join(outdir, "snapshots", f"snap_{state.step_index:06d}")
+            write_snapshot(base, f, state.t, config.snapshot_format)
 
     where = "setup"
     with np.errstate(all="ignore"):  # every numeric check raises, none warns
         try:
-            try:
-                writer = _Writer(outdir, config, names) if outdir else None
+            with ExitStack() as files:  # inside the try: a failed close is an OutputError
+                if outdir:
+                    os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
+                    with open(os.path.join(outdir, "config.echo"), "w") as fh:
+                        fh.write(cases.format_config(config))
+                    rows_out = csv.writer(files.enter_context(
+                        open(os.path.join(outdir, "series.csv"), "w", newline="")))
+                    rows_out.writerow(["t"] + names)
                 state = init(config)
                 where = "t = 0"
                 record()
@@ -326,11 +303,9 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
                         record()
                     if n % config.snapshot_every == 0:
                         snapshot()
-            finally:
-                if writer:
-                    writer.close()
         except (FloatingPointError, ValueError) as err:
-            raise NumericsAbort(f"{err} at {where}", partial()) from err
+            raise NumericsAbort(f"{err} at {where}") from err
         except OSError as err:
             raise OutputError(f"cannot write to {outdir}: {err}") from err
-    return partial()
+    channels = {n: np.array([r[n] for r in rows]) for n in names}
+    return RunResult(np.array(times), channels, snaps, state)

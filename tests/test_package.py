@@ -1,8 +1,10 @@
 """Package surface: every module imports on its own, the root exports only
 ``__version__``, every fslvlasov name the demos, tools and benchmark
 import or read from an imported module exists, every call site of the
-traced benchmark's spans resolves, and every default-valued parameter of
-the package is passed by some call outside the tests."""
+traced benchmark's spans resolves, every default-valued parameter of
+the package is passed by some call outside the tests, every top-level
+name of the package is referenced outside its own definition, and every
+field of a package class is read outside the tests."""
 
 import ast
 import importlib
@@ -149,6 +151,11 @@ UNSET_ALLOWED = {("cli", "main", "argv")}
 CALLER_DIRS = ("src", "demos", "tools", "perfbench")
 
 
+def _trees(dirs):
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for d in dirs for path in sorted((REPO / d).rglob("*.py"))]
+
+
 def _defaulted_parameters():
     """(module, def, parameter, position or None) of each default-valued
     parameter of a ``def`` in the package; a method's positions skip self."""
@@ -171,16 +178,14 @@ def _calls():
     """(callee name, positional count, keywords, unpacks) of each call in the
     scanned trees; a class's name stands for its ``__init__``."""
     classes, calls = set(), []
-    for d in CALLER_DIRS:
-        for path in sorted((REPO / d).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            classes |= {c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
-            for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-                f = call.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                unpacks = any(isinstance(a, ast.Starred) for a in call.args) or any(
-                    k.arg is None for k in call.keywords)
-                calls.append((name, len(call.args), {k.arg for k in call.keywords}, unpacks))
+    for _, tree in _trees(CALLER_DIRS):
+        classes |= {c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            unpacks = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            calls.append((name, len(call.args), {k.arg for k in call.keywords}, unpacks))
     return [("__init__" if name in classes else name, *rest) for name, *rest in calls]
 
 
@@ -196,3 +201,85 @@ def test_every_defaulted_parameter_is_passed():
              if not any(callee == fn and (unpacks or name in keys or (k is not None and n > k))
                         for callee, n, keys, unpacks in calls)}
     assert unset - UNSET_ALLOWED == set()
+
+
+#: top-level names of the package that nothing references, and why each stays
+UNREFERENCED_ALLOWED: dict = {}
+#: fields of package classes that nothing outside the tests reads, and why each stays
+UNREAD_ALLOWED: dict = {}
+
+
+def _references(node):
+    """Each name ``node`` references: a load of the name, an attribute, an
+    imported name or a string constant."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (a.name for a in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def _assigned(stmt):
+    """The plain names an assignment statement binds; none for other statements."""
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _defined(stmt):
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    return _assigned(stmt)
+
+
+def test_every_top_level_name_is_referenced():
+    """A name stays only if something uses it: each top-level ``def``,
+    ``class`` and assigned name of the package is referenced outside its
+    own definition, in ``src``, ``demos``, ``tools``, ``perfbench`` or
+    ``tests``, or by an entry point in pyproject.toml."""
+    entries = re.findall(r':(\w+)"', (REPO / "pyproject.toml").read_text())
+    statements = [(path, stmt) for path, tree in _trees(CALLER_DIRS + ("tests",))
+                  for stmt in tree.body]
+    refs = {}  # name -> the statements that reference it
+    for k, (_, stmt) in enumerate(statements):
+        for name in _references(stmt):
+            refs.setdefault(name, set()).add(k)
+    defined = [(path.stem, name, k) for k, (path, stmt) in enumerate(statements)
+               if path.parent == SRC / "fslvlasov" for name in _defined(stmt)]
+    assert ("solver", "run") in {(m, n) for m, n, _ in defined}
+    assert "console_entry" in entries
+    unreferenced = {(module, name) for module, name, k in defined
+                    if not refs.get(name, set()) - {k} and name not in entries}
+    assert unreferenced - set(UNREFERENCED_ALLOWED) == set()
+
+
+def _fields(cls):
+    """The dataclass fields, class-level attributes and ``self.<attr>``
+    assignments of a class."""
+    found = set().union(*map(_assigned, cls.body))
+    for fn in (f for f in cls.body if isinstance(f, ast.FunctionDef)):
+        found |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                  and n.value.id == "self"}
+    return found
+
+
+def test_every_field_is_read():
+    """A field stays only if ``src``, the CLI, a demo, a tool or perfbench
+    reads it: each field of a package class is read as an attribute in
+    ``src``, ``demos``, ``tools`` or ``perfbench``."""
+    trees = _trees(CALLER_DIRS)
+    read = {n.attr for _, tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = {(path.stem, cls.name, name) for path, tree in trees
+              if path.parent == SRC / "fslvlasov"
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for name in _fields(cls)}
+    assert ("solver", "RunResult", "snapshots") in fields
+    unread = {field for field in fields if field[2] not in read}
+    assert unread - set(UNREAD_ALLOWED) == set()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ from spline_oracles import plain_eval_2d
 
 def landau_cfg(**kw):
     return apply_overrides(case_defaults("landau"), kw)
+
+
+def read_series(out):
+    """series.csv under ``out`` as one column per header name, in order."""
+    with open(out / "series.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)}
 
 
 class TestInit:
@@ -553,6 +562,34 @@ class TestRun:
         solver.run(landau_cfg(scheme="hybrid", T=4, t_end=3.0, snapshot_every=10))
         assert len(calls) == 30
 
+    @pytest.mark.parametrize("case, kw", [
+        ("landau", {"t_end": 1.0, "nx": 16, "nv": 16, "snapshot_every": 5}),
+        ("kelvin_helmholtz", {"t_end": 2.0, "nx": 8, "nv": 8, "snapshot_every": 2,
+                              "snapshot_format": "csv"}),
+        # snapshots between remaps read the pushed set's deposit
+        ("hill", {"scheme": "hybrid", "T": 2, "t_end": 5 * 2.0 * np.pi / 25.0,
+                  "nx": 16, "nv": 16, "snapshot_every": 1}),
+        ("two_stream", {"t_end": 1.0, "nx": 5, "nv": 5}),  # E3 reads NaN
+    ], ids=["landau", "kh-csv", "hill-hybrid", "two-stream-nan"])
+    def test_files_hold_the_returned_record(self, tmp_path, case, kw):
+        cfg = apply_overrides(case_defaults(case), kw)
+        res = solver.run(cfg, outdir=str(tmp_path))
+        series = read_series(tmp_path)
+        assert list(series) == ["t"] + solver.CHANNELS[cfg.model]
+        np.testing.assert_array_equal(series.pop("t"), res.times, strict=True)
+        for name, column in series.items():
+            np.testing.assert_array_equal(column, res.channel(name), strict=True)
+        assert (tmp_path / "config.echo").read_text() == cases.format_config(cfg)
+        ext = cfg.snapshot_format
+        files = sorted((tmp_path / "snapshots").glob(f"snap_*.{ext}"))
+        assert len(files) == len(res.snapshots)
+        for path, (_, f) in zip(files, res.snapshots):
+            on_disk = (solver.read_snapshot(str(path)) if ext == "bin"
+                       else np.loadtxt(path, delimiter=",", ndmin=2))
+            np.testing.assert_array_equal(on_disk, f, strict=True)
+        if case == "two_stream":
+            assert np.isnan(series["E3"]).any()
+
     def test_abort_flushes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = landau_cfg(t_end=1.0)
         real_init = solver.init
@@ -566,7 +603,6 @@ class TestRun:
         out = tmp_path / "run"
         with pytest.raises(solver.NumericsAbort) as err:
             solver.run(cfg, outdir=str(out))
-        assert isinstance(err.value.partial, solver.RunResult)
         assert (out / "config.echo").exists()
         assert (out / "series.csv").read_text().startswith("t,")
 
@@ -580,6 +616,35 @@ class TestRun:
             solver.run(landau_cfg(t_end=1.0, nx=8, nv=8), outdir=str(out))
         assert (out / "series.csv").read_text().count("\n") == 2  # header and t = 0, flushed
 
+    def test_close_failure_is_an_output_error(self, tmp_path, monkeypatch):
+        # closing flushes the rows still buffered, so a full disk can fail there
+        class FailingClose:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+            def close(self):
+                self.fh.close()
+                raise OSError(28, "No space left on device")
+
+        def fake(path, *args, **kw):
+            fh = open(path, *args, **kw)
+            return FailingClose(fh) if str(path).endswith("series.csv") else fh
+
+        monkeypatch.setattr(solver, "open", fake, raising=False)
+        out = tmp_path / "run"
+        with pytest.raises(solver.OutputError, match="No space left"):
+            solver.run(landau_cfg(t_end=1.0, nx=8, nv=8), outdir=str(out))
+        assert len((out / "series.csv").read_text().splitlines()) == 12  # header, 11 rows
+
     def test_non_finite_push_aborts_with_partial_rows(self, tmp_path, nan_field):
         # verlet asks for two fields a step: call 7 is the first of step 4
         nan_field(7)
@@ -587,21 +652,21 @@ class TestRun:
         with pytest.raises(solver.NumericsAbort, match="step 4") as err:
             solver.run(landau_cfg(t_end=1.0), outdir=str(out))
         assert isinstance(err.value.__cause__, FloatingPointError)
-        partial = err.value.partial
-        np.testing.assert_allclose(partial.times, [0.0, 0.1, 0.2, 0.3])
-        assert np.all(np.isfinite(partial.channel("mass")))
+        series = read_series(out)
+        np.testing.assert_allclose(series["t"], [0.0, 0.1, 0.2, 0.3])
+        assert np.all(np.isfinite(series["mass"]))
         assert len((out / "series.csv").read_text().splitlines()) == 5
 
-    def test_non_finite_deposit_aborts_with_partial_rows(self, nan_field):
+    def test_non_finite_deposit_aborts_with_partial_rows(self, tmp_path, nan_field):
         # one NaN field moves every particle to NaN; the next deposit rejects it
         nan_field(5, once=True)
         with pytest.raises(solver.NumericsAbort, match="step 3") as err:
-            solver.run(landau_cfg(t_end=1.0))
+            solver.run(landau_cfg(t_end=1.0), outdir=str(tmp_path))
         assert isinstance(err.value.__cause__, ValueError)
         assert "non-finite particle data" in str(err.value)
-        assert err.value.partial.times.size == 3
+        assert read_series(tmp_path)["t"].size == 3
 
-    def test_row_failure_is_labelled_with_its_step(self, monkeypatch):
+    def test_row_failure_is_labelled_with_its_step(self, tmp_path, monkeypatch):
         # rk4 on KH solves for the t = 0 row (call 1), for stages 2-4 of
         # step 1 (calls 2-4), then for the row after step 1 (call 5)
         real, calls = pushers.solve_fields, []
@@ -614,11 +679,11 @@ class TestRun:
 
         monkeypatch.setattr(pushers, "solve_fields", fifth_fails)
         cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {"nx": 8, "nv": 8, "t_end": 2.0})
-        with pytest.raises(solver.NumericsAbort, match="^non-finite rho at step 1$") as err:
-            solver.run(cfg)
-        assert err.value.partial.times.tolist() == [0.0]
+        with pytest.raises(solver.NumericsAbort, match="^non-finite rho at step 1$"):
+            solver.run(cfg, outdir=str(tmp_path))
+        assert read_series(tmp_path)["t"].tolist() == [0.0]
 
-    def test_non_finite_backward_step_aborts_at_its_step(self, monkeypatch):
+    def test_non_finite_backward_step_aborts_at_its_step(self, tmp_path, monkeypatch):
         real_init = solver.init
 
         def poisoned(config):
@@ -629,9 +694,9 @@ class TestRun:
 
         monkeypatch.setattr(solver, "init", poisoned)
         with pytest.raises(solver.NumericsAbort,
-                           match="^non-finite charge density at step 1$") as err:
-            solver.run(landau_cfg(scheme="bsl", t_end=1.0, nx=8, nv=8))
-        assert err.value.partial.times.tolist() == [0.0]
+                           match="^non-finite charge density at step 1$"):
+            solver.run(landau_cfg(scheme="bsl", t_end=1.0, nx=8, nv=8), outdir=str(tmp_path))
+        assert read_series(tmp_path)["t"].tolist() == [0.0]
 
     def test_forward_energy_channels_always_present_in_hybrid(self):
         cfg = landau_cfg(scheme="hybrid", T=4, t_end=1.0)
