@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import BLOCK, PAD, SplineCoeffs, StageOperator, blocks, padded, stencil
+from .splines import BLOCK, PAD, SplineCoeffs, StageOperator, blocks, check_finite, padded, stencil
 
 NEGLIGIBLE = 2.0 ** -53  # |w| / max |w| at or below which the seed and the 2D deposit skip w
 
@@ -89,14 +89,9 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
                        np.broadcast_to(c2, c.shape)[keep], c[keep], np.flatnonzero(keep))
 
 
-def _check_finite(*arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError("non-finite particle data")
-
-
 def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
     """Deposit onto the 2D node grid, skipping |w| <= NEGLIGIBLE max |w|."""
-    _check_finite(p.pos1, p.pos2, p.weights)  # first: a NaN weight fails any filter
+    check_finite("particle data", p.pos1, p.pos2, p.weights)  # first: a NaN weight fails any filter
     if p.nodes is None:
         keep = (a := np.abs(p.weights)) > NEGLIGIBLE * a.max(initial=0.0)
         p = p if keep.all() else ParticleSet(p.pos1[keep], p.pos2[keep], p.weights[keep])
@@ -118,7 +113,7 @@ def deposit_charge(p: ParticleSet, grids: tuple[UniformGrid1D, ...], stage: Stag
     its row.  Over (gx,) it is the charge sum_k w_k S((x_i - X_k)/dx); times dv,
     as the Vlasov-Poisson callers take it, its x-quadrature is the particles' mass."""
     pts = (p.pos1, p.pos2)[:len(grids)]
-    _check_finite(*pts, p.weights)
+    check_finite("particle data", *pts, p.weights)
     op = stage.fill(pts, grids)
     # contiguous: a strided result changes the summation order of np.sum
     return np.ascontiguousarray((op.matrix_t @ p.weights).reshape(op.dims)[op.nodes])

@@ -56,7 +56,7 @@ from .deposition import (
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
-from .splines import StageOperator, eval_1d, eval_2d
+from .splines import StageOperator, check_finite, eval_1d, eval_2d
 
 
 class _NodeSeeded:
@@ -153,11 +153,6 @@ class ExternalLinearForce:
         return p.pos2, -self.a(t) * p.pos1
 
 
-def _check_finite(pos1, pos2):
-    if not (np.all(np.isfinite(pos1)) and np.all(np.isfinite(pos2))):
-        raise FloatingPointError("non-finite particle positions after push")
-
-
 #: explicit Runge-Kutta tableaux, rows (den, nums): stages 2..s, then weights
 EULER = ((1, (1,)),)
 MIDPOINT = ((2, (1,)), (1, (0, 1)))
@@ -181,7 +176,7 @@ def push_rk(tableau, p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
         stage = p.replace_positions(p.pos1 + _move(h, nums, [k[0] for k in ks]),
                                     p.pos2 + _move(h, nums, [k[1] for k in ks]))
         t_stage = t + h * sum(nums)
-    _check_finite(stage.pos1, stage.pos2)
+    check_finite("particle positions after push", stage.pos1, stage.pos2)
     return stage
 
 
@@ -190,7 +185,7 @@ def push_verlet(p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
     vh = p.pos2 + 0.5 * dt * fld.rhs(p, t)[1]
     x1 = p.pos1 + dt * vh
     v1 = vh + 0.5 * dt * fld.rhs(p.replace_positions(x1, vh), t + dt)[1]
-    _check_finite(x1, v1)
+    check_finite("particle positions after push", x1, v1)
     return p.replace_positions(x1, v1)
 
 

@@ -51,7 +51,7 @@ from .pushers import (
     SelfConsistentField1D,
     SelfConsistentField2D,
 )
-from .splines import SplineCoeffs, fit_2d
+from .splines import SplineCoeffs, check_finite, fit_2d
 
 #: electric-energy ceiling treated as numerical divergence
 ENERGY_ABORT = 1e12
@@ -117,8 +117,7 @@ def init(config: CaseConfig) -> SimState:
 def _remap(state: SimState, f_new: np.ndarray, lost: float):
     """Take ``f_new`` as f at the nodes, ``lost`` (a node-value sum) as
     the mass that left: refit, reseed and hand the new set over."""
-    if not np.all(np.isfinite(f_new)):
-        raise FloatingPointError("non-finite f")
+    check_finite("f", f_new)
     state.mass_lost += state.cell * lost
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
@@ -194,8 +193,7 @@ def _diag_gc(state: SimState, rho, gpair) -> dict:
 
 
 def _diag_hill(state: SimState, f, gpair) -> dict:
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError("non-finite f")
+    check_finite("f", f)
     return {"xrms": diagnostics.xrms(f, gpair)}
 
 
@@ -257,12 +255,13 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
     also writes config.echo, series.csv and snapshots/, and any OSError
     there is an OutputError.  The setup raises ConfigError (non-finite f0,
     Hill outside a stable zone).  Every numeric check raises
-    (FloatingPointError from the pushers, the remap and the rows,
-    ValueError from deposition, fitting or the field solves), so numpy's
-    float warnings are off; this is the one place that ends the run as a
-    NumericsAbort, naming the setup, the t = 0 row or step n (with its row
-    and snapshot).  The rows and snapshots written before an abort stay
-    under ``outdir``: series.csv is closed, and so flushed, either way.
+    FloatingPointError (``splines.check_finite``, and the energy ceiling of
+    the rows), so numpy's float warnings are off; this is the one place
+    that ends the run as a NumericsAbort, naming the setup, the t = 0 row
+    or step n (with its row and snapshot).  A ValueError is a caller's or
+    the program's mistake and propagates as itself.  The rows and snapshots
+    written before an abort stay under ``outdir``: series.csv is closed,
+    and so flushed, either way.
     """
     names = CHANNELS[config.model]
     rows_out, times, rows, snaps, state = None, [], [], [], None
@@ -303,7 +302,7 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
                         record()
                     if n % config.snapshot_every == 0:
                         snapshot()
-        except (FloatingPointError, ValueError) as err:
+        except FloatingPointError as err:
             raise NumericsAbort(f"{err} at {where}") from err
         except OSError as err:
             raise OutputError(f"cannot write to {outdir}: {err}") from err

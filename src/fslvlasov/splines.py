@@ -65,6 +65,13 @@ def blocks(n: int):
     return [slice(s, s + BLOCK) for s in range(0, n, BLOCK)]
 
 
+def check_finite(what: str, *arrays):
+    """Every non-finite check of the run path: FloatingPointError naming ``what``
+    unless every value of ``arrays`` is finite (``solver.run`` aborts on it)."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise FloatingPointError(f"non-finite {what}")
+
+
 def stencil_weights(t):
     """Basis values S(t+1), S(t), S(t-1), S(t-2) for fractional t in [0, 1].
 
@@ -129,8 +136,7 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     ``rhs`` is solved in place when it is Fortran-ordered of the solve's dtype."""
     dtype, gtsv = (complex, lapack.zgtsv) if np.iscomplexobj(rhs) else (float, lapack.dgtsv)
     b = np.asarray(rhs, dtype=dtype, order="F")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("array must not contain infs or NaNs")
+    check_finite("right-hand side", b)
     *_, x, info = gtsv(lower, diag, upper, b, overwrite_b=True)
     if info:
         raise np.linalg.LinAlgError("singular tridiagonal matrix")
@@ -169,8 +175,7 @@ def fit_1d(samples, grid: UniformGrid1D) -> SplineCoeffs:
     f = np.asarray(samples, dtype=float)
     if f.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} samples, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite samples")
+    check_finite("samples", f)
     return SplineCoeffs((grid,), _fit_axis0(f, grid))
 
 
@@ -179,8 +184,7 @@ def fit_2d(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
     f = np.asarray(samples, dtype=float)
     if f.shape != (gx.n_nodes, gy.n_nodes):
         raise ValueError(f"expected shape {(gx.n_nodes, gy.n_nodes)}, got {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite samples")
+    check_finite("samples", f)
     return SplineCoeffs((gx, gy), _fit_axis0(_fit_axis0(f, gx).T, gy).T)
 
 
@@ -194,8 +198,7 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
     mode0 = nx * (np.arange(m * nk) % nk == 0)
     c_hat = _solve_natural(rows, gy, (gy.deriv_lo * mode0, gy.deriv_hi * mode0))
     c = irfft(c_hat.T.reshape(m, nk, ny + 2), n=nx, axis=1)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("non-finite spline coefficients")
+    check_finite("spline coefficients", c)
     return SplineCoeffs((gx, gy), c.transpose(1, 2, 0))
 
 
@@ -296,10 +299,10 @@ class StageOperator:
         if d != len(self.pts) or any(p is not q and not np.array_equal(p, q)
                                      for p, q in zip(pts, self.pts)):
             raise ValueError("gather points differ from those of the stage operator")
-        if self.margin:  # a deposit's fill: its cells off a natural grid read at the wall
+        natural = [(g, p) for g, p in zip(c.grids, self.pts) if not g.periodic]
+        if self.margin and natural:  # a deposit's cells off a natural grid read at the wall
             rows = np.flatnonzero(np.logical_or.reduce([
-                (u < 0) | (u >= g.n_cells) for g, p in zip(c.grids, self.pts)
-                if not g.periodic for u in (g.to_units(p),)]))
+                (u < 0) | (u >= g.n_cells) for g, p in natural for u in (g.to_units(p),)]))
             self._write(rows, c.grids, [p.ravel()[rows] for p in pts], 0)
         comps = np.moveaxis(c.coeffs.reshape(c.coeffs.shape[:d] + (-1,)), -1, 0)
         if self.cpad is None or self.cpad.shape != comps.shape[:1] + self.dims:

@@ -285,7 +285,7 @@ class TestCli:
          "output error: cannot write to"),
         # f overflows the t = 0 row's field solve: no float warning comes first
         (["--case", "kelvin_helmholtz", "--set", "eps=1e307", "--set", "t_end=1", *SMALL], 3,
-         "numeric abort: array must not contain infs or NaNs at t = 0\n"),
+         "numeric abort: non-finite right-hand side at t = 0\n"),
     ])
     def test_failure_ends_in_one_line_and_an_exit_code(self, args, code, message,
                                                         tmp_path, capsys):

@@ -67,5 +67,5 @@ class TestPoisson1D:
     def test_rejects_non_finite(self, grid):
         rho = np.zeros(grid.n_nodes)
         rho[0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError, match="non-finite charge density"):
             solve_poisson_1d(rho, grid)

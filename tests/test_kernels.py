@@ -294,7 +294,7 @@ class TestNegligibleWeights:
         p, kept = _with_negligible(_particles(gx, gy, rng), rng)
         arrays = {"pos1": p.pos1.copy(), "pos2": p.pos2.copy(), "weights": p.weights.copy()}
         arrays[field][np.flatnonzero(~kept)[3]] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite particle data"):
             deposit_phase_space(ParticleSet(**arrays), gx, gy)
 
     def test_all_zero_and_empty_sets_deposit_zeros(self, grids):
@@ -411,7 +411,7 @@ class TestCompressedSeed:
         monkeypatch.setattr(deposition, "BLOCK", 1)
         p = seed_particles(coeffs)
         assert p.nodes is None and p.weights.size == kept.size
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite particle data"):
             deposit_phase_space(p, gx, gy)
 
 
@@ -530,7 +530,8 @@ OPERATOR_GRIDS = {**GRID_PAIRS, "periodic4-natural": (
 class TestStageOperator:
     """The stage operator M: deposits (M^T w) and gathers (M c) bitwise
     equal to the plain kernels (the 1D deposit: to its loop), gathers after
-    a read fill too, its layout, and its guard."""
+    a read fill too, the wall-row refill only with a natural axis, its
+    layout, and its guard."""
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
     def test_equals_plain_kernels(self, name):
@@ -578,6 +579,26 @@ class TestStageOperator:
             op.gather(c, pts)
             np.testing.assert_array_equal(op.index, read.index)
             np.testing.assert_array_equal(op.data, read.data)
+
+    @pytest.mark.parametrize("name, d, writes", [("periodic-natural", 1, 0),
+                                                 ("periodic-periodic", 2, 0),
+                                                 ("periodic-natural", 2, 1)])
+    def test_gather_refills_only_with_a_natural_axis(self, name, d, writes, monkeypatch):
+        # a deposit over periodic axes alone has no wall row: its gather writes nothing
+        gx, gy = GRID_PAIRS[name]
+        rng = np.random.default_rng(36)
+        p = _particles(gx, gy, rng)
+        grids, pts = (gx, gy)[:d], (p.pos1, p.pos2)[:d]
+        c = (fit_stacked(rng.normal(size=(gx.n_nodes, gy.n_nodes, 2)), gx, gy) if d == 2
+             else fit_1d(rng.normal(size=gx.n_nodes), gx))
+        op, calls = StageOperator(), []
+        deposit_charge(p, grids, op)
+        real = op._write
+        monkeypatch.setattr(op, "_write", lambda *args: calls.append(args) or real(*args))
+        got = op.gather(c, pts)
+        assert len(calls) == writes
+        plain = plain_eval_2d(c, *pts) if d == 2 else plain_eval_1d(c, *pts)
+        np.testing.assert_array_equal(got.reshape(plain.shape), plain)
 
     def test_strays_land_in_the_pad(self):
         gx, gy = GRID_PAIRS["natural-natural"]

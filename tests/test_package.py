@@ -3,8 +3,9 @@
 import or read from an imported module exists, every call site of the
 traced benchmark's spans resolves, every default-valued parameter of
 the package is passed by some call outside the tests, every top-level
-name of the package is referenced outside its own definition, and every
-field of a package class is read outside the tests."""
+name of the package is referenced outside its own definition, every
+field of a package class is read outside the tests, and every non-finite
+check of a run goes through ``splines.check_finite``."""
 
 import ast
 import importlib
@@ -283,3 +284,53 @@ def test_every_field_is_read():
     assert ("solver", "RunResult", "snapshots") in fields
     unread = {field for field in fields if field[2] not in read}
     assert unread - set(UNREAD_ALLOWED) == set()
+
+
+#: functions of the package that test finiteness themselves, and why each
+#: stays; every other non-finite check calls ``splines.check_finite``, whose
+#: FloatingPointError is the one type ``solver.run`` turns into a NumericsAbort
+FINITE_TESTS_ALLOWED = {
+    ("splines", "check_finite"): "the one helper",
+    ("cases", "_validate"): "config floats and the step count: a ConfigError",
+    ("solver", "init"): "f0: a ConfigError that names the keys shaping it",
+    ("deposition", "seed_particles"): "the keep rule: a non-finite max keeps the lattice",
+    ("solver", "_checked_energy"): "a scalar against its ceiling",
+    ("diagnostics", "fit_damping"): "a filter of the log energies, not a fault",
+    ("landau", "plasma_Z"): "a reference, not on the run path",
+}
+NON_FINITE_MESSAGE = re.compile(r"finite|\binfs?\b|\bnans?\b", re.I)
+
+
+def _tests_finite(node) -> bool:
+    """``node`` reads ``isfinite`` or raises a ValueError whose message says non-finite."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "isfinite"
+    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+        return getattr(node.exc.func, "id", None) == "ValueError" and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and NON_FINITE_MESSAGE.search(n.value) for n in ast.walk(node.exc))
+    return False
+
+
+def _finite_tests(package: Path):
+    """(module, innermost function) of each finiteness test in the ``package`` directory."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if _tests_finite(child):
+                found.add((module, inner))
+            visit(child, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
+    return found
+
+
+def test_every_non_finite_check_is_the_helper():
+    """No ``np.isfinite`` and no ValueError that says non-finite in the package,
+    outside ``check_finite`` and the functions of ``FINITE_TESTS_ALLOWED``."""
+    found = _finite_tests(SRC / "fslvlasov")
+    assert found - set(FINITE_TESTS_ALLOWED) == set()
+    assert set(FINITE_TESTS_ALLOWED) <= found  # the scan sees each, and none is stale

@@ -662,7 +662,7 @@ class TestRun:
         nan_field(5, once=True)
         with pytest.raises(solver.NumericsAbort, match="step 3") as err:
             solver.run(landau_cfg(t_end=1.0), outdir=str(tmp_path))
-        assert isinstance(err.value.__cause__, ValueError)
+        assert isinstance(err.value.__cause__, FloatingPointError)
         assert "non-finite particle data" in str(err.value)
         assert read_series(tmp_path)["t"].size == 3
 
@@ -674,7 +674,7 @@ class TestRun:
         def fifth_fails(rho, gx, gy):
             calls.append(rho)
             if len(calls) == 5:
-                raise ValueError("non-finite rho")
+                raise FloatingPointError("non-finite rho")
             return real(rho, gx, gy)
 
         monkeypatch.setattr(pushers, "solve_fields", fifth_fails)
@@ -682,6 +682,17 @@ class TestRun:
         with pytest.raises(solver.NumericsAbort, match="^non-finite rho at step 1$"):
             solver.run(cfg, outdir=str(tmp_path))
         assert read_series(tmp_path)["t"].tolist() == [0.0]
+
+    def test_a_value_error_is_not_a_numeric_abort(self, tmp_path, monkeypatch):
+        # a caller's mistake (shape, grid kind, gather points) propagates as itself
+        def wrong_shape(rho, gx, gy):
+            raise ValueError("rho: expected shape (9, 9), got (9, 8)")
+
+        monkeypatch.setattr(pushers, "solve_fields", wrong_shape)
+        cfg = apply_overrides(case_defaults("kelvin_helmholtz"), {"nx": 8, "nv": 8, "t_end": 2.0})
+        with pytest.raises(ValueError, match="^rho: expected shape"):  # not a NumericsAbort
+            solver.run(cfg, outdir=str(tmp_path))
+        assert (tmp_path / "series.csv").read_text().startswith("t,")  # closed all the same
 
     def test_non_finite_backward_step_aborts_at_its_step(self, tmp_path, monkeypatch):
         real_init = solver.init

@@ -5,6 +5,7 @@ from scipy.linalg import solve_banded
 from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.splines import (
     SplineCoeffs,
+    check_finite,
     fit_1d,
     fit_2d,
     solve_cyclic_banded,
@@ -154,7 +155,7 @@ class TestFit1D:
         grid = UniformGrid1D(0.0, 1.0, 8)
         f = np.zeros(8)
         f[2] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError, match="non-finite samples"):
             fit_1d(f, grid)
 
 
@@ -268,6 +269,17 @@ def _wall_rows(n):
     return lower, diag, upper
 
 
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_any_array_names_its_noun(self, bad):
+        good = np.ones(3)
+        check_finite("samples", good, good.astype(complex), 2.0)
+        tainted = np.ones(4, dtype=complex if isinstance(bad, complex) else float)
+        tainted[3] = bad
+        with pytest.raises(FloatingPointError, match="^non-finite samples$"):
+            check_finite("samples", good, tainted)
+
+
 class TestTridiagonalSolver:
     @pytest.mark.parametrize("rows", [_natural_rows, _wall_rows])
     @pytest.mark.parametrize("n", [5, 129])
@@ -294,5 +306,5 @@ class TestTridiagonalSolver:
     def test_non_finite_rhs_raises(self, bad):
         rhs = np.ones((5, 2), dtype=complex)
         rhs[2, 1] = bad
-        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        with pytest.raises(FloatingPointError, match="non-finite right-hand side"):
             solve_tridiagonal(*_natural_rows(5), rhs)
