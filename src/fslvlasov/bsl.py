@@ -20,8 +20,8 @@ the loss, refits, reseeds, hands f to the provider) and advances the
 clock.  The guiding-center step reads E^n as the provider's node field of
 the remap, solved from f on first use and shared with the diagnostics
 row, and keeps E^{n-1} in ``SimState.e_prev``; the Vlasov-Poisson rows
-read the provider's node field too.  Non-finite values fail the checks of
-the field solves or of the remap.
+read the provider's node field too.  A non-finite field fails the locate
+of the feet it moves; a non-finite f, the seed of the remap.
 """
 
 from __future__ import annotations

@@ -80,10 +80,12 @@ def basis_centers(grid: UniformGrid1D) -> np.ndarray:
 
 def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
     """One particle per coefficient, at its basis center, or per |c| > NEGLIGIBLE
-    max |c| if that skips a BLOCK or more and every c is finite."""
+    max |c| if that skips a BLOCK or more.  A non-finite max |c| raises: every
+    fit of f reaches here, and a non-finite f fits to non-finite c."""
     (c1, c2), c = map(basis_centers, coeffs.grids), coeffs.coeffs
-    keep = (a := np.abs(c)) > NEGLIGIBLE * (top := a.max(initial=0.0))
-    if c.size - np.count_nonzero(keep) < BLOCK or not np.isfinite(top):
+    check_finite("spline coefficients", top := (a := np.abs(c)).max(initial=0.0))
+    keep = a > NEGLIGIBLE * top
+    if c.size - np.count_nonzero(keep) < BLOCK:
         return ParticleSet(np.repeat(c1, c2.size), np.tile(c2, c1.size), c.flatten())
     return ParticleSet(np.repeat(c1, np.count_nonzero(keep, axis=1)),
                        np.broadcast_to(c2, c.shape)[keep], c[keep], np.flatnonzero(keep))
@@ -91,7 +93,6 @@ def seed_particles(coeffs: SplineCoeffs) -> ParticleSet:
 
 def deposit_phase_space(p: ParticleSet, gx: UniformGrid1D, gy: UniformGrid1D):
     """Deposit onto the 2D node grid, skipping |w| <= NEGLIGIBLE max |w|."""
-    check_finite("particle data", p.pos1, p.pos2, p.weights)  # first: a NaN weight fails any filter
     if p.nodes is None:
         keep = (a := np.abs(p.weights)) > NEGLIGIBLE * a.max(initial=0.0)
         p = p if keep.all() else ParticleSet(p.pos1[keep], p.pos2[keep], p.weights[keep])
@@ -113,7 +114,6 @@ def deposit_charge(p: ParticleSet, grids: tuple[UniformGrid1D, ...], stage: Stag
     its row.  Over (gx,) it is the charge sum_k w_k S((x_i - X_k)/dx); times dv,
     as the Vlasov-Poisson callers take it, its x-quadrature is the particles' mass."""
     pts = (p.pos1, p.pos2)[:len(grids)]
-    check_finite("particle data", *pts, p.weights)
     op = stage.fill(pts, grids)
     # contiguous: a strided result changes the summation order of np.sum
     return np.ascontiguousarray((op.matrix_t @ p.weights).reshape(op.dims)[op.nodes])

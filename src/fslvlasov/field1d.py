@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import SplineCoeffs, check_finite, fit_1d
+from .splines import SplineCoeffs, fit_1d
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ def solve_poisson_1d(rho, grid: UniformGrid1D) -> FieldState1D:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} samples, got {rho.shape}")
-    check_finite("charge density", rho)
     n = grid.n_nodes
     rho_i = float(rho.mean())
     rho_hat = np.fft.rfft(rho - rho_i)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fft import dst, idst, irfft
 
 from .grids import UniformGrid1D
-from .splines import check_finite, cyclic_eigenvalues, fit_2d_rfft, solve_tridiagonal
+from .splines import cyclic_eigenvalues, fit_2d_rfft, solve_tridiagonal
 from .splines import fit_2d  # noqa: F401  perfbench's fit_field span until ROADMAP item 1
 
 
@@ -66,7 +66,6 @@ def solve_potential(rho, gx: UniformGrid1D, gy: UniformGrid1D):
         raise ValueError(f"rho: expected shape {(gx.n_nodes, gy.n_nodes)}, got {rho.shape}")
     if not gx.periodic or gy.periodic:
         raise ValueError("x grid must be periodic, y grid natural (Dirichlet walls)")
-    check_finite("rho", rho)
     dy, k = gy.delta, gy.n_nodes - 2
     rhs = -(dy**2 / 12.0) * (rho[:, 2:] + 10.0 * rho[:, 1:-1] + rho[:, :-2])
     rhs_hat = np.fft.rfft(dst(rhs, type=1, axis=1), axis=0)

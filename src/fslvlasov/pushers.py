@@ -25,9 +25,9 @@ of the weights, skipped ones 0 (``deposit_seeded_charge``), which also
 holds the ghost coefficients' skirt beyond the v walls that dv sum_v f
 leaves out (the node sum would move bump_on_tail's E1 by 9.4e-6).  The
 integrators pass the seeded set itself to stage 1, so the identity test
-of ``node_field`` is the only one.  The pushers never wrap x: a position
-may lie any number of periods away, and every read and scatter wraps it
-as it locates (``grids.UniformGrid1D.to_units``).
+of ``node_field`` is the only one.  The pushers neither wrap nor check x:
+a position may lie any number of periods away, and every read and scatter
+wraps and checks it as it locates (``splines._locate``).
 
 ``push_rk`` is the one explicit Runge-Kutta driver.  A tableau lists rows
 (den, integer nums): stages 2..s, then the weights.  A row moves the start
@@ -56,7 +56,7 @@ from .deposition import (
 from .field1d import solve_poisson_1d
 from .field2d import solve_fields
 from .grids import UniformGrid1D
-from .splines import StageOperator, check_finite, eval_1d, eval_2d
+from .splines import StageOperator, eval_1d, eval_2d
 
 
 class _NodeSeeded:
@@ -176,7 +176,6 @@ def push_rk(tableau, p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
         stage = p.replace_positions(p.pos1 + _move(h, nums, [k[0] for k in ks]),
                                     p.pos2 + _move(h, nums, [k[1] for k in ks]))
         t_stage = t + h * sum(nums)
-    check_finite("particle positions after push", stage.pos1, stage.pos2)
     return stage
 
 
@@ -185,7 +184,6 @@ def push_verlet(p: ParticleSet, fld, dt: float, t: float) -> ParticleSet:
     vh = p.pos2 + 0.5 * dt * fld.rhs(p, t)[1]
     x1 = p.pos1 + dt * vh
     v1 = vh + 0.5 * dt * fld.rhs(p.replace_positions(x1, vh), t + dt)[1]
-    check_finite("particle positions after push", x1, v1)
     return p.replace_positions(x1, v1)
 
 

@@ -51,7 +51,7 @@ from .pushers import (
     SelfConsistentField1D,
     SelfConsistentField2D,
 )
-from .splines import SplineCoeffs, check_finite, fit_2d
+from .splines import SplineCoeffs, fit_2d
 
 #: electric-energy ceiling treated as numerical divergence
 ENERGY_ABORT = 1e12
@@ -117,7 +117,6 @@ def init(config: CaseConfig) -> SimState:
 def _remap(state: SimState, f_new: np.ndarray, lost: float):
     """Take ``f_new`` as f at the nodes, ``lost`` (a node-value sum) as
     the mass that left: refit, reseed and hand the new set over."""
-    check_finite("f", f_new)
     state.mass_lost += state.cell * lost
     state.f_coeffs = fit_2d(f_new, state.g1, state.g2)
     state.particles = seed_particles(state.f_coeffs)
@@ -193,7 +192,6 @@ def _diag_gc(state: SimState, rho, gpair) -> dict:
 
 
 def _diag_hill(state: SimState, f, gpair) -> dict:
-    check_finite("f", f)
     return {"xrms": diagnostics.xrms(f, gpair)}
 
 
@@ -254,14 +252,14 @@ def run(config: CaseConfig, outdir: Optional[str] = None) -> RunResult:
     Returns the in-memory series and snapshots; when ``outdir`` is given,
     also writes config.echo, series.csv and snapshots/, and any OSError
     there is an OutputError.  The setup raises ConfigError (non-finite f0,
-    Hill outside a stable zone).  Every numeric check raises
-    FloatingPointError (``splines.check_finite``, and the energy ceiling of
-    the rows), so numpy's float warnings are off; this is the one place
-    that ends the run as a NumericsAbort, naming the setup, the t = 0 row
-    or step n (with its row and snapshot).  A ValueError is a caller's or
-    the program's mistake and propagates as itself.  The rows and snapshots
-    written before an abort stay under ``outdir``: series.csv is closed,
-    and so flushed, either way.
+    Hill outside a stable zone).  A numeric check raises FloatingPointError
+    (a position as ``splines._locate`` reads it, the seed's coefficients,
+    the rows' energy ceiling), so numpy's float warnings are off; this is
+    the one place that ends the run as a NumericsAbort, naming the setup,
+    the t = 0 row or step n (with its row and snapshot).  A ValueError is
+    a caller's or the program's mistake and propagates as itself.  The
+    rows and snapshots written before an abort stay under ``outdir``:
+    series.csv is closed, and so flushed, either way.
     """
     names = CHANNELS[config.model]
     rows_out, times, rows, snaps, state = None, [], [], [], None

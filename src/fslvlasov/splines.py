@@ -13,7 +13,8 @@ ghost coefficients per side stored inline with the node coefficients.
 The periodic system is circulant and is solved by a real FFT division;
 the natural one is tridiagonal, one LAPACK call (``solve_tridiagonal``).
 Every read beyond a natural wall reads the spline at the wall: ``_locate``
-clips the point in grid units, so callers pass their points unclipped.
+clips the point in grid units, so callers pass their points unclipped; it
+checks them first, as every point of a run becomes a cell index there.
 
 Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
 and basis weights, with the stencil point on the leading axis so every
@@ -65,10 +66,10 @@ def blocks(n: int):
     return [slice(s, s + BLOCK) for s in range(0, n, BLOCK)]
 
 
-def check_finite(what: str, *arrays):
+def check_finite(what: str, a):
     """Every non-finite check of the run path: FloatingPointError naming ``what``
-    unless every value of ``arrays`` is finite (``solver.run`` aborts on it)."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    unless every value of ``a`` is finite (``solver.run`` aborts on it)."""
+    if not np.all(np.isfinite(a)):
         raise FloatingPointError(f"non-finite {what}")
 
 
@@ -136,7 +137,6 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     ``rhs`` is solved in place when it is Fortran-ordered of the solve's dtype."""
     dtype, gtsv = (complex, lapack.zgtsv) if np.iscomplexobj(rhs) else (float, lapack.dgtsv)
     b = np.asarray(rhs, dtype=dtype, order="F")
-    check_finite("right-hand side", b)
     *_, x, info = gtsv(lower, diag, upper, b, overwrite_b=True)
     if info:
         raise np.linalg.LinAlgError("singular tridiagonal matrix")
@@ -175,7 +175,6 @@ def fit_1d(samples, grid: UniformGrid1D) -> SplineCoeffs:
     f = np.asarray(samples, dtype=float)
     if f.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} samples, got shape {f.shape}")
-    check_finite("samples", f)
     return SplineCoeffs((grid,), _fit_axis0(f, grid))
 
 
@@ -184,7 +183,6 @@ def fit_2d(samples, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
     f = np.asarray(samples, dtype=float)
     if f.shape != (gx.n_nodes, gy.n_nodes):
         raise ValueError(f"expected shape {(gx.n_nodes, gy.n_nodes)}, got {f.shape}")
-    check_finite("samples", f)
     return SplineCoeffs((gx, gy), _fit_axis0(_fit_axis0(f, gx).T, gy).T)
 
 
@@ -198,7 +196,6 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
     mode0 = nx * (np.arange(m * nk) % nk == 0)
     c_hat = _solve_natural(rows, gy, (gy.deriv_lo * mode0, gy.deriv_hi * mode0))
     c = irfft(c_hat.T.reshape(m, nk, ny + 2), n=nx, axis=1)
-    check_finite("spline coefficients", c)
     return SplineCoeffs((gx, gy), c.transpose(1, 2, 0))
 
 
@@ -209,12 +206,14 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
 def _locate(grid: UniformGrid1D, x, margin=0):
     """Cell index and fractional offset for physical positions.
 
-    Periodic grids wrap in ``to_units``, whatever the number of periods
-    away.  A natural grid clips u to [-margin, n_cells + margin] in grid
-    units, the one wall rule of every spline read (margin 0: a point
-    beyond a wall reads the wall) and scatter (``PAD - 1``).
+    A non-finite point raises.  Periodic grids wrap in ``to_units``,
+    whatever the number of periods away.  A natural grid clips u to
+    [-margin, n_cells + margin] in grid units, the one wall rule of every
+    spline read (margin 0: a point beyond a wall reads the wall) and
+    scatter (``PAD - 1``).
     """
     u = grid.to_units(x)  # a fresh array: the locate runs in place
+    check_finite("positions", u)
     hi = grid.n_cells + margin
     if not grid.periodic:
         np.clip(u, -margin, hi, out=u)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fslvlasov import solver
+from fslvlasov.cli import main
 
 
 class NaNField:
@@ -42,5 +43,38 @@ def nan_field(monkeypatch):
             return state
 
         monkeypatch.setattr(solver, "init", init)
+
+    return install
+
+
+@pytest.fixture
+def cli_abort(capsys):
+    """Run the CLI on ``args`` and an 8x8 grid, which must exit 3 (numeric
+    abort); returns its one stderr line."""
+
+    def run(*args):
+        assert main([*args, "--set", "nx=8", "--set", "nv=8"]) == 3
+        return capsys.readouterr().err
+
+    return run
+
+
+@pytest.fixture
+def taint(monkeypatch):
+    """Patch ``module.name`` so that from its call ``start`` on its argument
+    ``arg`` reaches it with one entry, the middle one, set to ``bad``."""
+
+    def install(module, name, bad, start=1, arg=0):
+        real, calls = getattr(module, name), []
+
+        def tainted(*args):
+            calls.append(1)
+            args = list(args)
+            if len(calls) >= start:
+                a = args[arg] = np.array(args[arg])
+                a.flat[a.size // 2] = bad
+            return real(*args)
+
+        monkeypatch.setattr(module, name, tainted)
 
     return install

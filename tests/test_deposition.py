@@ -151,7 +151,7 @@ class TestDepositPhaseSpace:
     def test_non_finite_rejected(self, grids_pn):
         gx, gy = grids_pn
         p = ParticleSet(np.array([np.nan]), np.array([0.0]), np.array([1.0]))
-        with pytest.raises(FloatingPointError, match="non-finite particle data"):
+        with pytest.raises(FloatingPointError, match="^non-finite positions$"):
             deposit_phase_space(p, gx, gy)
 
     def test_determinism_bitwise(self, grids_pn):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from fslvlasov import bsl, deposition, splines
+from fslvlasov import bsl, deposition, solver, splines
 from fslvlasov.deposition import (
     NEGLIGIBLE,
     PAD,
@@ -286,16 +286,40 @@ class TestNegligibleWeights:
         np.testing.assert_array_equal(got, deposit_phase_space(alone, gx, gy))
         np.testing.assert_array_equal(got, _loop_deposit_2d(alone, gx, gy))
 
-    @pytest.mark.parametrize("field", ["pos1", "pos2", "weights"])
+    @pytest.mark.parametrize("field", ["pos1", "pos2"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_on_a_skipped_particle_raises(self, field, bad):
+        # the remap deposit never locates a skipped particle, so it reads
+        # nothing of it; the stage deposit, which keeps every particle, does.
+        # (Its weight is the seed's to check: ``TestCompressedSeed``.)
         gx, gy = GRID_PAIRS["periodic-natural"]
         rng = np.random.default_rng(42)
         p, kept = _with_negligible(_particles(gx, gy, rng), rng)
-        arrays = {"pos1": p.pos1.copy(), "pos2": p.pos2.copy(), "weights": p.weights.copy()}
+        arrays = {"pos1": p.pos1.copy(), "pos2": p.pos2.copy(), "weights": p.weights}
         arrays[field][np.flatnonzero(~kept)[3]] = bad
-        with pytest.raises(FloatingPointError, match="non-finite particle data"):
-            deposit_phase_space(ParticleSet(**arrays), gx, gy)
+        tainted = ParticleSet(**arrays)
+        np.testing.assert_array_equal(deposit_phase_space(tainted, gx, gy),
+                                      deposit_phase_space(p, gx, gy))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="^non-finite positions$"):
+            deposit_charge(tainted, (gx, gy), StageOperator())  # the wrap of an inf warns
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_of_a_run_raises_at_its_seed(self, bad, monkeypatch, cli_abort):
+        # step 1's remap fits a non-finite coefficient where |c| is least, the
+        # weight a skip drops first: the seed of its particles reports it
+        real, calls = solver.fit_2d, []
+
+        def tainted(f, gx, gy):
+            c = real(f, gx, gy)
+            calls.append(c)
+            if len(calls) > 1:  # call 1 fits f0
+                c.coeffs.flat[np.argmin(np.abs(c.coeffs))] = bad
+            return c
+
+        monkeypatch.setattr(solver, "fit_2d", tainted)
+        assert cli_abort("--case", "landau") == \
+            "numeric abort: non-finite spline coefficients at step 1\n"
 
     def test_all_zero_and_empty_sets_deposit_zeros(self, grids):
         gx, gy = grids
@@ -403,16 +427,18 @@ class TestCompressedSeed:
         assert p.pos1.size < splines.BLOCK
         assert sizes == [np.count_nonzero(kept)] * 2 + [p.pos1.size] * 2
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_keeps_the_lattice_for_the_deposit_to_report(self, bad, monkeypatch):
+    @pytest.mark.parametrize("skipped", ["below-a-block", "above-a-block"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", ["kept", "negligible"])
+    def test_non_finite_coefficient_raises(self, at, bad, skipped, monkeypatch):
+        # the weights are made here: no kernel after the seed tests them
         gx, gy = GRID_PAIRS["periodic-natural"]
         coeffs, kept = _coeffs_with_negligible(gx, gy, np.random.default_rng(54))
-        coeffs.coeffs.reshape(-1)[np.flatnonzero(kept)[2]] = bad
-        monkeypatch.setattr(deposition, "BLOCK", 1)
-        p = seed_particles(coeffs)
-        assert p.nodes is None and p.weights.size == kept.size
-        with pytest.raises(FloatingPointError, match="non-finite particle data"):
-            deposit_phase_space(p, gx, gy)
+        coeffs.coeffs.reshape(-1)[np.flatnonzero(kept if at == "kept" else ~kept)[2]] = bad
+        negligible = np.count_nonzero(~kept)
+        monkeypatch.setattr(deposition, "BLOCK", negligible + (skipped == "below-a-block"))
+        with pytest.raises(FloatingPointError, match="^non-finite spline coefficients$"):
+            seed_particles(coeffs)
 
 
 def _check_blocked_deposit(blocked, single, p, gx, gy):
@@ -632,6 +658,21 @@ class TestStageOperator:
         assert np.shares_memory(op.matrix.data, op.data)
         assert np.shares_memory(op.matrix_t.data, op.data)
         assert op.index.min() >= 0 and op.index.max() < np.prod(op.dims)
+
+    @pytest.mark.parametrize("axis", ["periodic", "natural"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("margin", [0, PAD - 1])
+    def test_non_finite_point_raises(self, axis, bad, margin):
+        # every point becomes a cell index in the fill: none is cast from NaN
+        grids = GRID_PAIRS["periodic-natural"]
+        p = _particles(*grids, np.random.default_rng(35))
+        k = ["periodic", "natural"].index(axis)
+        pts = [p.pos1.copy(), p.pos2.copy()]
+        pts[k][7] = bad
+        for fill_pts, fill_grids in ((pts, grids), (pts[k:k + 1], grids[k:k + 1])):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(FloatingPointError, match="^non-finite positions$"):
+                StageOperator().fill(fill_pts, fill_grids, margin)  # the wrap of an inf warns
 
     def test_gather_at_other_points_raises(self):
         gx, gy = GRID_PAIRS["periodic-natural"]

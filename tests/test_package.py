@@ -4,8 +4,9 @@ import or read from an imported module exists, every call site of the
 traced benchmark's spans resolves, every default-valued parameter of
 the package is passed by some call outside the tests, every top-level
 name of the package is referenced outside its own definition, every
-field of a package class is read outside the tests, and every non-finite
-check of a run goes through ``splines.check_finite``."""
+field of a package class is read outside the tests, every non-finite
+check of a run goes through ``splines.check_finite``, and that is called
+only where a value is made or becomes an index."""
 
 import ast
 import importlib
@@ -293,7 +294,6 @@ FINITE_TESTS_ALLOWED = {
     ("splines", "check_finite"): "the one helper",
     ("cases", "_validate"): "config floats and the step count: a ConfigError",
     ("solver", "init"): "f0: a ConfigError that names the keys shaping it",
-    ("deposition", "seed_particles"): "the keep rule: a non-finite max keeps the lattice",
     ("solver", "_checked_energy"): "a scalar against its ceiling",
     ("diagnostics", "fit_damping"): "a filter of the log energies, not a fault",
     ("landau", "plasma_Z"): "a reference, not on the run path",
@@ -312,20 +312,26 @@ def _tests_finite(node) -> bool:
     return False
 
 
-def _finite_tests(package: Path):
-    """(module, innermost function) of each finiteness test in the ``package`` directory."""
-    found = set()
+def _sites(package: Path, match) -> list:
+    """(module, innermost function) of each node of the ``package`` directory
+    that ``match`` accepts."""
+    found = []
 
     def visit(node, module, where):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else where
-            if _tests_finite(child):
-                found.add((module, inner))
+            if match(child):
+                found.append((module, inner))
             visit(child, module, inner)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
     return found
+
+
+def _finite_tests(package: Path):
+    """(module, innermost function) of each finiteness test in the ``package`` directory."""
+    return set(_sites(package, _tests_finite))
 
 
 def test_every_non_finite_check_is_the_helper():
@@ -334,3 +340,24 @@ def test_every_non_finite_check_is_the_helper():
     found = _finite_tests(SRC / "fslvlasov")
     assert found - set(FINITE_TESTS_ALLOWED) == set()
     assert set(FINITE_TESTS_ALLOWED) <= found  # the scan sees each, and none is stale
+
+
+#: the one call of ``splines.check_finite`` in each function here, and why
+#: the check sits there: each value of a run is checked once, where it is
+#: made or where it becomes an index, and no kernel re-scans its inputs
+FINITE_CHECK_SITES = {
+    ("splines", "_locate"): "a float becomes a cell index",
+    ("deposition", "seed_particles"): "the particles' weights are made",
+}
+
+
+def _calls_check_finite(node) -> bool:
+    return isinstance(node, ast.Call) and "check_finite" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_check_finite_is_called_where_a_value_is_made_or_located():
+    """``check_finite`` has one call in each function of ``FINITE_CHECK_SITES``
+    and none elsewhere in the package."""
+    calls = _sites(SRC / "fslvlasov", _calls_check_finite)
+    assert sorted(calls) == sorted(FINITE_CHECK_SITES)

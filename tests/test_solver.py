@@ -658,12 +658,12 @@ class TestRun:
         assert len((out / "series.csv").read_text().splitlines()) == 5
 
     def test_non_finite_deposit_aborts_with_partial_rows(self, tmp_path, nan_field):
-        # one NaN field moves every particle to NaN; the next deposit rejects it
+        # one NaN field moves every particle to NaN; the next deposit locates it
         nan_field(5, once=True)
         with pytest.raises(solver.NumericsAbort, match="step 3") as err:
             solver.run(landau_cfg(t_end=1.0), outdir=str(tmp_path))
         assert isinstance(err.value.__cause__, FloatingPointError)
-        assert "non-finite particle data" in str(err.value)
+        assert "non-finite positions" in str(err.value)
         assert read_series(tmp_path)["t"].size == 3
 
     def test_row_failure_is_labelled_with_its_step(self, tmp_path, monkeypatch):
@@ -703,9 +703,23 @@ class TestRun:
             st.f_nodes[0, 0] = np.nan  # the backward step interpolates these
             return st
 
+        # the NaN reaches the charge, so E, so the feet of the v kick
         monkeypatch.setattr(solver, "init", poisoned)
-        with pytest.raises(solver.NumericsAbort,
-                           match="^non-finite charge density at step 1$"):
+        with pytest.raises(solver.NumericsAbort, match="^non-finite positions at step 1$"):
+            solver.run(landau_cfg(scheme="bsl", t_end=1.0, nx=8, nv=8), outdir=str(tmp_path))
+        assert read_series(tmp_path)["t"].tolist() == [0.0]
+
+    def test_non_finite_backward_field_aborts_at_its_step(self, tmp_path, monkeypatch):
+        # a NaN E moves the feet of the v kick to NaN: they are located, not
+        # cast to an index
+        real = bsl.solve_poisson_1d
+
+        def nan_field(rho, gx):
+            fs = real(rho, gx)
+            return type(fs)(np.full_like(fs.E, np.nan), fs.E_spline)
+
+        monkeypatch.setattr(bsl, "solve_poisson_1d", nan_field)
+        with pytest.raises(solver.NumericsAbort, match="^non-finite positions at step 1$"):
             solver.run(landau_cfg(scheme="bsl", t_end=1.0, nx=8, nv=8), outdir=str(tmp_path))
         assert read_series(tmp_path)["t"].tolist() == [0.0]
 
