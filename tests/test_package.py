@@ -329,15 +329,10 @@ def _sites(package: Path, match) -> list:
     return found
 
 
-def _finite_tests(package: Path):
-    """(module, innermost function) of each finiteness test in the ``package`` directory."""
-    return set(_sites(package, _tests_finite))
-
-
 def test_every_non_finite_check_is_the_helper():
     """No ``np.isfinite`` and no ValueError that says non-finite in the package,
     outside ``check_finite`` and the functions of ``FINITE_TESTS_ALLOWED``."""
-    found = _finite_tests(SRC / "fslvlasov")
+    found = set(_sites(SRC / "fslvlasov", _tests_finite))
     assert found - set(FINITE_TESTS_ALLOWED) == set()
     assert set(FINITE_TESTS_ALLOWED) <= found  # the scan sees each, and none is stale
 

@@ -714,11 +714,11 @@ class TestRun:
         # cast to an index
         real = bsl.solve_poisson_1d
 
-        def nan_field(rho, gx):
+        def nan_e(rho, gx):
             fs = real(rho, gx)
             return type(fs)(np.full_like(fs.E, np.nan), fs.E_spline)
 
-        monkeypatch.setattr(bsl, "solve_poisson_1d", nan_field)
+        monkeypatch.setattr(bsl, "solve_poisson_1d", nan_e)
         with pytest.raises(solver.NumericsAbort, match="^non-finite positions at step 1$"):
             solver.run(landau_cfg(scheme="bsl", t_end=1.0, nx=8, nv=8), outdir=str(tmp_path))
         assert read_series(tmp_path)["t"].tolist() == [0.0]
