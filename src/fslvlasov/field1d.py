@@ -1,19 +1,25 @@
-"""Periodic 1D Poisson solve: dE/dx = rho - <rho>, zero-mean E."""
+"""Periodic 1D Poisson solve: dE/dx = rho - <rho>, zero-mean E, whose
+spline is fitted on first read (``FieldState1D``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grids import UniformGrid1D
-from .splines import SplineCoeffs, fit_1d
+from .splines import fit_1d
 
 
 @dataclass(frozen=True)
 class FieldState1D:
+    """Node values ``E`` on ``grid`` and their spline ``E_spline``, fitted on first
+    read: the remap's node field, BSL's half step and the hybrid rows fit none."""
+
+    grid: UniformGrid1D
     E: np.ndarray
-    E_spline: SplineCoeffs
+    E_spline = cached_property(lambda self: fit_1d(self.E, self.grid))
 
 
 def solve_poisson_1d(rho, grid: UniformGrid1D) -> FieldState1D:
@@ -36,5 +42,4 @@ def solve_poisson_1d(rho, grid: UniformGrid1D) -> FieldState1D:
     e_hat[1:] = rho_hat[1:] / (1j * kappa[1:])
     if n % 2 == 0:
         e_hat[-1] = 0.0  # unpaired Nyquist mode has no real antiderivative
-    E = np.fft.irfft(e_hat, n=n)
-    return FieldState1D(E, fit_1d(E, grid))
+    return FieldState1D(grid, np.fft.irfft(e_hat, n=n))

@@ -54,19 +54,8 @@ class UniformGrid1D:
         return self.xmin + self.delta * np.arange(self.n_nodes)
 
     def to_units(self, x):
-        """Map physical coordinates to grid units (node i sits at u = i).
-
-        Periodic coordinates are wrapped into [0, n_cells): this is the
-        package's one periodic wrap, so positions from the pushers and
-        BSL's feet may lie any number of periods away.  Natural ones are
-        returned as-is (callers decide how to treat out-of-range points).
-        The result is a fresh array, never ``x``: callers may write over it.
-        """
+        """Grid units (node i at u = i) of physical coordinates: (x - xmin) / delta,
+        unwrapped and unclipped (``splines._locate`` wraps or clips them), in a
+        fresh array, never ``x``: callers may write over it."""
         u = np.subtract(x, self.xmin, out=np.empty(np.shape(x)))
-        u /= self.delta
-        if self.periodic:
-            n = self.n_cells
-            u -= n * np.floor(u / n)
-            # guard the half-open interval against round-off at the seam
-            np.subtract(u, n, out=u, where=u >= n)
-        return u
+        return np.divide(u, self.delta, out=u)

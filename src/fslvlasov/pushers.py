@@ -17,7 +17,7 @@ too, and the next stage refills it.  BSL, which never pushes, reads
 through it after a ``fill`` at margin 0.  The node-seeded set is the
 exception: its field is solved on the grid once, on first use, and
 shared by the diagnostics row and stage 1, which both read node values
-only, since the particles sit where the field spline interpolates (a 2D
+only, since the particles sit where the field spline interpolates (the
 field then fits no spline), read at ``ParticleSet.nodes`` for a seed
 that skipped its negligible coefficients.  The guiding center solves it
 from the remap's f.  Vlasov-Poisson solves it from the stencil deposit

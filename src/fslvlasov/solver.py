@@ -8,12 +8,12 @@ scatters their frozen weights back onto the phase-space grid every step
 (fsl) or every T steps (hybrid; in between the pushed particles keep their
 frozen weights and every stage solves its own field).  ``scheme = bsl``
 takes the new node values from the backward comparator of ``bsl``.  The
-provider depends on the model alone, and every scheme has one remap: it
-books the mass lost, refits the spline coefficients, reseeds the particles
-at the nodes and hands the new set and f to the provider (``reseed``),
-which solves the remap's field once, on the grid and on first use; the
-diagnostics row and the first stage of the next step (bsl: the backward
-step) share that field (``node_field``, see ``pushers``).
+provider depends on the model alone, and every scheme has one remap, t = 0
+included (``init`` ends in it): it books the mass lost, refits f, reseeds
+the particles at the nodes and hands the set and f to the provider
+(``reseed``), which solves the remap's field once, on the grid and on first
+use; the diagnostics row and the first stage of the next step (bsl: the
+backward step) share that field (``node_field``, see ``pushers``).
 
 A diagnostics row and a snapshot read f at the nodes from one source: the
 last remap's f, or between hybrid remaps the pushed set's deposit, made
@@ -77,10 +77,10 @@ class SimState:
     config: CaseConfig
     g1: UniformGrid1D
     g2: UniformGrid1D
-    f_coeffs: SplineCoeffs
-    particles: ParticleSet
-    f_nodes: Optional[np.ndarray]   # None between hybrid remaps until read
     provider: object
+    f_coeffs: Optional[SplineCoeffs] = None  # these three: set by each remap, t = 0's too
+    particles: Optional[ParticleSet] = None
+    f_nodes: Optional[np.ndarray] = None     # None between hybrid remaps until read
     t: float = 0.0
     step_index: int = 0
     mass_lost: float = 0.0
@@ -92,22 +92,21 @@ class SimState:
 
 
 def init(config: CaseConfig) -> SimState:
-    """Sample f0 at the nodes, fit the spline, seed particles, build fields."""
+    """Sample f0 at the nodes, build the provider and remap to f0, losing nothing."""
     g1, g2 = cases.build_grids(config)
     f0 = cases.initial_f(config, g1, g2)
     if not np.all(np.isfinite(f0)):  # name the keys that shape f0, beside the grid's
         keys = {VP: "alpha, k, Lx, v_max", GC: "eps, Lx", HILL: "omega0, a_mean, a_eps"}
         raise cases.ConfigError(f"non-finite initial f: check {keys[config.model]}")
-    coeffs = fit_2d(f0, g1, g2)
-    particles = seed_particles(coeffs)
     if config.model == VP:
         provider = SelfConsistentField1D(g1, g2)
     elif config.model == GC:
         provider = SelfConsistentField2D(g1, g2)
     else:
         provider = ExternalLinearForce(cases.hill_coefficient(config))
-    provider.reseed(particles, f0)
-    return SimState(config, g1, g2, coeffs, particles, f0, provider)
+    state = SimState(config, g1, g2, provider)
+    _remap(state, f0, 0.0)
+    return state
 
 
 # ---------------------------------------------------------------------------

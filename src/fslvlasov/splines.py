@@ -13,8 +13,9 @@ ghost coefficients per side stored inline with the node coefficients.
 The periodic system is circulant and is solved by a real FFT division;
 the natural one is tridiagonal, one LAPACK call (``solve_tridiagonal``).
 Every read beyond a natural wall reads the spline at the wall: ``_locate``
-clips the point in grid units, so callers pass their points unclipped; it
-checks them first, as every point of a run becomes a cell index there.
+clips the point in grid units, or wraps it on a periodic axis (the one
+periodic wrap), so callers pass their points as they are; it checks them
+first, as every point of a run becomes a cell index there.
 
 Kernel layout: a stencil is a pair of (4, n) arrays, coefficient indices
 and basis weights, with the stencil point on the leading axis so every
@@ -206,18 +207,20 @@ def fit_2d_rfft(spectra, gx: UniformGrid1D, gy: UniformGrid1D) -> SplineCoeffs:
 def _locate(grid: UniformGrid1D, x, margin=0):
     """Cell index and fractional offset for physical positions.
 
-    A non-finite point raises.  Periodic grids wrap in ``to_units``,
-    whatever the number of periods away.  A natural grid clips u to
-    [-margin, n_cells + margin] in grid units, the one wall rule of every
-    spline read (margin 0: a point beyond a wall reads the wall) and
-    scatter (``PAD - 1``).
+    A non-finite point raises.  A periodic grid wraps u into [0, n_cells),
+    whatever the number of periods away: the package's one periodic wrap.
+    A natural grid clips u to [-margin, n_cells + margin] in grid units,
+    the one wall rule of every spline read (margin 0: a point beyond a
+    wall reads the wall) and scatter (``PAD - 1``).
     """
     u = grid.to_units(x)  # a fresh array: the locate runs in place
     check_finite("positions", u)
-    hi = grid.n_cells + margin
-    if not grid.periodic:
-        np.clip(u, -margin, hi, out=u)
-    i0 = np.floor(u) if grid.periodic else np.minimum(np.floor(u), hi - 1)
+    n, hi = grid.n_cells, grid.n_cells + margin
+    if grid.periodic:  # into [0, n), kept half-open against round-off at the seam
+        u -= n * np.floor(u / n)
+        i0 = np.floor(np.subtract(u, n, out=u, where=u >= n))
+    else:
+        i0 = np.minimum(np.floor(np.clip(u, -margin, hi, out=u)), hi - 1)
     u -= i0
     return i0.astype(np.int64), u
 

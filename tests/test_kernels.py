@@ -300,9 +300,8 @@ class TestNegligibleWeights:
         tainted = ParticleSet(**arrays)
         np.testing.assert_array_equal(deposit_phase_space(tainted, gx, gy),
                                       deposit_phase_space(p, gx, gy))
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(FloatingPointError, match="^non-finite positions$"):
-            deposit_charge(tainted, (gx, gy), StageOperator())  # the wrap of an inf warns
+        with pytest.raises(FloatingPointError, match="^non-finite positions$"):
+            deposit_charge(tainted, (gx, gy), StageOperator())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_of_a_run_raises_at_its_seed(self, bad, monkeypatch, cli_abort):
@@ -670,9 +669,8 @@ class TestStageOperator:
         pts = [p.pos1.copy(), p.pos2.copy()]
         pts[k][7] = bad
         for fill_pts, fill_grids in ((pts, grids), (pts[k:k + 1], grids[k:k + 1])):
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(FloatingPointError, match="^non-finite positions$"):
-                StageOperator().fill(fill_pts, fill_grids, margin)  # the wrap of an inf warns
+            with pytest.raises(FloatingPointError, match="^non-finite positions$"):
+                StageOperator().fill(fill_pts, fill_grids, margin)
 
     def test_gather_at_other_points_raises(self):
         gx, gy = GRID_PAIRS["periodic-natural"]
@@ -734,8 +732,8 @@ class TestLocateLeavesItsInput:
 
 
 class TestShiftInvariance:
-    """``to_units`` is the one periodic wrap: the pushers and BSL's feet
-    leave x unwrapped, so every read and scatter takes x + kL as x, to
+    """``splines._locate`` is the one periodic wrap: the pushers and BSL's
+    feet leave x unwrapped, so every read and scatter takes x + kL as x, to
     round-off, the seam points xmin, the last double below xmax and xmax
     included.  Off the seam the stencils pick the same coefficients."""
 

@@ -9,14 +9,14 @@ after a remap, and the diagnostics row shares it.  Checked here: the
 stencil deposit against the particle deposit, the guiding-center node
 field against the solve of f, the stage-1 node velocities against the
 spline gather, a seed that skips its negligible coefficients against the
-whole-lattice seed, the solve and 2D fit counts of whole runs, and the
-circulant FFT solve against a dense solve.
+whole-lattice seed, the lazy field splines, the solve and fit counts of
+whole runs, and the circulant FFT solve against a dense solve.
 """
 
 import numpy as np
 import pytest
 
-from fslvlasov import deposition, diagnostics, field2d, pushers, solver
+from fslvlasov import deposition, diagnostics, field1d, field2d, pushers, solver
 from fslvlasov.cases import apply_overrides, case_defaults
 from fslvlasov.deposition import (
     NEGLIGIBLE,
@@ -31,6 +31,7 @@ from fslvlasov.grids import NATURAL, UniformGrid1D
 from fslvlasov.pushers import SelfConsistentField1D, SelfConsistentField2D
 from fslvlasov.splines import (
     StageOperator,
+    fit_1d,
     fit_2d,
     fit_2d_rfft,
     solve_cyclic_banded,
@@ -201,6 +202,34 @@ class TestLazyNodeValues:
         eager = fit_2d_rfft(np.stack([state.Ey_hat, state.Ex_hat]), GX, GY)
         np.testing.assert_array_equal(state.E_spline.coeffs, eager.coeffs)
 
+    def test_vp_stage_solve_alone_fits_the_spline(self, monkeypatch):
+        solved = []
+
+        def recording(*args):
+            solved.append(solve_poisson_1d(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(pushers, "solve_poisson_1d", recording)
+        fld = SelfConsistentField1D(GX, GV)
+        p = _handed(fld, GX, GV, 10)
+        fld.rhs(_copy(p), 0.0)  # a stage off the nodes: deposit, solve, gather
+        assert len(solved) == 1 and "E_spline" in vars(solved[0])
+        fld.rhs(p, 0.0)  # stage 1 of the seeded set reads the node values
+        assert len(solved) == 2 and "E_spline" not in vars(solved[1])
+
+    def test_vp_row_and_stage_one_fit_no_spline(self):
+        state = solver.init(_small("landau"))
+        solver.diag_row(state)
+        state.provider.rhs(state.particles, 0.0)
+        assert "E_spline" not in vars(state.provider.node_field(state.particles))
+
+    def test_vp_seeded_spline_read_late_equals_eager_fit(self):
+        fld = SelfConsistentField1D(GX, GV)
+        p = _handed(fld, GX, GV, 11)
+        fld.rhs(p, 0.0)
+        state = fld.node_field(p)
+        np.testing.assert_array_equal(state.E_spline.coeffs, fit_1d(state.E, GX).coeffs)
+
 
 class TestStageThroughKeptStencils:
     """A stage off the nodes deposits, solves and gathers at its positions,
@@ -285,6 +314,19 @@ class TestSolveCount:
         fits = _counting(monkeypatch, field2d, "fit_2d_rfft")
         solver.run(cfg)
         assert len(fits) == 3 * n
+
+    @pytest.mark.parametrize("case, overrides, fits", [
+        ("bump_on_tail", {}, 18), ("landau", {}, 6), ("landau", {"scheme": "bsl"}, 0),
+        ("landau", {"scheme": "hybrid", "T": 3}, 10)],
+        ids=["bump_on_tail_rk4", "landau_verlet", "landau_bsl", "landau_hybrid_T3"])
+    def test_vp_fits_only_the_stage_splines(self, monkeypatch, case, overrides, fits):
+        # 6 steps: rk4 fits 3 a step, verlet 1, a hybrid cycle of 3 steps 1 + 2 + 2;
+        # the node-seeded field, every row and BSL's half step read node values only
+        n = 6
+        cfg = _small(case, t_end=n * case_defaults(case).dt, diag_every=1, **overrides)
+        calls = _counting(monkeypatch, field1d, "fit_1d")
+        solver.run(cfg)
+        assert len(calls) == fits
 
     def test_hybrid_solves_every_stage_between_remaps(self, monkeypatch):
         cfg = _small("kelvin_helmholtz", scheme="hybrid", T=3, t_end=3.0)

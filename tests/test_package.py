@@ -5,8 +5,9 @@ traced benchmark's spans resolves, every default-valued parameter of
 the package is passed by some call outside the tests, every top-level
 name of the package is referenced outside its own definition, every
 field of a package class is read outside the tests, every non-finite
-check of a run goes through ``splines.check_finite``, and that is called
-only where a value is made or becomes an index."""
+check of a run goes through ``splines.check_finite``, that is called
+only where a value is made or becomes an index, and ``solver`` makes a
+seeded set in ``_remap`` alone."""
 
 import ast
 import importlib
@@ -356,3 +357,20 @@ def test_check_finite_is_called_where_a_value_is_made_or_located():
     and none elsewhere in the package."""
     calls = _sites(SRC / "fslvlasov", _calls_check_finite)
     assert sorted(calls) == sorted(FINITE_CHECK_SITES)
+
+
+#: the calls that make a seeded set: fit f, seed the particles at the nodes
+#: and hand them to the provider.  ``solver`` makes each in ``_remap`` alone,
+#: which ``init`` ends in (t = 0) and every step of every scheme remaps through
+SEEDING_CALLS = ("fit_2d", "seed_particles", "reseed")
+
+
+def _calls_seeding(node) -> bool:
+    return isinstance(node, ast.Call) and bool(
+        {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & set(SEEDING_CALLS))
+
+
+def test_remap_alone_makes_a_seeded_set():
+    """Each of ``SEEDING_CALLS`` has one call in ``solver``, inside ``_remap``."""
+    calls = [site for site in _sites(SRC / "fslvlasov", _calls_seeding) if site[0] == "solver"]
+    assert calls == [("solver", "_remap")] * len(SEEDING_CALLS)

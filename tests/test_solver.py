@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -716,7 +717,7 @@ class TestRun:
 
         def nan_e(rho, gx):
             fs = real(rho, gx)
-            return type(fs)(np.full_like(fs.E, np.nan), fs.E_spline)
+            return dataclasses.replace(fs, E=np.full_like(fs.E, np.nan))
 
         monkeypatch.setattr(bsl, "solve_poisson_1d", nan_e)
         with pytest.raises(solver.NumericsAbort, match="^non-finite positions at step 1$"):
