@@ -361,7 +361,7 @@ def test_check_finite_is_called_where_a_value_is_made_or_located():
 
 #: the calls that make a seeded set: fit f, seed the particles at the nodes
 #: and hand them to the provider.  ``solver`` makes each in ``_remap`` alone,
-#: which ``init`` ends in (t = 0) and every step of every scheme remaps through
+#: the one remap of every scheme, which ``init`` ends in (t = 0)
 SEEDING_CALLS = ("fit_2d", "seed_particles", "reseed")
 
 
